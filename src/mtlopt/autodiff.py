@@ -91,11 +91,14 @@ class BatchNormState:
 
 
 class _Node:
-    """One recorded operation: inputs, output, and the backward rule."""
+    """One recorded operation: inputs, output, and the backward rule.
+
+    A plain-array input is a constant; the backward rule returns None for it.
+    """
 
     __slots__ = ("op", "inputs", "output", "backward")
 
-    def __init__(self, op: str, inputs: tuple[Tensor, ...], output: Tensor,
+    def __init__(self, op: str, inputs: tuple[Tensor | np.ndarray, ...], output: Tensor,
                  backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
         self.op = op
         self.inputs = inputs
@@ -108,19 +111,6 @@ def _assert_finite(op: str, arr: np.ndarray) -> None:
         raise NumericError(f"{op}: produced non-finite values")
 
 
-_EINSUM_PATHS: dict = {}
-
-
-def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    # contraction paths cached by shape; the search dominates at desk scale
-    key = (subscripts, tuple(op.shape for op in operands))
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(subscripts, *operands, optimize="optimal")[0]
-        _EINSUM_PATHS[key] = path
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
 class Tape:
     """Append-only record of operations; replayed in reverse by backward()."""
 
@@ -131,7 +121,7 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _record(self, op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
+    def _record(self, op: str, inputs: Sequence[Tensor | np.ndarray], out_data: np.ndarray,
                 backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
         _assert_finite(op, out_data)
         out = Tensor._wrap(out_data)
@@ -143,14 +133,20 @@ class Tape:
     # operators
     # ------------------------------------------------------------------
 
-    def conv2d(self, x: Tensor, weight: Tensor, bias: Tensor | None = None,
+    def conv2d(self, x: Tensor | np.ndarray, weight: Tensor, bias: Tensor | None = None,
                stride: int = 1, padding: int = 0) -> Tensor:
-        """2-d cross-correlation of NCHW input with an OIKK kernel."""
-        if x.data.ndim != 4:
-            raise ShapeError(f"conv2d: input must be N x C x H x W, got shape {x.shape}")
+        """2-d cross-correlation of NCHW input with an OIKK kernel.
+
+        A plain array ``x`` is a constant: it gets no gradient. The input is
+        unfolded once into a ``(C_in*K*K, N*H_out*W_out)`` matrix, so forward
+        and both weight-side and input-side backward products are 2-d GEMMs.
+        """
+        xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        if xd.ndim != 4:
+            raise ShapeError(f"conv2d: input must be N x C x H x W, got shape {xd.shape}")
         if weight.data.ndim != 4 or weight.shape[2] != weight.shape[3]:
             raise ShapeError(f"conv2d: weight must be O x I x K x K, got shape {weight.shape}")
-        n, c_in, h, w = x.shape
+        n, c_in, h, w = xd.shape
         c_out, c_in_w, k, _ = weight.shape
         if c_in != c_in_w:
             raise ShapeError(f"conv2d: input has {c_in} channels but weight expects {c_in_w}")
@@ -167,28 +163,38 @@ class Tape:
         if h_out < 1 or w_out < 1:
             raise ConfigError(f"conv2d: non-positive output extent {h_out}x{w_out}")
 
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        cols = np.empty((n, c_in, k, k, h_out, w_out))
-        for i in range(k):
-            for j in range(k):
-                cols[:, :, i, j] = xp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
-        out = _einsum("oikl,niklhw->nohw", weight.data, cols)
+        # channel-major (C, N, H, W) layout keeps every slice copy contiguous
+        # on the destination side and makes the column matrix a free reshape
+        inner = np.s_[:, :, padding:padding + h, padding:padding + w]
+        xp = np.zeros((c_in, n, h + 2 * padding, w + 2 * padding))
+        xp[inner] = xd.transpose(1, 0, 2, 3)
+        windows = [(i, j, np.s_[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride])
+                   for i in range(k) for j in range(k)]
+        cols = np.empty((c_in, k, k, n, h_out, w_out))
+        for i, j, window in windows:
+            cols[:, i, j] = xp[window]
+        cols = cols.reshape(c_in * k * k, n * h_out * w_out)
+        w2 = weight.data.reshape(c_out, -1)
+        out2 = w2 @ cols
         if bias is not None:
-            out = out + bias.data[None, :, None, None]
+            out2 += bias.data[:, None]
+        out = out2.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
 
         inputs = (x, weight) if bias is None else (x, weight, bias)
 
         def backward(grad_out: np.ndarray):
-            grad_w = _einsum("nohw,niklhw->oikl", grad_out, cols)
-            grad_cols = _einsum("nohw,oikl->niklhw", grad_out, weight.data)
-            grad_xp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    grad_xp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += grad_cols[:, :, i, j]
-            grad_x = grad_xp[:, :, padding:padding + h, padding:padding + w]
+            g2 = grad_out.transpose(1, 0, 2, 3).reshape(c_out, -1)
+            grad_w = (g2 @ cols.T).reshape(weight.shape)
+            grad_x = None
+            if isinstance(x, Tensor):
+                grad_cols = (w2.T @ g2).reshape(c_in, k, k, n, h_out, w_out)
+                grad_xp = np.zeros_like(xp)
+                for i, j, window in windows:
+                    grad_xp[window] += grad_cols[:, i, j]
+                grad_x = grad_xp[inner].transpose(1, 0, 2, 3)
             if bias is None:
                 return grad_x, grad_w
-            return grad_x, grad_w, grad_out.sum(axis=(0, 2, 3))
+            return grad_x, grad_w, g2.sum(axis=1)
 
         return self._record("conv2d", inputs, out, backward)
 
@@ -396,13 +402,18 @@ class Tape:
             self._nodes[i].output.grad[...] = 0.0
         loss.grad[...] = 1.0
 
+        leaves: dict[int, tuple[str, Tensor]] = {}  # id -> (consuming op, leaf)
         for i in sorted(needed, reverse=True):
             node = self._nodes[i]
             grads_in = node.backward(node.output.grad)
             for t, g in zip(node.inputs, grads_in):
                 if g is not None:
                     t.grad += g
+                    if id(t) not in self._producer:
+                        leaves.setdefault(id(t), (node.op, t))
 
-        for i in needed:
-            for t in self._nodes[i].inputs:
-                _assert_finite(f"backward({self._nodes[i].op})", t.grad)
+        # Forward outputs were checked in _record, and a non-finite
+        # intermediate gradient flows on into some leaf, so one check per
+        # leaf catches every non-finite gradient of this pass.
+        for op, t in leaves.values():
+            _assert_finite(f"backward({op})", t.grad)

@@ -180,7 +180,7 @@ class Model:
     def forward(self, x: np.ndarray | Tensor, task: int, tape: Tape, mode: str = "train") -> Tensor:
         if task not in self.spec.task_ids:
             raise ConfigError(f"forward: unknown task {task}")
-        h = x if isinstance(x, Tensor) else Tensor(x)
+        h = x  # a plain array stays a constant: no gradient for the images
         for layer in self.trunk:
             h = tape.conv2d(h, layer.weight, layer.bias,
                             stride=layer.spec.stride, padding=layer.spec.pad)

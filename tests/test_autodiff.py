@@ -41,6 +41,69 @@ def test_conv_hand_cross_correlation():
     assert out.item() == 10.0
 
 
+def _reference_conv(x, w, b, stride, padding, grad_out):
+    """Direct cross-correlation and its gradients, one output pixel at a time."""
+    n, _, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    h_out = (h + 2 * padding - k) // stride + 1
+    w_out = (wd + 2 * padding - k) // stride + 1
+    out = np.zeros((n, c_out, h_out, w_out))
+    grad_xp = np.zeros_like(xp)
+    grad_w = np.zeros_like(w)
+    for m in range(n):
+        for o in range(c_out):
+            for r in range(h_out):
+                for c in range(w_out):
+                    rows = slice(r * stride, r * stride + k)
+                    cols = slice(c * stride, c * stride + k)
+                    out[m, o, r, c] = np.sum(xp[m, :, rows, cols] * w[o]) + b[o]
+                    if grad_out is not None:
+                        g = grad_out[m, o, r, c]
+                        grad_w[o] += g * xp[m, :, rows, cols]
+                        grad_xp[m, :, rows, cols] += g * w[o]
+    grad_x = grad_xp[:, :, padding:padding + h, padding:padding + wd]
+    return out, grad_x, grad_w
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv_matches_direct_reference(k, stride, padding):
+    rng = np.random.default_rng(100 * k + 10 * stride + padding)
+    h, w = k + 3, k + 4
+    while (h + 2 * padding - k) % stride:
+        h += 1
+    while (w + 2 * padding - k) % stride or w == h:
+        w += 1
+    x_val = rng.normal(size=(2, 3, h, w))
+    w_val = rng.normal(size=(4, 3, k, k))
+    b_val = rng.normal(size=4)
+    out_ref, _, _ = _reference_conv(x_val, w_val, b_val, stride, padding, None)
+    target = rng.normal(size=out_ref.shape)
+    grad_out = 2.0 * (out_ref - target) / out_ref.size  # d mse / d out
+    _, gx_ref, gw_ref = _reference_conv(x_val, w_val, b_val, stride, padding, grad_out)
+    gb_ref = grad_out.sum(axis=(0, 2, 3))
+
+    def close(actual, expected):
+        # rtol on the array's scale: an entry whose terms cancel keeps only
+        # absolute accuracy, a few ulps of its largest terms
+        np.testing.assert_allclose(actual, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    for constant_input in (False, True):
+        tape = Tape()
+        x = x_val if constant_input else Tensor(x_val)
+        wt, bt = Tensor(w_val), Tensor(b_val)
+        out = tape.conv2d(x, wt, bt, stride=stride, padding=padding)
+        tape.backward(tape.mse_loss(out, Tensor(target)))
+        close(out.data, out_ref)
+        close(wt.grad, gw_ref)
+        close(bt.grad, gb_ref)
+        if not constant_input:
+            close(x.grad, gx_ref)
+
+
 def test_conv_shape_errors():
     tape = Tape()
     x = Tensor(np.zeros((1, 2, 4, 4)))
@@ -192,6 +255,18 @@ def test_nonfinite_forward_raises():
     tape = Tape()
     with pytest.raises(NumericError):
         tape.exp(Tensor(1e9))
+
+
+@pytest.mark.parametrize("through_intermediate", [False, True])
+def test_nonfinite_backward_raises(through_intermediate):
+    # every forward value is finite, but d(loss)/d(b) = 1e10 * 1e300 overflows
+    tape = Tape()
+    a, b = Tensor(1e300), Tensor(1e-300)
+    h = tape.add_scalar(b, 0.0) if through_intermediate else b
+    loss = tape.scale(tape.mul(a, h), 1e10)
+    op = "add_scalar" if through_intermediate else "mul"
+    with pytest.raises(NumericError, match=rf"backward\({op}\)"), np.errstate(over="ignore"):
+        tape.backward(loss)
 
 
 def test_linearity_of_backward():
