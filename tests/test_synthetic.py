@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mtlopt.errors import ConfigError
+from mtlopt.rng import substream
 from mtlopt.synthetic import DEPTH_TASK, SEG_TASK, SyntheticConfig, SyntheticMtlDataset
 
 
@@ -68,3 +69,58 @@ def test_balanced_classes_constant_predictor_entropy():
 def test_depth_target_bounded():
     batch = SyntheticMtlDataset(SyntheticConfig(), seed=5).batch(0)
     assert np.all(np.abs(batch.targets[DEPTH_TASK]) <= 1.0)
+
+
+def _reference_generate(cfg: SyntheticConfig, seed: int, tag: str):
+    """The original per-image, per-bump generator, kept as the byte reference."""
+    rng = substream(seed, f"synthetic-{tag}")
+    ys, xs = np.meshgrid(np.linspace(0.0, 1.0, cfg.height),
+                         np.linspace(0.0, 1.0, cfg.width), indexing="ij")
+
+    def bump_field() -> np.ndarray:
+        field = np.zeros((cfg.height, cfg.width))
+        for _ in range(cfg.bumps):
+            cx, cy = rng.uniform(0.0, 1.0, size=2)
+            width = rng.uniform(0.15, 0.35)
+            amp = rng.uniform(0.5, 1.5)
+            field += amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * width ** 2))
+        centred = field - field.mean()
+        scale = centred.std()
+        return centred / scale if scale > 0 else centred
+
+    x = np.empty((cfg.batch_size, cfg.channels, cfg.height, cfg.width))
+    seg = np.empty((cfg.batch_size, cfg.height, cfg.width), dtype=np.int64)
+    depth = np.empty((cfg.batch_size, 1, cfg.height, cfg.width))
+    for n in range(cfg.batch_size):
+        z1 = bump_field()
+        z2 = bump_field()
+        feats = [z1, z2, (z1 + z2) / np.sqrt(2.0)]
+        for c in range(cfg.channels):
+            x[n, c] = feats[c % len(feats)] + cfg.noise * rng.normal(size=z1.shape)
+
+        edges = np.quantile(z1, np.linspace(0.0, 1.0, cfg.num_classes + 1)[1:-1])
+        seg[n] = np.digitize(z1, edges)
+        depth[n, 0] = np.tanh(cfg.depth_mix[0] * z1 + cfg.depth_mix[1] * z2)
+    return x, seg, depth
+
+
+PINNED_CONFIGS = [
+    SyntheticConfig(),
+    SyntheticConfig(batch_size=16, height=16, width=16),
+    SyntheticConfig(channels=5, bumps=4, height=9, width=13, num_classes=3),
+    SyntheticConfig(batch_size=1, channels=1, bumps=1, height=1, width=2),
+]
+
+
+@pytest.mark.parametrize("cfg", PINNED_CONFIGS, ids=["default", "16x16-b16", "c5-b4-9x13", "tiny"])
+def test_batches_match_reference_bytes(cfg):
+    for seed in (0, 7, 2 ** 62 + 11):
+        ds = SyntheticMtlDataset(cfg, seed=seed)
+        for stream, make in (("train", ds.batch), ("eval", ds.eval_batch)):
+            for idx in (0, 1, 5):
+                got = make(idx)
+                want = _reference_generate(cfg, seed, f"{stream}-{idx}")
+                for arr, ref in zip((got.x, got.targets[SEG_TASK], got.targets[DEPTH_TASK]), want):
+                    assert arr.dtype == ref.dtype
+                    assert arr.shape == ref.shape
+                    assert arr.tobytes() == ref.tobytes()
