@@ -46,50 +46,73 @@ class SyntheticConfig:
 
 
 class SyntheticMtlDataset:
-    """Seeded batch generator; identical (seed, index) gives identical bytes."""
+    """Seeded batch generator; identical (seed, index) gives identical bytes.
+
+    Each image draws its bump parameters and its pixel noise in two RNG
+    calls; the field math then runs over the whole batch at once. Eval
+    batches are built once per dataset and kept, with read-only arrays;
+    train batches are generated fresh on every call.
+    """
 
     def __init__(self, config: SyntheticConfig, seed: int):
         config.validate()
         self.config = config
         self.seed = int(seed)
+        self._xs = np.linspace(0.0, 1.0, config.width)
+        self._ys = np.linspace(0.0, 1.0, config.height)
+        self._eval: dict[int, Batch] = {}
 
     def batch(self, index: int) -> Batch:
         return self._generate(f"train-{index}")
 
     def eval_batch(self, index: int) -> Batch:
-        return self._generate(f"eval-{index}")
+        batch = self._eval.get(index)
+        if batch is None:
+            batch = self._generate(f"eval-{index}")
+            for arr in (batch.x, *batch.targets.values()):
+                arr.flags.writeable = False
+            self._eval[index] = batch
+        return Batch(batch.x, dict(batch.targets))
 
     def _generate(self, tag: str) -> Batch:
         cfg = self.config
+        n, h, w = cfg.batch_size, cfg.height, cfg.width
         rng = substream(self.seed, f"synthetic-{tag}")
-        ys, xs = np.meshgrid(np.linspace(0.0, 1.0, cfg.height),
-                             np.linspace(0.0, 1.0, cfg.width), indexing="ij")
+        # per image: (cx, cy, width, amp) for the z1 bumps then the z2 bumps,
+        # then the pixel noise of every channel
+        draws = np.empty((n, 2, cfg.bumps, 4))
+        noise = np.empty((n, cfg.channels, h, w))
+        for i in range(n):
+            draws[i] = rng.random((2, cfg.bumps, 4))
+            noise[i] = rng.normal(size=(cfg.channels, h, w))
+        cx, cy = draws[..., 0], draws[..., 1]
+        amp = 0.5 + (1.5 - 0.5) * draws[..., 3]
+        # a Python float ** is libm pow, which can differ from x*x in the last bit
+        denom = np.array([2 * float(s) ** 2 for s in (0.15 + (0.35 - 0.15) * draws[..., 2]).flat]
+                         ).reshape(cx.shape)
 
-        def bump_field() -> np.ndarray:
-            field = np.zeros((cfg.height, cfg.width))
-            for _ in range(cfg.bumps):
-                cx, cy = rng.uniform(0.0, 1.0, size=2)
-                width = rng.uniform(0.15, 0.35)
-                amp = rng.uniform(0.5, 1.5)
-                field += amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * width ** 2))
-            centred = field - field.mean()
-            scale = centred.std()
-            return centred / scale if scale > 0 else centred
+        fields = np.zeros((n, 2, h, w))
+        for b in range(cfg.bumps):
+            dx2 = (self._xs - cx[:, :, b, None, None]) ** 2
+            dy2 = (self._ys[:, None] - cy[:, :, b, None, None]) ** 2
+            bump = -(dx2 + dy2) / denom[:, :, b, None, None]
+            np.exp(bump, out=bump)
+            bump *= amp[:, :, b, None, None]
+            fields += bump
+        flat = fields.reshape(n, 2, h * w)
+        centred = flat - flat.mean(axis=-1, keepdims=True)
+        scale = centred.std(axis=-1, keepdims=True)
+        fields = (centred / np.where(scale > 0, scale, 1.0)).reshape(n, 2, h, w)
+        z1, z2 = fields[:, 0], fields[:, 1]
 
-        x = np.empty((cfg.batch_size, cfg.channels, cfg.height, cfg.width))
-        seg = np.empty((cfg.batch_size, cfg.height, cfg.width), dtype=np.int64)
-        depth = np.empty((cfg.batch_size, 1, cfg.height, cfg.width))
-        for n in range(cfg.batch_size):
-            # two latent fields: segmentation reads the first, regression mixes
-            # both, so the tasks share structure but compete for features
-            z1 = bump_field()
-            z2 = bump_field()
-            feats = [z1, z2, (z1 + z2) / np.sqrt(2.0)]
-            for c in range(cfg.channels):
-                x[n, c] = feats[c % len(feats)] + cfg.noise * rng.normal(size=z1.shape)
-
-            edges = np.quantile(z1, np.linspace(0.0, 1.0, cfg.num_classes + 1)[1:-1])
-            seg[n] = np.digitize(z1, edges)
-            depth[n, 0] = np.tanh(self.config.depth_mix[0] * z1
-                                  + self.config.depth_mix[1] * z2)
+        # two latent fields: segmentation reads the first, regression mixes
+        # both, so the tasks share structure but compete for features
+        feats = np.stack([z1, z2, (z1 + z2) / np.sqrt(2.0)], axis=1)
+        x = feats[:, [c % 3 for c in range(cfg.channels)]] + cfg.noise * noise
+        edges = np.quantile(z1.reshape(n, h * w),
+                            np.linspace(0.0, 1.0, cfg.num_classes + 1)[1:-1], axis=1)
+        seg = np.empty((n, h, w), dtype=np.int64)
+        for i in range(n):
+            seg[i] = np.digitize(z1[i], edges[:, i])
+        depth = np.tanh(cfg.depth_mix[0] * z1 + cfg.depth_mix[1] * z2)[:, None]
         return Batch(x=x, targets={SEG_TASK: seg, DEPTH_TASK: depth})

@@ -124,3 +124,29 @@ def test_batches_match_reference_bytes(cfg):
                     assert arr.dtype == ref.dtype
                     assert arr.shape == ref.shape
                     assert arr.tobytes() == ref.tobytes()
+
+
+def test_eval_batches_are_memoised_and_read_only():
+    ds = SyntheticMtlDataset(SyntheticConfig(), seed=9)
+    first, again = ds.eval_batch(2), ds.eval_batch(2)
+    for a, b in ((first.x, again.x), (first.targets[SEG_TASK], again.targets[SEG_TASK]),
+                 (first.targets[DEPTH_TASK], again.targets[DEPTH_TASK])):
+        assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError):
+            a[...] = 0
+        with pytest.raises(ValueError):
+            b += 1
+    # a caller that edits the returned target dict does not reach the memo
+    again.targets.clear()
+    assert set(ds.eval_batch(2).targets) == {SEG_TASK, DEPTH_TASK}
+
+
+def test_train_batches_are_fresh_and_writable():
+    ds = SyntheticMtlDataset(SyntheticConfig(), seed=9)
+    a, b = ds.batch(2), ds.batch(2)
+    assert a.x is not b.x
+    for arr in (a.x, a.targets[SEG_TASK], a.targets[DEPTH_TASK]):
+        arr[...] = 0
+    assert a.x.tobytes() != b.x.tobytes()
+    assert b.x.tobytes() == ds.batch(2).x.tobytes()
+    assert not np.array_equal(ds.batch(2).x, ds.eval_batch(2).x)
