@@ -1,7 +1,8 @@
 """Minimal deterministic reverse-mode autodiff over dense float64 tensors.
 
 Every value is a Tensor: a data array paired with a same-shape gradient
-array. Operations are recorded on an explicit Tape; ``Tape.backward``
+array. An op output gets its gradient array from the first backward pass
+that needs it, so eval-only forwards allocate none. Operations are recorded on an explicit Tape; ``Tape.backward``
 replays the recorded nodes in reverse order and accumulates exact
 gradients with ``+=``. Zeroing gradients between backward passes is the
 caller's responsibility.
@@ -37,7 +38,11 @@ BN_MOMENTUM = 0.1
 
 
 class Tensor:
-    """Dense n-d float64 value array with a paired gradient array."""
+    """Dense n-d float64 value array with a paired gradient array.
+
+    Leaf tensors own a gradient from construction; an op output's ``grad``
+    is None until ``Tape.backward`` allocates it.
+    """
 
     __slots__ = ("data", "grad")
 
@@ -50,7 +55,7 @@ class Tensor:
         # Internal: take ownership of arr without copying.
         t = object.__new__(cls)
         t.data = arr
-        t.grad = np.zeros_like(arr)
+        t.grad = None
         return t
 
     @property
@@ -292,20 +297,23 @@ class Tape:
         return self._record("linear", inputs, out, backward)
 
     def mse_loss(self, prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-        """Mean squared error over all elements (scalar output)."""
-        if not isinstance(target, Tensor):
-            target = Tensor(np.asarray(target, dtype=np.float64))
-        if prediction.shape != target.shape:
-            raise ShapeError(f"mse: prediction shape {prediction.shape} != target shape {target.shape}")
-        diff = prediction.data - target.data
+        """Mean squared error over all elements (scalar output).
+
+        A plain array ``target`` is a constant: it gets no gradient.
+        """
+        td = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
+        if prediction.shape != td.shape:
+            raise ShapeError(f"mse: prediction shape {prediction.shape} != target shape {td.shape}")
+        diff = prediction.data - td
         out = np.asarray((diff * diff).mean())
         scale = 2.0 / diff.size
 
         def backward(grad_out: np.ndarray):
             g = grad_out * scale * diff
-            return g, -g
+            return g, (-g if isinstance(target, Tensor) else None)
 
-        return self._record("mse_loss", (prediction, target), out, backward)
+        inputs = (prediction, target if isinstance(target, Tensor) else td)
+        return self._record("mse_loss", inputs, out, backward)
 
     def cross_entropy_loss(self, logits: Tensor, labels: np.ndarray) -> Tensor:
         """Mean softmax cross-entropy; class axis is 1, labels are int indices."""
@@ -376,9 +384,9 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(tensor) into .grad for every tensor feeding loss.
 
-        Parameters (leaf tensors) accumulate with +=; intermediate node
-        outputs are reset at the start of each call so one forward pass can
-        serve several backward passes.
+        Parameters (leaf tensors) accumulate with +=; each needed node output
+        gets a fresh zero gradient at the start of each call, so one forward
+        pass can serve several backward passes.
         """
         if loss.size != 1:
             raise TapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -399,7 +407,8 @@ class Tape:
                     stack.append(j)
 
         for i in needed:
-            self._nodes[i].output.grad[...] = 0.0
+            out = self._nodes[i].output
+            out.grad = np.zeros_like(out.data)
         loss.grad[...] = 1.0
 
         leaves: dict[int, tuple[str, Tensor]] = {}  # id -> (consuming op, leaf)

@@ -220,6 +220,11 @@ def mean_pairwise_gradient_cosine(model: Model, batches: list[Batch]) -> float:
 # the run itself
 # ---------------------------------------------------------------------------
 
+def training_dataset(config: ExperimentConfig, seed: int) -> SyntheticMtlDataset:
+    """The synthetic dataset that a run of ``seed`` trains and evaluates on."""
+    return SyntheticMtlDataset(config.data, seed=int(substream(seed, "data").integers(0, 2 ** 63)))
+
+
 def _run_seed(config: ExperimentConfig, seed: int,
               metric_spec: MetricSpec | None,
               target_map: Mapping[int, int] | None = None) -> SeedResult:
@@ -229,9 +234,8 @@ def _run_seed(config: ExperimentConfig, seed: int,
     k = len(task_ids)
 
     init_seed = int(substream(seed, "init").integers(0, 2 ** 63))
-    data_seed = int(substream(seed, "data").integers(0, 2 ** 63))
     model = build_model(spec, seed=init_seed)
-    dataset = SyntheticMtlDataset(config.data, seed=data_seed)
+    dataset = training_dataset(config, seed)
     provider = _WeightProvider(config)
     rule = config.update_rule
     optimizer = MtlOptimizer(model, OptimizerConfig(

@@ -40,9 +40,8 @@ from .quadratics import (
 )
 from .rng import substream
 from .runner import _run_seed, mean_pairwise_gradient_cosine, run_experiment, \
-    run_single_task_baselines, write_baselines
+    run_single_task_baselines, training_dataset, write_baselines
 from .strength import build_channel_groups, model_strength_snapshot, normalized_strength
-from .synthetic import SyntheticMtlDataset
 
 
 @dataclass
@@ -394,8 +393,7 @@ def check_phase1_alignment(seeds=(1, 2, 3, 4, 5), epochs: int = 50,
                     overrides.update({"method": "gd"})
                 config = ExperimentConfig.from_dict(overrides)
                 result = _run_seed(config, seed, None)
-                dataset = SyntheticMtlDataset(
-                    config.data, seed=int(substream(seed, "data").integers(0, 2 ** 63)))
+                dataset = training_dataset(config, seed)
                 probes = [dataset.batch(epochs * steps_per_epoch + i)
                           for i in range(probe_batches)]
                 cosines[variant] = mean_pairwise_gradient_cosine(result.model, probes)

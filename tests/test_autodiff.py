@@ -186,6 +186,36 @@ def test_mse_examples():
     assert tape.mse_loss(Tensor(np.array([0.0])), Tensor(np.array([2.0]))).item() == 4.0
 
 
+def test_mse_plain_target_is_a_constant():
+    rng = np.random.default_rng(4)
+    x, target = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=(2, 1, 4, 4))
+    w = rng.normal(size=(1, 3, 3, 3))
+    grads = []
+    for make_target in (Tensor, np.asarray):
+        tape, wt = Tape(), Tensor(w)
+        pred = tape.relu(tape.conv2d(x, wt, padding=1))
+        tgt = make_target(target)
+        tape.backward(tape.mse_loss(pred, tgt))
+        grads.append((pred.grad.tobytes(), wt.grad.tobytes()))
+        if isinstance(tgt, Tensor):
+            np.testing.assert_array_equal(tgt.grad, -pred.grad)
+    assert grads[0] == grads[1]
+
+
+def test_op_outputs_get_gradients_only_from_backward():
+    tape = Tape()
+    theta = Tensor(np.array([1.5, -2.0]))
+    hidden = tape.relu(theta)
+    loss = tape.mse_loss(hidden, np.zeros(2))
+    unused = tape.scale(theta, 3.0)  # on the tape but not feeding loss
+    assert hidden.grad is None and loss.grad is None and unused.grad is None
+    assert theta.grad.tobytes() == np.zeros(2).tobytes()
+    tape.backward(loss)
+    np.testing.assert_array_equal(hidden.grad, [1.5, 0.0])
+    np.testing.assert_array_equal(theta.grad, [1.5, 0.0])
+    assert unused.grad is None
+
+
 def test_cross_entropy_uniform_logits():
     tape = Tape()
     for c in (2, 5, 7):

@@ -7,12 +7,14 @@ import pytest
 from mtlopt.cli import main as cli_main
 from mtlopt.config import ExperimentConfig, apply_dotted_overrides
 from mtlopt.errors import ConfigError
+from mtlopt import runner
 from mtlopt.network import load_checkpoint
 from mtlopt.runner import (
     RunReport,
     read_metrics,
     run_experiment,
     run_single_task_baselines,
+    training_dataset,
     write_baselines,
     write_report,
 )
@@ -132,6 +134,25 @@ def test_phase_override_forces_single_phase():
     report = run_experiment(fast_config(epochs=3, method="ours", phase_override="phase2"))
     log = report.seed_results[0].log_rows
     assert all(entry["phase"] == "phase2" for entry in log)
+
+
+def test_runs_train_on_the_training_dataset(monkeypatch):
+    # criterion 7 draws its probe batches from training_dataset, so the
+    # runner must take its data from the same helper
+    made = []
+    helper = runner.training_dataset
+
+    def recording(config, seed):
+        made.append((seed, helper(config, seed)))
+        return made[-1][1]
+
+    monkeypatch.setattr(runner, "training_dataset", recording)
+    config = fast_config(seeds=[5], epochs=1)
+    assert not run_experiment(config).failed
+    assert [seed for seed, _ in made] == [5]
+    again = training_dataset(config, 5)
+    assert again.batch(0).x.tobytes() == made[0][1].batch(0).x.tobytes()
+    assert training_dataset(config, 6).batch(0).x.tobytes() != again.batch(0).x.tobytes()
 
 
 def test_checkpoint_saved_and_loadable(tmp_path):
