@@ -2,10 +2,10 @@
 
 Every value is a Tensor: a data array paired with a same-shape gradient
 array. An op output gets its gradient array from the first backward pass
-that needs it, so eval-only forwards allocate none. Operations are recorded on an explicit Tape; ``Tape.backward``
-replays the recorded nodes in reverse order and accumulates exact
-gradients with ``+=``. Zeroing gradients between backward passes is the
-caller's responsibility.
+that needs it, so eval-only forwards allocate none. Operations are
+recorded on an explicit Tape; ``Tape.backward`` replays the recorded nodes
+in reverse order and accumulates exact gradients with ``+=``. Zeroing
+gradients between backward passes is the caller's responsibility.
 
 The operator set is exactly what the toy networks and losses need:
 conv2d, task-specific batch norm, relu, linear, mse / softmax

@@ -79,7 +79,8 @@ class SyntheticMtlDataset:
         n, h, w = cfg.batch_size, cfg.height, cfg.width
         rng = substream(self.seed, f"synthetic-{tag}")
         # per image: (cx, cy, width, amp) for the z1 bumps then the z2 bumps,
-        # then the pixel noise of every channel
+        # then the pixel noise of every channel; uniform(lo, hi) would draw
+        # the same doubles and return lo + (hi - lo) * u
         draws = np.empty((n, 2, cfg.bumps, 4))
         noise = np.empty((n, cfg.channels, h, w))
         for i in range(n):
@@ -99,6 +100,8 @@ class SyntheticMtlDataset:
             np.exp(bump, out=bump)
             bump *= amp[:, :, b, None, None]
             fields += bump
+        # reduce over one flat H*W axis so the summation order, and hence
+        # every byte, matches a reduction over one image's 2-D field
         flat = fields.reshape(n, 2, h * w)
         centred = flat - flat.mean(axis=-1, keepdims=True)
         scale = centred.std(axis=-1, keepdims=True)
