@@ -1,8 +1,8 @@
 """Minimal deterministic reverse-mode autodiff over dense float64 tensors.
 
 Every value is a Tensor: a data array paired with a same-shape gradient
-array. An op output gets its gradient array from the first backward pass
-that needs it, so eval-only forwards allocate none. Operations are
+array. An op output holds a gradient array only while a backward pass
+that needs it runs, so eval-only forwards allocate none. Operations are
 recorded on an explicit Tape; ``Tape.backward`` replays the recorded nodes
 in reverse order and accumulates exact gradients with ``+=``. Zeroing
 gradients between backward passes is the caller's responsibility.
@@ -41,7 +41,7 @@ class Tensor:
     """Dense n-d float64 value array with a paired gradient array.
 
     Leaf tensors own a gradient from construction; an op output's ``grad``
-    is None until ``Tape.backward`` allocates it.
+    is None except while ``Tape.backward`` propagates through it.
     """
 
     __slots__ = ("data", "grad")
@@ -384,9 +384,10 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(tensor) into .grad for every tensor feeding loss.
 
-        Parameters (leaf tensors) accumulate with +=; each needed node output
-        gets a fresh zero gradient at the start of each call, so one forward
-        pass can serve several backward passes.
+        Parameters (leaf tensors) accumulate with +=. A needed node output
+        gets a zero gradient at its first contribution and drops it once its
+        own rule has run, so one forward pass can serve several backward
+        passes and intermediate gradients never outlive the call.
         """
         if loss.size != 1:
             raise TapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -407,19 +408,25 @@ class Tape:
                     stack.append(j)
 
         for i in needed:
-            out = self._nodes[i].output
-            out.grad = np.zeros_like(out.data)
-        loss.grad[...] = 1.0
+            self._nodes[i].output.grad = None
+        loss.grad = np.ones_like(loss.data)
 
         leaves: dict[int, tuple[str, Tensor]] = {}  # id -> (consuming op, leaf)
         for i in sorted(needed, reverse=True):
             node = self._nodes[i]
             grads_in = node.backward(node.output.grad)
+            # every consumer of this output ran before it, so its gradient is
+            # complete and read no more; freeing it lets a later input
+            # gradient reuse the block
+            node.output.grad = None
             for t, g in zip(node.inputs, grads_in):
-                if g is not None:
-                    t.grad += g
-                    if id(t) not in self._producer:
-                        leaves.setdefault(id(t), (node.op, t))
+                if g is None:
+                    continue
+                if id(t) not in self._producer:
+                    leaves.setdefault(id(t), (node.op, t))
+                elif t.grad is None:
+                    t.grad = np.zeros_like(t.data)
+                t.grad += g
 
         # Forward outputs were checked in _record, and a non-finite
         # intermediate gradient flows on into some leaf, so one check per
