@@ -420,13 +420,12 @@ class Tape:
             # gradient reuse the block
             node.output.grad = None
             for t, g in zip(node.inputs, grads_in):
-                if g is None:
-                    continue
-                if id(t) not in self._producer:
-                    leaves.setdefault(id(t), (node.op, t))
-                elif t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += g
+                if g is not None:
+                    if t.grad is None:
+                        t.grad = np.zeros_like(t.data)
+                    t.grad += g
+                    if id(t) not in self._producer:
+                        leaves.setdefault(id(t), (node.op, t))
 
         # Forward outputs were checked in _record, and a non-finite
         # intermediate gradient flows on into some leaf, so one check per

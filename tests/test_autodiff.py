@@ -215,6 +215,9 @@ def test_op_outputs_hold_gradients_only_inside_backward():
     assert hidden.grad is None and loss.grad is None and unused.grad is None
     tape.backward(loss)  # one forward serves several backward passes
     np.testing.assert_array_equal(theta.grad, [3.0, 0.0])
+    other = Tape()  # an output of another tape is a leaf here
+    other.backward(other.mse_loss(hidden, np.zeros(2)))
+    np.testing.assert_array_equal(hidden.grad, [1.5, 0.0])
 
 
 def test_cross_entropy_uniform_logits():
