@@ -10,13 +10,7 @@ from .autodiff import BatchNormState, Tape, Tensor
 from .config import ExperimentConfig
 from .errors import MtloptError
 from .evaluation import MetricSpec, TaskMetricSpec, delta_m, loss_trend_correlation, priority_share
-from .loss_scaling import (
-    DwaState,
-    UncertaintyState,
-    dwa_weights,
-    static_weights,
-    uncertainty_weighted_loss,
-)
+from .loss_scaling import DwaState, UncertaintyState, dwa_weights, static_weights
 from .network import (
     Batch,
     ConvSpec,
@@ -27,7 +21,6 @@ from .network import (
     TaskSpec,
     build_model,
     clone_model,
-    is_conflicting,
     load_checkpoint,
     partition_parameters,
     per_task_gradients,
@@ -40,7 +33,6 @@ from .optimizers import (
     OptimizerConfig,
     PhaseSchedule,
     project_gradient,
-    select_phase,
 )
 from .quadratics import (
     QuadraticProblem,
@@ -49,15 +41,12 @@ from .quadratics import (
     make_quadratic_problem,
     model_priority_oracle,
     oracle_priority_partition,
-    priority_oracle,
     priority_update_check,
 )
 from .runner import RunReport, run_experiment, run_single_task_baselines, write_report
 from .strength import (
     StrengthReport,
     build_channel_groups,
-    channel_strength,
-    kernel_strength,
     layer_strength_report,
     model_strength_snapshot,
     normalized_strength,

@@ -7,10 +7,9 @@ recorded on an explicit Tape; ``Tape.backward`` replays the recorded nodes
 in reverse order and accumulates exact gradients with ``+=``. Zeroing
 gradients between backward passes is the caller's responsibility.
 
-The operator set is exactly what the toy networks and losses need:
-conv2d, task-specific batch norm, relu, linear, mse / softmax
-cross-entropy, and a small family of pointwise ops (add, mul, scale,
-exp) used to combine scalar losses.
+The operator set is exactly what training runs: conv2d, task-specific
+batch norm, relu, mse / softmax cross-entropy, and ``scale``, which
+weights a task loss before its backward pass.
 
 A tape and the tensors on it belong to one execution context; never call
 into the same tape concurrently. Distinct tapes share no mutable state and
@@ -122,9 +121,6 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._producer: dict[int, int] = {}  # id(output tensor) -> node index
-
-    def __len__(self) -> int:
-        return len(self._nodes)
 
     def _record(self, op: str, inputs: Sequence[Tensor | np.ndarray], out_data: np.ndarray,
                 backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
@@ -274,28 +270,6 @@ class Tape:
 
         return self._record("relu", (x,), out, backward)
 
-    def linear(self, x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-        """Dense layer: x (N x F) times weight (O x F), plus optional bias (O,)."""
-        if x.data.ndim != 2 or weight.data.ndim != 2:
-            raise ShapeError(f"linear: expected 2-d input and weight, got {x.shape}, {weight.shape}")
-        if x.shape[1] != weight.shape[1]:
-            raise ShapeError(f"linear: input features {x.shape[1]} != weight features {weight.shape[1]}")
-        out = x.data @ weight.data.T
-        if bias is not None:
-            if bias.shape != (weight.shape[0],):
-                raise ShapeError(f"linear: bias shape {bias.shape} != ({weight.shape[0]},)")
-            out = out + bias.data[None, :]
-        inputs = (x, weight) if bias is None else (x, weight, bias)
-
-        def backward(grad_out: np.ndarray):
-            grad_x = grad_out @ weight.data
-            grad_w = grad_out.T @ x.data
-            if bias is None:
-                return grad_x, grad_w
-            return grad_x, grad_w, grad_out.sum(axis=0)
-
-        return self._record("linear", inputs, out, backward)
-
     def mse_loss(self, prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
         """Mean squared error over all elements (scalar output).
 
@@ -351,31 +325,10 @@ class Tape:
             return self.cross_entropy_loss(prediction, target)
         raise ValueError(f"compute_loss: unknown kind {kind!r}")
 
-    # -- pointwise ops used to combine scalar losses ---------------------
-
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-        return self._record("add", (a, b), a.data + b.data,
-                            lambda g: (g, g))
-
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-        return self._record("mul", (a, b), a.data * b.data,
-                            lambda g: (g * b.data, g * a.data))
-
     def scale(self, a: Tensor, c: float) -> Tensor:
+        """``c * a`` for a constant c; weights a task loss before backward."""
         c = float(c)
         return self._record("scale", (a,), a.data * c, lambda g: (g * c,))
-
-    def exp(self, a: Tensor) -> Tensor:
-        with np.errstate(over="ignore"):
-            out = np.exp(a.data)
-        return self._record("exp", (a,), out, lambda g: (g * out,))
-
-    def add_scalar(self, a: Tensor, c: float) -> Tensor:
-        return self._record("add_scalar", (a,), a.data + float(c), lambda g: (g,))
 
     # ------------------------------------------------------------------
     # reverse pass

@@ -23,8 +23,13 @@ from .runner import (
 def _load_overrides(args) -> dict:
     overrides: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                overrides = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"config file {args.config}: {exc.strerror}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {args.config}: invalid JSON ({exc})") from exc
         if not isinstance(overrides, dict):
             raise ConfigError(f"config file {args.config}: top level must be an object")
     overrides = apply_dotted_overrides(overrides, args.set or [])

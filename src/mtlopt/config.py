@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import ConfigError
+from .loss_scaling import SCHEMES
 from .network import ModelSpec
 from .optimizers import METHOD_GD, METHOD_OURS, METHOD_PCGRAD, PHASE1, PHASE2
 from .synthetic import SyntheticConfig
 
 METHODS = (METHOD_OURS, METHOD_GD, METHOD_PCGRAD)
-SCHEMES = ("equal", "manual", "uncertainty", "dwa")
 
 
 def default_model_dict() -> dict:
@@ -91,6 +91,14 @@ def _merge(base: dict, override: Mapping, path: str = "") -> dict:
 def _require(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise ConfigError(f"config.{path}: {message}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -170,20 +178,20 @@ class ExperimentConfig:
         _require(raw["method"] in METHODS, "method", f"must be one of {METHODS}")
         ls = raw["loss_scaling"]
         _require(ls["scheme"] in SCHEMES, "loss_scaling.scheme", f"must be one of {SCHEMES}")
-        _require(isinstance(raw["epochs"], int) and raw["epochs"] >= 1,
+        _require(_is_int(raw["epochs"]) and raw["epochs"] >= 1,
                  "epochs", "must be a positive integer")
-        _require(isinstance(raw["steps_per_epoch"], int) and raw["steps_per_epoch"] >= 1,
+        _require(_is_int(raw["steps_per_epoch"]) and raw["steps_per_epoch"] >= 1,
                  "steps_per_epoch", "must be a positive integer")
-        _require(isinstance(raw["lr"], (int, float)) and raw["lr"] > 0,
+        _require(_is_number(raw["lr"]) and raw["lr"] > 0,
                  "lr", "must be a positive number")
         _require(raw["update_rule"]["kind"] in ("sgd", "adam"),
                  "update_rule.kind", "must be 'sgd' or 'adam'")
         _require(raw["phase_override"] in (None, PHASE1, PHASE2),
                  "phase_override", f"must be null, '{PHASE1}' or '{PHASE2}'")
         _require(isinstance(raw["seeds"], (list, tuple)) and len(raw["seeds"]) >= 1
-                 and all(isinstance(s, int) for s in raw["seeds"]),
+                 and all(_is_int(s) for s in raw["seeds"]),
                  "seeds", "must be a nonempty list of integers")
-        _require(isinstance(raw["eval_batches"], int) and raw["eval_batches"] >= 1,
+        _require(_is_int(raw["eval_batches"]) and raw["eval_batches"] >= 1,
                  "eval_batches", "must be a positive integer")
         _require(isinstance(raw["save_checkpoints"], bool),
                  "save_checkpoints", "must be a boolean")
@@ -200,9 +208,9 @@ class ExperimentConfig:
             ratios = ls["manual_ratios"]
             _require(isinstance(ratios, (list, tuple)) and len(ratios) == k,
                      "loss_scaling.manual_ratios", f"manual scheme needs {k} ratios")
-            _require(all(isinstance(r, (int, float)) and r >= 0 for r in ratios),
+            _require(all(_is_number(r) and r >= 0 for r in ratios),
                      "loss_scaling.manual_ratios", "ratios must be nonnegative numbers")
-        _require(isinstance(ls["dwa_temperature"], (int, float)) and ls["dwa_temperature"] > 0,
+        _require(_is_number(ls["dwa_temperature"]) and ls["dwa_temperature"] > 0,
                  "loss_scaling.dwa_temperature", "must be positive")
 
         if raw["task_order"] is not None:
@@ -218,19 +226,15 @@ class ExperimentConfig:
             raise ConfigError(f"config.data: {exc}") from exc
         _require(data.channels == model.trunk[0].in_channels if model.trunk else True,
                  "data.channels", "must match the first trunk layer's input channels")
+        _require(k <= 2, "model.tasks", f"the synthetic data has 2 targets, got {k} tasks")
+        for task in model.tasks:
+            layers = model.heads.get(task.id) or model.trunk
+            channels = layers[-1].out_channels if layers else data.channels
+            expected = data.num_classes if task.loss == "cross_entropy" else 1
+            _require(channels == expected, f"model.heads.{task.id}",
+                     f"a {task.loss} task needs {expected} output channels, got {channels}")
 
         return cls(raw=raw, model=model, data=data)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
-                overrides = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"config file {path}: top level must be an object")
-        return cls.from_dict(overrides)
 
 
 def apply_dotted_overrides(overrides: dict, assignments: list[str]) -> dict:

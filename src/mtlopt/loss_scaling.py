@@ -1,10 +1,10 @@
 """Task-weighting schemes: equal, manual ratios, homoscedastic uncertainty,
 and Dynamic Weight Average.
 
-The uncertainty scheme learns one log-variance scalar per task; the total
-loss is built on the tape so the log-variance parameters receive exact
-gradients. DWA rescales weights from the ratio of the last two epoch-mean
-losses; its weights always sum to the number of tasks.
+The uncertainty scheme learns one log-variance scalar per task by plain SGD
+on the closed-form gradient of its objective. DWA rescales weights from the
+ratio of the last two epoch-mean losses; its weights always sum to the
+number of tasks.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import ConfigError
 
 SCHEMES = ("equal", "manual", "uncertainty", "dwa")
@@ -64,25 +64,15 @@ class UncertaintyState:
         """The effective multiplier on the raw task loss, c / sigma^2."""
         return self.coefficient(task) * float(np.exp(-self.rho[task].data))
 
+    def rho_gradient(self, raw_losses: Mapping[int, float]) -> dict[int, float]:
+        """d/d(rho) of the objective  sum_i  c_i * L_i * exp(-rho_i) + rho_i / 2."""
+        return {tid: -self.coefficient(tid) * raw_losses[tid] * float(np.exp(-rho.data)) + 0.5
+                for tid, rho in self.rho.items()}
+
     def sgd_update(self, raw_losses: Mapping[int, float], lr: float) -> None:
-        """One plain-SGD step on each rho from d(total)/d(rho)."""
-        for tid, rho in self.rho.items():
-            grad = -self.coefficient(tid) * raw_losses[tid] * float(np.exp(-rho.data)) + 0.5
-            rho.data -= lr * grad
-
-
-def uncertainty_weighted_loss(losses: Mapping[int, Tensor], state: UncertaintyState,
-                              tape: Tape) -> Tensor:
-    """Total loss  sum_i  c_i * L_i * exp(-rho_i) + rho_i / 2  on the tape."""
-    total: Tensor | None = None
-    for tid in sorted(losses):
-        rho = state.rho[tid]
-        scaled = tape.mul(losses[tid], tape.exp(tape.scale(rho, -1.0)))
-        term = tape.add(tape.scale(scaled, state.coefficient(tid)), tape.scale(rho, 0.5))
-        total = term if total is None else tape.add(total, term)
-    if total is None:
-        raise ConfigError("uncertainty_weighted_loss: no losses given")
-    return total
+        """One plain-SGD step on each rho."""
+        for tid, grad in self.rho_gradient(raw_losses).items():
+            self.rho[tid].data -= lr * grad
 
 
 @dataclass

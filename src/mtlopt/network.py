@@ -7,7 +7,6 @@ set per task (that task's batch-norm scales/shifts plus its head).
 """
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -172,9 +171,6 @@ class Model:
         for p in self.named_parameters().values():
             p.zero_grad()
 
-    def trunk_weight_names(self) -> list[str]:
-        return [f"trunk.{i}.weight" for i in range(len(self.trunk))]
-
     # -- forward ---------------------------------------------------------
 
     def forward(self, x: np.ndarray | Tensor, task: int, tape: Tape, mode: str = "train") -> Tensor:
@@ -272,11 +268,6 @@ class GradientSet:
         return float(sum((self.entries[n] * other.entries[n]).sum() for n in self.entries))
 
 
-def is_conflicting(a: GradientSet, b: GradientSet) -> bool:
-    """Non-positive dot product over the shared parameters."""
-    return a.dot(b) <= 0.0
-
-
 def per_task_gradients(model: Model, batch: Batch, task: int,
                        loss_weight: float = 1.0, mode: str = "train",
                        partition: "ParameterPartition | None" = None,
@@ -307,10 +298,28 @@ def per_task_gradients(model: Model, batch: Batch, task: int,
 # checkpointing
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(model: Model, path: str) -> None:
-    """Dump spec plus every parameter and running-stat array; bit-exact."""
+def _state_arrays(model: Model) -> dict[str, np.ndarray]:
     arrays = {f"param:{n}": p.data for n, p in model.named_parameters().items()}
     arrays.update({f"buffer:{n}": b for n, b in model.named_buffers().items()})
+    return arrays
+
+
+def _load_state(model: Model, arrays: Mapping[str, np.ndarray]) -> Model:
+    """Copy ``_state_arrays`` entries into model; other keys are ignored."""
+    params = model.named_parameters()
+    buffers = model.named_buffers()
+    for key, value in arrays.items():
+        kind, _, name = key.partition(":")
+        if kind == "param":
+            params[name].data[...] = value
+        elif kind == "buffer":
+            buffers[name][...] = value
+    return model
+
+
+def save_checkpoint(model: Model, path: str) -> None:
+    """Dump spec plus every parameter and running-stat array; bit-exact."""
+    arrays = _state_arrays(model)
     arrays["spec_json"] = np.frombuffer(
         json.dumps(model.spec.to_dict(), sort_keys=True).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -320,32 +329,11 @@ def save_checkpoint(model: Model, path: str) -> None:
 def load_checkpoint(path: str) -> Model:
     with np.load(path) as data:
         spec = ModelSpec.from_dict(json.loads(bytes(data["spec_json"]).decode("utf-8")))
-        model = build_model(spec, seed=0)
-        params = model.named_parameters()
-        buffers = model.named_buffers()
-        for key in data.files:
-            if key.startswith("param:"):
-                params[key[len("param:"):]].data[...] = data[key]
-            elif key.startswith("buffer:"):
-                buffers[key[len("buffer:"):]][...] = data[key]
+        model = _load_state(build_model(spec, seed=0), data)
     model.zero_grad()
     return model
 
 
 def clone_model(model: Model) -> Model:
-    """Deep copy via an in-memory checkpoint round trip."""
-    buf = io.BytesIO()
-    arrays = {f"param:{n}": p.data for n, p in model.named_parameters().items()}
-    arrays.update({f"buffer:{n}": b for n, b in model.named_buffers().items()})
-    np.savez(buf, **arrays)
-    buf.seek(0)
-    clone = build_model(model.spec, seed=0)
-    with np.load(buf) as data:
-        params = clone.named_parameters()
-        buffers = clone.named_buffers()
-        for key in data.files:
-            if key.startswith("param:"):
-                params[key[len("param:"):]].data[...] = data[key]
-            else:
-                buffers[key[len("buffer:"):]][...] = data[key]
-    return clone
+    """Deep copy of the parameters and running statistics."""
+    return _load_state(build_model(model.spec, seed=0), _state_arrays(model))

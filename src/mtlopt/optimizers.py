@@ -32,20 +32,6 @@ METHOD_PCGRAD = "pcgrad"
 # phase selection
 # ---------------------------------------------------------------------------
 
-def _draw_phase(epoch: int, total_epochs: int, rng: np.random.Generator) -> tuple[float, str]:
-    if total_epochs <= 0:
-        raise ConfigError(f"total_epochs must be positive, got {total_epochs}")
-    if not 0 <= epoch <= total_epochs:
-        raise ConfigError(f"epoch {epoch} outside [0, {total_epochs}]")
-    p = float(rng.random())
-    return p, (PHASE1 if p >= epoch / total_epochs else PHASE2)
-
-
-def select_phase(epoch: int, total_epochs: int, rng: np.random.Generator) -> str:
-    """Phase 1 iff a fresh uniform draw P satisfies P >= epoch/total_epochs."""
-    return _draw_phase(epoch, total_epochs, rng)[1]
-
-
 @dataclass
 class PhaseDraw:
     epoch: int
@@ -54,20 +40,20 @@ class PhaseDraw:
 
 
 class PhaseSchedule:
-    """Draws one phase per epoch from a seeded stream and records every draw."""
+    """Draws one phase per epoch from a seeded stream: phase 1 iff a fresh
+    uniform draw P satisfies P >= epoch/total_epochs."""
 
     def __init__(self, total_epochs: int, rng: np.random.Generator):
         if total_epochs <= 0:
             raise ConfigError(f"total_epochs must be positive, got {total_epochs}")
         self.total_epochs = total_epochs
         self._rng = rng
-        self.history: list[PhaseDraw] = []
 
     def draw(self, epoch: int) -> PhaseDraw:
-        p, phase = _draw_phase(epoch, self.total_epochs, self._rng)
-        record = PhaseDraw(epoch, p, phase)
-        self.history.append(record)
-        return record
+        if not 0 <= epoch <= self.total_epochs:
+            raise ConfigError(f"epoch {epoch} outside [0, {self.total_epochs}]")
+        p = float(self._rng.random())
+        return PhaseDraw(epoch, p, PHASE1 if p >= epoch / self.total_epochs else PHASE2)
 
 
 # ---------------------------------------------------------------------------

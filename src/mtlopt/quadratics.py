@@ -19,10 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .rng import substream
-
-PRIORITY_TIE = 0  # returned by the oracle when neither task wins
 
 
 @dataclass
@@ -188,30 +186,6 @@ def make_conflicting_quadratic(dim: int, K: int, seed: int, conflict: float = 1.
 # ---------------------------------------------------------------------------
 # priority oracle and priority-update comparison
 # ---------------------------------------------------------------------------
-
-def priority_oracle(problem: QuadraticProblem, theta: np.ndarray,
-                    block: Sequence[int], task_m: int, task_n: int,
-                    weights: np.ndarray, eta: float,
-                    tie_tol: float = 1e-12) -> int:
-    """Which of two tasks' gradient steps on the block lowers the total loss?
-
-    Both candidates are evaluated by direct recomputation: the block is
-    stepped by -eta times the candidate task's (unweighted) gradient while
-    everything else stays fixed. Returns the winning task index, or
-    PRIORITY_TIE when the difference is below ``tie_tol``.
-    """
-    idx = np.asarray(block, dtype=np.intp)
-    if idx.size == 0:
-        raise ShapeError("priority_oracle: block must be nonempty")
-    losses = {}
-    for task in (task_m, task_n):
-        candidate = theta.copy()
-        candidate[idx] -= eta * problem.gradient(task, theta)[idx]
-        losses[task] = problem.total_loss(candidate, weights)
-    if abs(losses[task_m] - losses[task_n]) < tie_tol:
-        return PRIORITY_TIE
-    return task_m if losses[task_m] < losses[task_n] else task_n
-
 
 def oracle_priority_partition(problem: QuadraticProblem, theta: np.ndarray,
                               weights: np.ndarray, eta: float,

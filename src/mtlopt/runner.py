@@ -30,7 +30,7 @@ from .optimizers import (
     PhaseSchedule,
 )
 from .rng import substream
-from .strength import model_strength_snapshot
+from .strength import model_strength_snapshot, snapshot_records
 from .synthetic import SyntheticMtlDataset
 from .autodiff import Tape
 
@@ -247,10 +247,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
 
     for epoch in range(config.epochs):
         snapshot = model_strength_snapshot(model)
-        for name, report in snapshot.items():
-            record = {"seed": seed, "epoch": epoch}
-            record.update(report.to_record())
-            result.strength_rows.append(record)
+        result.strength_rows.extend(snapshot_records(seed, epoch, snapshot))
 
         phase = None
         drawn_p = None

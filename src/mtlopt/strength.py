@@ -11,9 +11,8 @@ evaluate concurrently across layers.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import IO, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -21,33 +20,11 @@ from .autodiff import BN_EPS, BatchNormState, Tensor
 from .errors import ShapeError, StateError
 
 
-def kernel_strength(weight: Tensor | np.ndarray, p: int, q: int) -> float:
-    """Mean squared kernel weight between output channel p and input channel q."""
-    w = weight.data if isinstance(weight, Tensor) else np.asarray(weight)
-    c_out, c_in, k, _ = w.shape
-    if not (0 <= p < c_out and 0 <= q < c_in):
-        raise ShapeError(f"kernel_strength: channel ({p}, {q}) out of range ({c_out}, {c_in})")
-    return float((w[p, q] ** 2).sum() / (k * k))
-
-
-def channel_strength(weight: Tensor | np.ndarray, bn_state: BatchNormState,
-                     p: int, eps: float = BN_EPS) -> float:
-    """Strength of output channel p for one task: the squared batch-norm scale
-    over (running variance + eps), times the channel's summed kernel strength."""
-    w = weight.data if isinstance(weight, Tensor) else np.asarray(weight)
-    c_out, c_in = w.shape[0], w.shape[1]
-    if not 0 <= p < c_out:
-        raise ShapeError(f"channel_strength: channel {p} out of range ({c_out})")
-    var = float(bn_state.running_var[p])
-    if var < 0:
-        raise StateError(f"channel_strength: negative running variance at channel {p}")
-    gamma = float(bn_state.gamma.data[p])
-    kernel_sum = sum(kernel_strength(w, p, q) for q in range(c_in))
-    return gamma ** 2 / (var + eps) * kernel_sum
-
-
 def _channel_strength_rows(weight: np.ndarray, bn_states: Mapping[int, BatchNormState],
                            task_ids: tuple[int, ...], eps: float) -> np.ndarray:
+    """(K, C) raw strengths: task t's squared batch-norm scale over (running
+    variance + eps) at output channel p, times the summed strength of p's
+    kernels, a kernel's strength being its mean squared weight."""
     kernel_sums = (weight ** 2).sum(axis=(1, 2, 3)) / (weight.shape[2] * weight.shape[3])
     rows = np.empty((len(task_ids), weight.shape[0]))
     for r, tid in enumerate(task_ids):
@@ -141,10 +118,7 @@ def model_strength_snapshot(model, eps: float = BN_EPS) -> dict[str, StrengthRep
     return snapshot
 
 
-def write_snapshot_records(stream: IO[str], epoch: int, seed: int,
-                           snapshot: Mapping[str, StrengthReport]) -> None:
-    """Append one JSON line per (epoch, layer); the data behind priority-share plots."""
-    for name in snapshot:
-        record = {"seed": seed, "epoch": epoch}
-        record.update(snapshot[name].to_record())
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
+def snapshot_records(seed: int, epoch: int,
+                     snapshot: Mapping[str, StrengthReport]) -> list[dict]:
+    """One record per layer of an epoch's snapshot; the lines of strength.jsonl."""
+    return [{"seed": seed, "epoch": epoch, **report.to_record()} for report in snapshot.values()]

@@ -21,15 +21,9 @@ import numpy as np
 from .autodiff import BatchNormState, Tape, Tensor
 from .config import ExperimentConfig
 from .gradcheck import central_difference, relative_error
-from .loss_scaling import (
-    DwaState,
-    UncertaintyState,
-    dwa_weights,
-    static_weights,
-    uncertainty_weighted_loss,
-)
+from .loss_scaling import DwaState, UncertaintyState, dwa_weights, static_weights
 from .network import Batch, ConvSpec, ModelSpec, TaskSpec, build_model
-from .optimizers import PHASE1, MtlOptimizer, OptimizerConfig, project_gradient, select_phase
+from .optimizers import PHASE1, MtlOptimizer, OptimizerConfig, PhaseSchedule, project_gradient
 from .quadratics import (
     convergence_probe,
     make_conflicting_quadratic,
@@ -41,7 +35,12 @@ from .quadratics import (
 from .rng import substream
 from .runner import _run_seed, mean_pairwise_gradient_cosine, run_experiment, \
     run_single_task_baselines, training_dataset, write_baselines
-from .strength import build_channel_groups, model_strength_snapshot, normalized_strength
+from .strength import (
+    build_channel_groups,
+    layer_strength_report,
+    model_strength_snapshot,
+    normalized_strength,
+)
 
 
 @dataclass
@@ -117,17 +116,6 @@ def _gradcheck_case(rng: np.random.Generator, op: str) -> float:
         def build(tape: Tape) -> Tensor:
             return tape.mse_loss(tape.relu(x), Tensor(t))
 
-    elif op == "linear":
-        n, f, o = (int(rng.integers(1, 4)) for _ in range(3))
-        x = Tensor(rng.normal(size=(n, f)))
-        w = Tensor(rng.normal(size=(o, f)))
-        b = Tensor(rng.normal(size=o))
-        t = rng.normal(size=(n, o))
-        params = [x, w, b]
-
-        def build(tape: Tape) -> Tensor:
-            return tape.mse_loss(tape.linear(x, w, b), Tensor(t))
-
     elif op == "mse":
         p = Tensor(rng.normal(size=(2, 3)))
         t = Tensor(rng.normal(size=(2, 3)))
@@ -145,25 +133,14 @@ def _gradcheck_case(rng: np.random.Generator, op: str) -> float:
         def build(tape: Tape) -> Tensor:
             return tape.cross_entropy_loss(logits, labels)
 
-    else:  # pointwise scalar family
+    else:  # scale
         a = Tensor(rng.normal(size=(3,)))
-        b = Tensor(rng.normal(size=(3,)))
         c = float(rng.normal())
         t = rng.normal(size=3)
-        params = [a, b]
+        params = [a]
 
         def build(tape: Tape) -> Tensor:
-            if op == "add":
-                out = tape.add(a, b)
-            elif op == "mul":
-                out = tape.mul(a, b)
-            elif op == "scale":
-                out = tape.scale(a, c)
-            elif op == "add_scalar":
-                out = tape.add_scalar(a, c)
-            else:  # exp
-                out = tape.exp(a)
-            return tape.mse_loss(out, Tensor(t))
+            return tape.mse_loss(tape.scale(a, c), Tensor(t))
 
     tape = Tape()
     loss = build(tape)
@@ -176,8 +153,8 @@ def _gradcheck_case(rng: np.random.Generator, op: str) -> float:
     return worst
 
 
-GRADCHECK_OPS = ("conv2d", "batchnorm_train", "batchnorm_eval", "relu", "linear",
-                 "mse", "cross_entropy", "add", "mul", "scale", "add_scalar", "exp")
+GRADCHECK_OPS = ("conv2d", "batchnorm_train", "batchnorm_eval", "relu", "mse",
+                 "cross_entropy", "scale")
 
 
 def check_gradient_exactness(cases_per_op: int = 100) -> CheckResult:
@@ -200,22 +177,24 @@ def check_gradient_exactness(cases_per_op: int = 100) -> CheckResult:
 # criterion 2: strength equations
 # ---------------------------------------------------------------------------
 
+def _hand_strength(weight: np.ndarray, gamma: float, var: float, eps: float) -> float:
+    """Raw strength of a one-output-channel layer, as training's snapshot computes it."""
+    state = BatchNormState.fresh(1)
+    state.gamma.data[...] = gamma
+    state.running_var[...] = var
+    return float(layer_strength_report("hand", weight, {1: state}, (1,), eps=eps).raw[0, 0])
+
+
 def check_strength_suite(tables: int = 1000) -> CheckResult:
     def run():
-        from .strength import channel_strength, kernel_strength
-
+        # gamma^2 / (var + eps) = 1 isolates the kernel strength
         w = np.zeros((1, 1, 1, 1))
         w[0, 0, 0, 0] = 3.0
-        if abs(kernel_strength(w, 0, 0) - 9.0) > 1e-12:
+        if abs(_hand_strength(w, 1.0, 1.0, eps=0.0) - 9.0) > 1e-12:
             return False, "single-element kernel strength"
-        if abs(kernel_strength(np.ones((1, 1, 2, 2)), 0, 0) - 1.0) > 1e-12:
+        if abs(_hand_strength(np.ones((1, 1, 2, 2)), 1.0, 1.0, eps=0.0) - 1.0) > 1e-12:
             return False, "all-ones 2x2 kernel strength"
-        w5 = np.zeros((1, 5, 1, 1))
-        w5[0, :, 0, 0] = 1.0
-        state = BatchNormState.fresh(1)
-        state.gamma.data[...] = 2.0
-        state.running_var[...] = 3.0
-        if abs(channel_strength(w5, state, p=0, eps=1.0) - 5.0) > 1e-12:
+        if abs(_hand_strength(np.ones((1, 5, 1, 1)), 2.0, 3.0, eps=1.0) - 5.0) > 1e-12:
             return False, "channel strength substitution"
         norm = normalized_strength(np.array([[1.0, 3.0]]))
         if abs(norm[0, 0] - 0.25) > 1e-12 or abs(norm[0, 1] - 0.75) > 1e-12:
@@ -360,9 +339,8 @@ def check_phase_mixing(draws: int = 100_000) -> CheckResult:
         details = []
         for ratio in (0.0, 0.25, 0.5, 0.75, 1.0):
             epoch = int(ratio * total_epochs)
-            rng = substream(606, f"phase-mixing-{ratio}")
-            hits = sum(select_phase(epoch, total_epochs, rng) == PHASE1
-                       for _ in range(draws))
+            schedule = PhaseSchedule(total_epochs, substream(606, f"phase-mixing-{ratio}"))
+            hits = sum(schedule.draw(epoch).phase == PHASE1 for _ in range(draws))
             expected = 1.0 - ratio
             sigma = math.sqrt(max(expected * (1 - expected), 0.0) / draws)
             deviation = abs(hits / draws - expected)
@@ -458,17 +436,17 @@ def check_loss_scaling(fd_draws: int = 100, dwa_epochs: int = 200) -> CheckResul
         for _ in range(fd_draws):
             kind = "regression" if rng.random() < 0.5 else "classification"
             ustate = UncertaintyState.create({1: kind})
-            ustate.rho[1].data[...] = rng.normal()
+            rho = ustate.rho[1].data
+            rho[...] = rng.normal()
             loss_value = float(rng.uniform(0.01, 10.0))
+            c = 0.5 if kind == "regression" else 1.0
 
             def value():
-                return uncertainty_weighted_loss({1: Tensor(loss_value)}, ustate, Tape()).item()
+                # Kendall et al. 2018: c * L / sigma^2 + log(sigma), rho = log(sigma^2)
+                return c * loss_value * math.exp(-float(rho)) + float(rho) / 2
 
-            tape = Tape()
-            total = uncertainty_weighted_loss({1: Tensor(loss_value)}, ustate, tape)
-            tape.backward(total)
-            worst = max(worst, relative_error(ustate.rho[1].grad.copy(),
-                                              central_difference(value, ustate.rho[1].data)))
+            analytic = np.array(ustate.rho_gradient({1: loss_value})[1])
+            worst = max(worst, relative_error(analytic, central_difference(value, rho)))
         if worst >= 1e-6:
             return False, f"uncertainty gradient rel err {worst:.2e} >= 1e-6"
         return True, (f"dwa sums to K over {dwa_epochs} epochs and is all-ones under "

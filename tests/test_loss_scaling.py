@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mtlopt.autodiff import Tape, Tensor
 from mtlopt.errors import ConfigError
 from mtlopt.gradcheck import central_difference, relative_error
-from mtlopt.loss_scaling import (
-    DwaState,
-    UncertaintyState,
-    dwa_weights,
-    static_weights,
-    uncertainty_weighted_loss,
-)
+from mtlopt.loss_scaling import DwaState, UncertaintyState, dwa_weights, static_weights
 
 
 def test_equal_weights():
@@ -36,27 +29,27 @@ def test_manual_missing_ratios():
 def test_uncertainty_sigma_one_identities():
     # sigma = 1 (rho = 0): regression contributes L/2, classification L
     state = UncertaintyState.create({1: "regression", 2: "classification"})
-    tape = Tape()
-    losses = {1: Tensor(3.0), 2: Tensor(5.0)}
-    total = uncertainty_weighted_loss(losses, state, tape)
-    assert total.item() == pytest.approx(3.0 / 2.0 + 5.0)
+    assert state.loss_weight(1) == 0.5 and state.loss_weight(2) == 1.0
+    # the rho/2 term alone: at L = 0 the gradient is 1/2
+    assert state.rho_gradient({1: 0.0, 2: 0.0}) == {1: 0.5, 2: 0.5}
+
+
+def _fd_rho_gradient(state, task, loss_value):
+    """Central difference of the objective c*L*exp(-rho) + rho/2 (Kendall et al. 2018)."""
+    c = 0.5 if state.kinds[task] == "regression" else 1.0
+    rho = state.rho[task].data
+
+    def value():
+        return c * loss_value * math.exp(-float(rho)) + float(rho) / 2
+
+    return central_difference(value, rho)
 
 
 def test_uncertainty_gradient_matches_finite_difference():
     state = UncertaintyState.create({1: "regression"})
     state.rho[1].data[...] = 0.3
-    loss_value = 2.0
-
-    def value():
-        t = Tape()
-        return uncertainty_weighted_loss({1: Tensor(loss_value)}, state, t).item()
-
-    tape = Tape()
-    total = uncertainty_weighted_loss({1: Tensor(loss_value)}, state, tape)
-    tape.backward(total)
-    analytic = state.rho[1].grad.copy()
-    numeric = central_difference(value, state.rho[1].data)
-    assert relative_error(analytic, numeric) < 1e-6
+    analytic = np.array(state.rho_gradient({1: 2.0})[1])
+    assert relative_error(analytic, _fd_rho_gradient(state, 1, 2.0)) < 1e-6
 
 
 def test_uncertainty_gradient_random_draws():
@@ -66,16 +59,18 @@ def test_uncertainty_gradient_random_draws():
         state = UncertaintyState.create({1: kind})
         state.rho[1].data[...] = rng.normal()
         loss_value = float(rng.uniform(0.01, 10))
+        analytic = np.array(state.rho_gradient({1: loss_value})[1])
+        assert relative_error(analytic, _fd_rho_gradient(state, 1, loss_value)) < 1e-6
 
-        def value():
-            t = Tape()
-            return uncertainty_weighted_loss({1: Tensor(loss_value)}, state, t).item()
 
-        tape = Tape()
-        total = uncertainty_weighted_loss({1: Tensor(loss_value)}, state, tape)
-        tape.backward(total)
-        assert relative_error(state.rho[1].grad.copy(),
-                              central_difference(value, state.rho[1].data)) < 1e-6
+def test_uncertainty_sgd_update_steps_along_rho_gradient():
+    state = UncertaintyState.create({1: "regression", 2: "classification"})
+    state.rho[2].data[...] = -0.4
+    losses = {1: 3.0, 2: 0.25}
+    grads = state.rho_gradient(losses)
+    state.sgd_update(losses, lr=0.1)
+    assert float(state.rho[1].data) == 0.0 - 0.1 * grads[1]
+    assert float(state.rho[2].data) == -0.4 - 0.1 * grads[2]
 
 
 def test_uncertainty_loss_weight_matches_loss_derivative():

@@ -10,7 +10,6 @@ from mtlopt.network import (
     TaskSpec,
     build_model,
     clone_model,
-    is_conflicting,
     load_checkpoint,
     partition_parameters,
     per_task_gradients,
@@ -135,7 +134,6 @@ def test_scalar_shared_gradients_and_conflict():
     assert g2.entries["trunk.0.weight"].item() == 2.0
     assert own1 == {} and own2 == {}
     assert g1.dot(g2) == -4.0
-    assert is_conflicting(g1, g2)
 
 
 def test_zero_loss_weight_annihilates_gradients():
@@ -211,15 +209,13 @@ def test_weighted_sum_consistency():
             for n, g in gs.entries.items():
                 summed[n] += g
 
+    # one tape, one backward per weighted task loss, accumulating into .grad
     model.zero_grad()
     tape = Tape()
-    total = None
     for tid in (1, 2):
         pred = model.forward(batch.x, tid, tape, mode="train")
         loss = tape.compute_loss(pred, batch.targets[tid], model.spec.task(tid).loss)
-        term = tape.scale(loss, weights[tid])
-        total = term if total is None else tape.add(total, term)
-    tape.backward(total)
+        tape.backward(tape.scale(loss, weights[tid]))
     part = partition_parameters(model)
     for n, p in part.shared.items():
         np.testing.assert_allclose(p.grad, summed[n], atol=1e-10)

@@ -20,7 +20,6 @@ from mtlopt.optimizers import (
     PhaseSchedule,
     project_gradient,
     project_group_gradients,
-    select_phase,
 )
 from mtlopt.strength import model_strength_snapshot
 
@@ -30,15 +29,15 @@ from mtlopt.strength import model_strength_snapshot
 # ---------------------------------------------------------------------------
 
 def test_select_phase_boundaries():
-    rng = np.random.default_rng(0)
-    assert all(select_phase(0, 10, rng) == PHASE1 for _ in range(200))
-    assert all(select_phase(10, 10, rng) == PHASE2 for _ in range(200))
+    sched = PhaseSchedule(10, np.random.default_rng(0))
+    assert all(sched.draw(0).phase == PHASE1 for _ in range(200))
+    assert all(sched.draw(10).phase == PHASE2 for _ in range(200))
 
 
 def test_select_phase_midpoint_frequency():
-    rng = np.random.default_rng(1)
+    sched = PhaseSchedule(10, np.random.default_rng(1))
     n = 20000
-    hits = sum(select_phase(5, 10, rng) == PHASE1 for _ in range(n))
+    hits = sum(sched.draw(5).phase == PHASE1 for _ in range(n))
     sigma = (0.25 / n) ** 0.5
     assert abs(hits / n - 0.5) < 3 * sigma
 
@@ -46,15 +45,20 @@ def test_select_phase_midpoint_frequency():
 def test_select_phase_errors():
     rng = np.random.default_rng(2)
     with pytest.raises(ConfigError):
-        select_phase(0, 0, rng)
+        PhaseSchedule(0, rng)
     with pytest.raises(ConfigError):
-        select_phase(11, 10, rng)
+        PhaseSchedule(10, rng).draw(11)
+    with pytest.raises(ConfigError):
+        PhaseSchedule(10, rng).draw(-1)
 
 
 def test_phase_schedule_records_draws():
+    # one uniform draw per epoch, straight from the schedule's stream
     sched = PhaseSchedule(4, np.random.default_rng(3))
     draws = [sched.draw(e) for e in range(4)]
-    assert [d.epoch for d in sched.history] == [0, 1, 2, 3]
+    expected = np.random.default_rng(3).random(4)
+    assert [d.epoch for d in draws] == [0, 1, 2, 3]
+    assert [d.p for d in draws] == expected.tolist()
     for d in draws:
         assert d.phase == (PHASE1 if d.p >= d.epoch / 4 else PHASE2)
 

@@ -3,7 +3,6 @@ import pytest
 
 from mtlopt.errors import ConfigError
 from mtlopt.quadratics import (
-    PRIORITY_TIE,
     QuadraticProblem,
     compute_lipschitz,
     convergence_probe,
@@ -11,7 +10,6 @@ from mtlopt.quadratics import (
     make_conflicting_quadratic,
     make_quadratic_problem,
     oracle_priority_partition,
-    priority_oracle,
     priority_update_check,
 )
 
@@ -84,45 +82,56 @@ def test_conflicting_generator_conflicts_at_start():
 # ---------------------------------------------------------------------------
 
 def test_oracle_tie_on_symmetry():
+    # mirror-image tasks at theta = 0 lower the total loss by exactly the same
+    # amount; the tie goes to the lowest task index
     problem = scalar_two_task()
     w = np.array([0.5, 0.5])
-    assert priority_oracle(problem, np.zeros(1), [0], 0, 1, w, eta=1e-3) == PRIORITY_TIE
+    assert oracle_priority_partition(problem, np.zeros(1), w, eta=1e-3).tolist() == [0]
+
+
+def _separable_problem(strong_task):
+    """Two shared coordinates; strong_task pulls coordinate 0 with 10x the gradient."""
+    rows = [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])]
+    offsets = [np.array([-1.0]), np.array([-1.0])]  # minimizers at +1 / -1 on coord 0
+    rows[strong_task], offsets[strong_task] = np.array([[10.0, 0.0]]), np.array([10.0])
+    minimizers = np.array([[-1.0, 0.0], [-1.0, 0.0]])
+    minimizers[strong_task, 0] = 1.0
+    return QuadraticProblem(rows, offsets, shared_dim=2, task_slices=[slice(2, 2)] * 2,
+                            minimizers=minimizers, lipschitz=compute_lipschitz(rows))
 
 
 def test_oracle_picks_stronger_gradient_in_separable_problem():
-    # two shared coordinates; task 0 pulls coordinate 0 with 10x the gradient
-    matrices = [np.array([[10.0, 0.0]]), np.array([[1.0, 0.0]])]
-    offsets = [np.array([10.0]), np.array([-1.0])]  # minimizers at +1 / -1 on coord 0
-    problem = QuadraticProblem(matrices, offsets, shared_dim=2,
-                               task_slices=[slice(2, 2)] * 2,
-                               minimizers=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                               lipschitz=compute_lipschitz(matrices))
     w = np.array([0.5, 0.5])
     theta = np.zeros(2)
     eta = 1e-4
-    winner = priority_oracle(problem, theta, [0], 0, 1, w, eta)
-    # independent recomputation of both candidate losses
-    for task in (0, 1):
-        cand = theta.copy()
-        cand[0] -= eta * problem.gradient(task, theta)[0]
-        loss = problem.total_loss(cand, w)
-        if task == 0:
-            loss0 = loss
-        else:
-            loss1 = loss
-    assert loss0 < loss1 and winner == 0
+    for strong_task in (0, 1):
+        problem = _separable_problem(strong_task)
+        owners = oracle_priority_partition(problem, theta, w, eta)
+        # independent recomputation of both candidate losses on coordinate 0
+        losses = []
+        for task in (0, 1):
+            cand = theta.copy()
+            cand[0] -= eta * problem.gradient(task, theta)[0]
+            losses.append(problem.total_loss(cand, w))
+        assert int(np.argmin(losses)) == strong_task and owners[0] == strong_task
 
 
 def test_oracle_antisymmetry():
+    # the winner's identity does not depend on the order the tasks are listed in
     rng = np.random.default_rng(3)
     for s in range(20):
         problem = make_quadratic_problem(3, 3, 0.8, seed=s)
         theta = rng.normal(size=problem.dim)
         w = rng.uniform(0.1, 1.0, size=3)
         w /= w.sum()
-        a = priority_oracle(problem, theta, [0, 1], 0, 2, w, 1e-3)
-        b = priority_oracle(problem, theta, [0, 1], 2, 0, w, 1e-3)
-        assert a == b  # winner identity is invariant under argument swap
+        order = [2, 0, 1]
+        permuted = QuadraticProblem([problem.matrices[t] for t in order],
+                                    [problem.offsets[t] for t in order],
+                                    problem.shared_dim, [problem.task_slices[t] for t in order],
+                                    problem.minimizers[order], problem.lipschitz)
+        a = oracle_priority_partition(problem, theta, w, 1e-3, block_size=2)
+        b = oracle_priority_partition(permuted, theta, w[order], 1e-3, block_size=2)
+        np.testing.assert_array_equal(a, np.asarray(order)[b])
 
 
 def test_fast_owner_partition_matches_bruteforce_closed_form():

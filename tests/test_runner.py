@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mtlopt.cli import main as cli_main
-from mtlopt.config import ExperimentConfig, apply_dotted_overrides
+from mtlopt.config import ExperimentConfig, apply_dotted_overrides, default_model_dict
 from mtlopt.errors import ConfigError
 from mtlopt import runner
 from mtlopt.network import load_checkpoint
@@ -47,6 +47,13 @@ def test_unknown_field_rejected_with_path():
         ExperimentConfig.from_dict({"epochz": 3})
 
 
+def _model_override(**fields):
+    return {"model": {**default_model_dict(), **fields}}
+
+
+_CONV_4_TO_1 = {"in_channels": 4, "out_channels": 1, "kernel_size": 1}
+
+
 @pytest.mark.parametrize("overrides, fragment", [
     ({"epochs": 0}, "epochs"),
     ({"lr": -1.0}, "lr"),
@@ -56,10 +63,38 @@ def test_unknown_field_rejected_with_path():
     ({"seeds": []}, "seeds"),
     ({"phase_override": "phase3"}, "phase_override"),
     ({"data": {"channels": 5}}, "channels"),
+    # bools are ints to Python but never a valid number here
+    ({"lr": True}, "lr"),
+    ({"epochs": True}, "epochs"),
+    ({"steps_per_epoch": True}, "steps_per_epoch"),
+    ({"eval_batches": True}, "eval_batches"),
+    ({"seeds": [True]}, "seeds"),
+    ({"loss_scaling": {"dwa_temperature": True}}, "dwa_temperature"),
+    ({"loss_scaling": {"scheme": "manual", "manual_ratios": [1.0, True]}}, "manual_ratios"),
+    # the channels reaching each loss must fit the synthetic targets
+    ({"data": {"num_classes": 3}}, "model.heads.1"),
+    (_model_override(heads={"1": [{"in_channels": 4, "out_channels": 4, "kernel_size": 1}],
+                            "2": [{"in_channels": 4, "out_channels": 2, "kernel_size": 1}]}),
+     "model.heads.2"),
+    (_model_override(heads={"2": [{"in_channels": 5, "out_channels": 1, "kernel_size": 1}]},
+                     trunk=[{"in_channels": 3, "out_channels": 5, "kernel_size": 3}]),
+     "model.heads.1"),
+    (_model_override(heads={"1": [{"in_channels": 4, "out_channels": 4, "kernel_size": 1}],
+                            "2": [_CONV_4_TO_1], "3": [_CONV_4_TO_1]},
+                     tasks=[{"id": 1, "loss": "cross_entropy"}, {"id": 2, "loss": "mse"},
+                            {"id": 3, "loss": "mse"}]),
+     "model.tasks"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
         ExperimentConfig.from_dict(overrides)
+
+
+def test_headless_task_reads_the_trunk_channels():
+    # task 1 has no head, so its logits are the trunk's 4 output channels
+    config = fast_config(**_model_override(heads={"2": [_CONV_4_TO_1]}))
+    report = run_experiment(config)
+    assert not report.failed and not report.violations
 
 
 def test_dotted_overrides():
@@ -248,11 +283,26 @@ def test_cli_baseline_subcommand(tmp_path):
     assert (out_dir / "baselines.json").exists()
 
 
-def test_cli_rejects_bad_config(tmp_path):
+def test_cli_rejects_bad_config(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"epochs": -1}))
     code = cli_main(["run", "--config", str(config_path)])
     assert code == 2
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"epochs": 3,')
+    missing = tmp_path / "missing.json"
+    for path in (bad_json, missing):
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config file {path}: ")
+
+
+def test_cli_verify_subcommand(capsys):
+    assert cli_main(["verify", "--fast", "--criteria", "1,2,6,9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in lines[:-1]] == [
+        "criterion 1", "criterion 2", "criterion 6", "criterion 9"]
+    assert lines[-1] == "verification: ALL PASSED"
 
 
 def test_cli_set_overrides(tmp_path):

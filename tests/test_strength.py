@@ -2,36 +2,15 @@ import numpy as np
 import pytest
 
 from mtlopt.autodiff import BatchNormState
-from mtlopt.errors import ShapeError, StateError
+from mtlopt.errors import StateError
 from mtlopt.network import ConvSpec, ModelSpec, TaskSpec, build_model
 from mtlopt.strength import (
     build_channel_groups,
-    channel_strength,
-    kernel_strength,
     layer_strength_report,
     model_strength_snapshot,
     normalized_strength,
+    snapshot_records,
 )
-
-
-def test_kernel_strength_single_element():
-    w = np.zeros((1, 1, 1, 1))
-    w[0, 0, 0, 0] = 3.0
-    assert kernel_strength(w, 0, 0) == 9.0
-
-
-def test_kernel_strength_all_ones_2x2():
-    w = np.ones((2, 2, 2, 2))
-    assert kernel_strength(w, 1, 0) == 1.0
-
-
-def test_kernel_strength_zero_kernel():
-    assert kernel_strength(np.zeros((1, 2, 3, 3)), 0, 1) == 0.0
-
-
-def test_kernel_strength_out_of_range():
-    with pytest.raises(ShapeError):
-        kernel_strength(np.zeros((1, 1, 3, 3)), 1, 0)
 
 
 def _state(gamma, var, channels=1):
@@ -41,28 +20,52 @@ def _state(gamma, var, channels=1):
     return st
 
 
+def _raw(weight, gamma=1.0, var=1.0, eps=0.0):
+    """Raw strengths (one row) of a single-task layer, as the training snapshot computes them."""
+    state = _state(gamma, var, channels=weight.shape[0])
+    return layer_strength_report("trunk.0", weight, {1: state}, (1,), eps=eps).raw[0]
+
+
+# with gamma = var = 1 and eps = 0 the raw strength is the kernel strength
+def test_kernel_strength_single_element():
+    w = np.zeros((1, 1, 1, 1))
+    w[0, 0, 0, 0] = 3.0
+    assert _raw(w)[0] == 9.0
+
+
+def test_kernel_strength_all_ones_2x2():
+    w = np.ones((2, 1, 2, 2))
+    np.testing.assert_array_equal(_raw(w), [1.0, 1.0])
+
+
+def test_kernel_strength_zero_kernel():
+    w = np.ones((2, 2, 3, 3))
+    w[1] = 0.0
+    assert _raw(w)[1] == 0.0
+
+
 def test_channel_strength_substitution():
     # gamma=2, var=3, eps=1, kernel sum 5 -> (4/4)*5 = 5
-    w = np.zeros((1, 5, 1, 1))
-    w[0, :, 0, 0] = 1.0  # five input channels, each strength 1
-    assert channel_strength(w, _state(2.0, 3.0), p=0, eps=1.0) == 5.0
+    w = np.ones((1, 5, 1, 1))  # five input channels, each strength 1
+    assert _raw(w, gamma=2.0, var=3.0, eps=1.0)[0] == 5.0
 
 
 def test_channel_strength_gamma_zero():
     w = np.random.default_rng(0).normal(size=(2, 3, 3, 3))
-    assert channel_strength(w, _state(0.0, 1.0, channels=2), p=1) == 0.0
+    raw = _raw(w, gamma=np.array([1.0, 0.0]), eps=1e-5)
+    assert raw[1] == 0.0 and raw[0] > 0.0
 
 
 def test_channel_strength_quadratic_in_gamma():
     w = np.random.default_rng(1).normal(size=(1, 2, 3, 3))
-    s1 = channel_strength(w, _state(1.5, 0.7), p=0)
-    s2 = channel_strength(w, _state(3.0, 0.7), p=0)
+    s1 = _raw(w, gamma=1.5, var=0.7, eps=1e-5)
+    s2 = _raw(w, gamma=3.0, var=0.7, eps=1e-5)
     np.testing.assert_allclose(s2, 4.0 * s1)
 
 
 def test_channel_strength_negative_variance():
     with pytest.raises(StateError):
-        channel_strength(np.ones((1, 1, 1, 1)), _state(1.0, -0.5), p=0)
+        _raw(np.ones((1, 1, 1, 1)), var=-0.5)
 
 
 def test_normalized_strength_examples():
@@ -140,7 +143,7 @@ def test_monotone_response_to_gamma():
                 layer.bn[tid].gamma.data[p] = saved
 
 
-def test_snapshot_partition_and_export(tmp_path):
+def test_snapshot_partition_and_export():
     spec = ModelSpec(trunk=(ConvSpec(3, 8), ConvSpec(8, 4)),
                      heads={}, tasks=(TaskSpec(1, "mse"), TaskSpec(2, "mse")))
     model = build_model(spec, seed=4)
@@ -151,11 +154,8 @@ def test_snapshot_partition_and_export(tmp_path):
         members = sorted(p for chans in report.groups.values() for p in chans)
         assert members == list(range(report.num_channels))
 
-    import json
-    from mtlopt.strength import write_snapshot_records
-    path = tmp_path / "strength.jsonl"
-    with open(path, "w") as fh:
-        write_snapshot_records(fh, epoch=3, seed=17, snapshot=snapshot)
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert {rec["layer"] for rec in lines} == {"trunk.0", "trunk.1"}
-    assert all(rec["epoch"] == 3 and rec["seed"] == 17 for rec in lines)
+    records = snapshot_records(seed=17, epoch=3, snapshot=snapshot)
+    assert [rec["layer"] for rec in records] == ["trunk.0", "trunk.1"]
+    assert all(rec["epoch"] == 3 and rec["seed"] == 17 for rec in records)
+    assert all(rec.keys() == {"seed", "epoch", "layer", "tasks", "norm", "groups"}
+               for rec in records)
