@@ -200,14 +200,14 @@ class Tape:
         return self._record("conv2d", inputs, out, backward)
 
     def task_batchnorm(self, y: Tensor, states: Mapping[int, BatchNormState], task: int,
-                       mode: str = "train", eps: float = BN_EPS,
-                       momentum: float = BN_MOMENTUM) -> Tensor:
+                       mode: str = "train") -> Tensor:
         """Per-channel batch norm using the given task's state.
 
         Train mode normalizes with the batch's (biased) statistics and
-        updates the running statistics by exponential moving average; eval
-        mode normalizes with the running statistics. Gradients flow to y,
-        gamma, and beta.
+        updates the running statistics by exponential moving average with
+        weight ``BN_MOMENTUM``; eval mode normalizes with the running
+        statistics. Both add ``BN_EPS`` to the variance. Gradients flow to
+        y, gamma, and beta.
         """
         if task not in states:
             raise TaskLookupError(f"batchnorm: no state registered for task {task}")
@@ -227,11 +227,11 @@ class Tape:
                 raise ShapeError(f"batchnorm: train mode needs >= 2 elements per channel, got {m}")
             mu = y.data.mean(axis=(0, 2, 3))
             var = y.data.var(axis=(0, 2, 3))  # biased (population) variance
-            inv_std = 1.0 / np.sqrt(var + eps)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat = (y.data - mu[None, :, None, None]) * inv_std[None, :, None, None]
             out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-            state.running_mean[...] = (1.0 - momentum) * state.running_mean + momentum * mu
-            state.running_var[...] = (1.0 - momentum) * state.running_var + momentum * var
+            state.running_mean[...] = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mu
+            state.running_var[...] = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
 
             def backward(grad_out: np.ndarray):
                 dgamma = (grad_out * xhat).sum(axis=(0, 2, 3))
@@ -249,7 +249,7 @@ class Tape:
         else:
             if np.any(state.running_var < 0):
                 raise StateError("batchnorm: running variance is negative (corrupt state)")
-            inv_std = 1.0 / np.sqrt(state.running_var + eps)
+            inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
             xhat = (y.data - state.running_mean[None, :, None, None]) * inv_std[None, :, None, None]
             out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 

@@ -33,10 +33,7 @@ def default_model_dict() -> dict:
             "2": [{"in_channels": 4, "out_channels": 6, "kernel_size": 1},
                   {"in_channels": 6, "out_channels": 1, "kernel_size": 1}],
         },
-        "tasks": [
-            {"id": 1, "loss": "cross_entropy", "weight": 1.0},
-            {"id": 2, "loss": "mse", "weight": 1.0},
-        ],
+        "tasks": [{"id": 1, "loss": "cross_entropy"}, {"id": 2, "loss": "mse"}],
     }
 
 
@@ -184,8 +181,13 @@ class ExperimentConfig:
                  "steps_per_epoch", "must be a positive integer")
         _require(_is_number(raw["lr"]) and raw["lr"] > 0,
                  "lr", "must be a positive number")
-        _require(raw["update_rule"]["kind"] in ("sgd", "adam"),
-                 "update_rule.kind", "must be 'sgd' or 'adam'")
+        rule = raw["update_rule"]
+        _require(rule["kind"] in ("sgd", "adam"), "update_rule.kind", "must be 'sgd' or 'adam'")
+        for key in ("beta1", "beta2"):
+            _require(_is_number(rule[key]) and 0 <= rule[key] < 1,
+                     f"update_rule.{key}", "must be a number in [0, 1)")
+        _require(_is_number(rule["eps"]) and rule["eps"] > 0,
+                 "update_rule.eps", "must be a positive number")
         _require(raw["phase_override"] in (None, PHASE1, PHASE2),
                  "phase_override", f"must be null, '{PHASE1}' or '{PHASE2}'")
         _require(isinstance(raw["seeds"], (list, tuple)) and len(raw["seeds"]) >= 1
@@ -217,13 +219,18 @@ class ExperimentConfig:
             _require(sorted(raw["task_order"]) == sorted(model.task_ids),
                      "task_order", f"must be a permutation of {model.task_ids}")
 
-        try:
-            data_kwargs = dict(raw["data"])
-            data_kwargs["depth_mix"] = tuple(data_kwargs["depth_mix"])
-            data = SyntheticConfig(**data_kwargs)
-            data.validate()
-        except (ConfigError, TypeError) as exc:
-            raise ConfigError(f"config.data: {exc}") from exc
+        data = raw["data"]
+        for key in ("batch_size", "channels", "height", "width", "bumps"):
+            _require(_is_int(data[key]) and data[key] >= 1, f"data.{key}",
+                     "must be a positive integer")
+        _require(_is_int(data["num_classes"]) and data["num_classes"] >= 2,
+                 "data.num_classes", "must be an integer >= 2")
+        _require(_is_number(data["noise"]) and data["noise"] >= 0,
+                 "data.noise", "must be a nonnegative number")
+        mix = data["depth_mix"]
+        _require(isinstance(mix, (list, tuple)) and len(mix) == 2
+                 and all(_is_number(v) for v in mix), "data.depth_mix", "must be two numbers")
+        data = SyntheticConfig(**{**data, "depth_mix": tuple(mix)})
         _require(data.channels == model.trunk[0].in_channels if model.trunk else True,
                  "data.channels", "must match the first trunk layer's input channels")
         _require(k <= 2, "model.tasks", f"the synthetic data has 2 targets, got {k} tasks")

@@ -8,12 +8,12 @@ set per task (that task's batch-norm scales/shifts plus its head).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .autodiff import BN_EPS, BN_MOMENTUM, BatchNormState, Tape, Tensor
+from .autodiff import BatchNormState, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError
 
 LOSS_KINDS = ("mse", "cross_entropy")
@@ -21,28 +21,49 @@ LOSS_KINDS = ("mse", "cross_entropy")
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """One conv layer: channels, square kernel, stride/padding, and whether a
-    per-task batch norm (trunk only), a bias term, and a relu are attached."""
+    """One conv layer: channels, an odd square kernel, and whether a per-task
+    batch norm (trunk only), a bias term, and a relu are attached. Every conv
+    runs at stride 1 with padding kernel_size // 2, so it keeps the spatial
+    size."""
 
     in_channels: int
     out_channels: int
     kernel_size: int = 3
-    stride: int = 1
-    padding: int | None = None  # None -> kernel_size // 2
     batch_norm: bool = True
     bias: bool = True
     activation: bool = True
-
-    @property
-    def pad(self) -> int:
-        return self.kernel_size // 2 if self.padding is None else self.padding
 
 
 @dataclass(frozen=True)
 class TaskSpec:
     id: int
     loss: str = "mse"
-    weight: float = 1.0
+
+
+def _spec_from_dict(cls, d, where: str):
+    """Build a ConvSpec or TaskSpec, naming the layer or task on a bad key."""
+    if not isinstance(d, Mapping):
+        raise ConfigError(f"{where}: expected an object")
+    names = [f.name for f in fields(cls)]
+    for key in d:
+        if key not in names:
+            raise ConfigError(f"{where}: unknown field {key!r}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in d:
+            raise ConfigError(f"{where}: missing field {f.name!r}")
+    return cls(**d)
+
+
+def _task_from_dict(d, where: str) -> TaskSpec:
+    # a task's loss weight comes from loss_scaling; the key parses for
+    # configs written with it, but only at the neutral value
+    if isinstance(d, Mapping) and "weight" in d:
+        weight = d["weight"]
+        if isinstance(weight, bool) or weight != 1.0:
+            raise ConfigError(f"{where}: weight {weight!r} is not 1.0; set per-task loss "
+                              "weights with loss_scaling.manual_ratios")
+        d = {k: v for k, v in d.items() if k != "weight"}
+    return _spec_from_dict(TaskSpec, d, where)
 
 
 @dataclass(frozen=True)
@@ -74,8 +95,17 @@ class ModelSpec:
         for t in self.tasks:
             if t.loss not in LOSS_KINDS:
                 raise ConfigError(f"task {t.id}: unknown loss kind {t.loss!r}")
-            if t.weight < 0:
-                raise ConfigError(f"task {t.id}: weight must be nonnegative")
+        layers = [(f"trunk layer {i}", c) for i, c in enumerate(self.trunk)]
+        layers += [(f"head {tid} layer {i}", c)
+                   for tid, head in self.heads.items() for i, c in enumerate(head)]
+        for where, c in layers:
+            if not all(type(v) is int and v >= 1
+                       for v in (c.in_channels, c.out_channels, c.kernel_size)):
+                raise ConfigError(f"{where}: channels and kernel_size must be positive integers")
+            if c.kernel_size % 2 == 0:
+                raise ConfigError(f"{where}: kernel_size must be odd, got {c.kernel_size}")
+            if type(c.batch_norm) is not bool or type(c.activation) is not bool:
+                raise ConfigError(f"{where}: batch_norm and activation must be booleans")
         prev = None
         for i, layer in enumerate(self.trunk):
             if prev is not None and layer.in_channels != prev:
@@ -103,11 +133,17 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
+        for key in d:
+            if key not in ("trunk", "heads", "tasks"):
+                raise ConfigError(f"unknown field {key!r}")
         spec = cls(
-            trunk=tuple(ConvSpec(**c) for c in d.get("trunk", ())),
-            heads={int(tid): tuple(ConvSpec(**c) for c in head)
+            trunk=tuple(_spec_from_dict(ConvSpec, c, f"trunk[{i}]")
+                        for i, c in enumerate(d.get("trunk", ()))),
+            heads={int(tid): tuple(_spec_from_dict(ConvSpec, c, f"heads.{tid}[{i}]")
+                                   for i, c in enumerate(head))
                    for tid, head in d.get("heads", {}).items()},
-            tasks=tuple(TaskSpec(**t) for t in d.get("tasks", ())),
+            tasks=tuple(_task_from_dict(t, f"tasks[{i}]")
+                        for i, t in enumerate(d.get("tasks", ()))),
         )
         spec.validate()
         return spec
@@ -178,17 +214,14 @@ class Model:
             raise ConfigError(f"forward: unknown task {task}")
         h = x  # a plain array stays a constant: no gradient for the images
         for layer in self.trunk:
-            h = tape.conv2d(h, layer.weight, layer.bias,
-                            stride=layer.spec.stride, padding=layer.spec.pad)
+            h = tape.conv2d(h, layer.weight, layer.bias, padding=layer.spec.kernel_size // 2)
             if layer.bn:
-                h = tape.task_batchnorm(h, layer.bn, task, mode=mode,
-                                        eps=BN_EPS, momentum=BN_MOMENTUM)
+                h = tape.task_batchnorm(h, layer.bn, task, mode=mode)
             if layer.spec.activation:
                 h = tape.relu(h)
         head = self.heads.get(task, [])
         for i, layer in enumerate(head):
-            h = tape.conv2d(h, layer.weight, layer.bias,
-                            stride=layer.spec.stride, padding=layer.spec.pad)
+            h = tape.conv2d(h, layer.weight, layer.bias, padding=layer.spec.kernel_size // 2)
             if i < len(head) - 1 and layer.spec.activation:
                 h = tape.relu(h)
         return h
@@ -264,12 +297,9 @@ class GradientSet:
     def flat(self, order: Iterable[str]) -> np.ndarray:
         return np.concatenate([self.entries[n].reshape(-1) for n in order])
 
-    def dot(self, other: "GradientSet") -> float:
-        return float(sum((self.entries[n] * other.entries[n]).sum() for n in self.entries))
-
 
 def per_task_gradients(model: Model, batch: Batch, task: int,
-                       loss_weight: float = 1.0, mode: str = "train",
+                       loss_weight: float = 1.0,
                        partition: "ParameterPartition | None" = None,
                        ) -> tuple[float, GradientSet, dict[str, np.ndarray]]:
     """Forward/backward one task; return (raw loss, shared grads, own grads).
@@ -281,7 +311,7 @@ def per_task_gradients(model: Model, batch: Batch, task: int,
     if task not in batch.targets:
         raise DataError(f"batch has no target for task {task}")
     tape = Tape()
-    pred = model.forward(batch.x, task, tape, mode=mode)
+    pred = model.forward(batch.x, task, tape)
     kind = model.spec.task(task).loss
     loss = tape.compute_loss(pred, batch.targets[task], kind)
     if not np.isfinite(loss.data):

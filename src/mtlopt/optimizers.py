@@ -219,14 +219,8 @@ class MtlOptimizer:
         self._rule.apply(name, tensor.data, grad)
         self.last_step_writes[name] += 1
 
-    def _weights_by_task(self, weights) -> dict[int, float]:
-        ids = self.model.spec.task_ids
-        if isinstance(weights, Mapping):
-            return {tid: float(weights[tid]) for tid in ids}
-        weights = list(weights)
-        if len(weights) != len(ids):
-            raise ConfigError(f"expected {len(ids)} weights, got {len(weights)}")
-        return {tid: float(w) for tid, w in zip(ids, weights)}
+    def _weights_by_task(self, weights: Mapping[int, float]) -> dict[int, float]:
+        return {tid: float(weights[tid]) for tid in self.model.spec.task_ids}
 
     def _collect_gradients(self, batch: Batch, w: dict[int, float]
                            ) -> tuple[dict[int, float], dict[int, GradientSet], dict[int, dict[str, np.ndarray]]]:
@@ -246,7 +240,7 @@ class MtlOptimizer:
 
     # -- steps -------------------------------------------------------------
 
-    def phase1_step(self, batch: Batch, weights) -> StepResult:
+    def phase1_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
         """Sequential per-task updates: task i sees the shared parameters
         already moved by tasks 1..i-1 within the same step."""
         self._begin_step()
@@ -263,7 +257,7 @@ class MtlOptimizer:
                 self._apply(name, self.partition.per_task[tid][name], grad)
         return StepResult(losses)
 
-    def phase2_step(self, batch: Batch, weights,
+    def phase2_step(self, batch: Batch, weights: Mapping[int, float],
                     snapshot: Mapping[str, StrengthReport]) -> StepResult:
         """Priority-preserving step: project conflicting per-group gradients
         against the group owner's gradient, then apply the summed result."""
@@ -313,7 +307,7 @@ class MtlOptimizer:
             combined[name] = out
         return combined, result
 
-    def gd_step(self, batch: Batch, weights) -> StepResult:
+    def gd_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
         """Conventional GD: one update with the weighted gradient sum."""
         self._begin_step()
         w = self._weights_by_task(weights)
@@ -324,7 +318,8 @@ class MtlOptimizer:
         self._apply_own(own)
         return StepResult(losses)
 
-    def pcgrad_step(self, batch: Batch, weights, rng: np.random.Generator) -> StepResult:
+    def pcgrad_step(self, batch: Batch, weights: Mapping[int, float],
+                    rng: np.random.Generator) -> StepResult:
         """Pairwise projection over the full flattened shared gradient, in
         seeded random order, whenever a pair conflicts."""
         self._begin_step()
@@ -357,7 +352,7 @@ class MtlOptimizer:
         self._apply_own(own)
         return result
 
-    def step(self, batch: Batch, weights, phase: str | None = None,
+    def step(self, batch: Batch, weights: Mapping[int, float], phase: str | None = None,
              snapshot: Mapping[str, StrengthReport] | None = None,
              rng: np.random.Generator | None = None) -> StepResult:
         """Dispatch one step for the configured method."""

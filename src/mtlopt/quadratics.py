@@ -56,15 +56,6 @@ class QuadraticProblem:
     def shared_gradient(self, task: int, theta: np.ndarray) -> np.ndarray:
         return self.gradient(task, theta)[:self.shared_dim]
 
-    def task_gradient(self, task: int, theta: np.ndarray) -> np.ndarray:
-        sl = self.task_slices[task]
-        return self.gradient(task, theta)[sl]
-
-    def gradient_functional(self, theta: np.ndarray, weights: np.ndarray) -> float:
-        """Sum of w_k^2 ||g_k||^2 over the shared coordinates."""
-        return float(sum(w * w * np.sum(self.shared_gradient(k, theta) ** 2)
-                         for k, w in enumerate(weights)))
-
     def has_conflict(self, theta: np.ndarray) -> bool:
         """Any task pair with non-positive shared-gradient dot product."""
         grads = [self.shared_gradient(k, theta) for k in range(self.num_tasks)]
@@ -74,44 +65,10 @@ class QuadraticProblem:
                     return True
         return False
 
-    def to_record(self) -> dict:
-        return {
-            "shared_dim": self.shared_dim,
-            "task_slices": [[s.start, s.stop] for s in self.task_slices],
-            "lipschitz": self.lipschitz,
-            "matrices": [a.tolist() for a in self.matrices],
-            "offsets": [b.tolist() for b in self.offsets],
-            "minimizers": self.minimizers.tolist(),
-        }
-
 
 def compute_lipschitz(matrices: Sequence[np.ndarray]) -> float:
     """H = max_i 2 * lambda_max(A_i^T A_i), the gradient Lipschitz constant."""
     return float(max(2.0 * np.linalg.eigvalsh(a.T @ a).max() for a in matrices))
-
-
-def dump_problem(problem: QuadraticProblem, path: str) -> None:
-    """Write the problem as a JSON record for cross-implementation checks."""
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(problem.to_record(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_problem(path: str) -> QuadraticProblem:
-    import json
-
-    with open(path) as fh:
-        rec = json.load(fh)
-    return QuadraticProblem(
-        matrices=[np.asarray(a, dtype=np.float64) for a in rec["matrices"]],
-        offsets=[np.asarray(b, dtype=np.float64) for b in rec["offsets"]],
-        shared_dim=int(rec["shared_dim"]),
-        task_slices=[slice(a, b) for a, b in rec["task_slices"]],
-        minimizers=np.asarray(rec["minimizers"], dtype=np.float64),
-        lipschitz=float(rec["lipschitz"]),
-    )
 
 
 def _conditioned_matrix(rng: np.random.Generator, rows: int, cols: int,

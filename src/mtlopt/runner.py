@@ -365,7 +365,7 @@ def single_task_config(config: ExperimentConfig, task_id: int) -> ExperimentConf
     overrides["model"] = {
         "trunk": model["trunk"],
         "heads": {"1": head},
-        "tasks": [{"id": 1, "loss": task.loss, "weight": 1.0}],
+        "tasks": [{"id": 1, "loss": task.loss}],
     }
     overrides["method"] = "gd"
     overrides["phase_override"] = None

@@ -107,14 +107,14 @@ def layer_strength_report(layer_name: str, weight: Tensor | np.ndarray,
     return report
 
 
-def model_strength_snapshot(model, eps: float = BN_EPS) -> dict[str, StrengthReport]:
+def model_strength_snapshot(model) -> dict[str, StrengthReport]:
     """Strength reports for every trunk layer that carries task batch norm."""
     task_ids = model.spec.task_ids
     snapshot: dict[str, StrengthReport] = {}
     for i, layer in enumerate(model.trunk):
         if layer.bn:
             name = f"trunk.{i}"
-            snapshot[name] = layer_strength_report(name, layer.weight, layer.bn, task_ids, eps)
+            snapshot[name] = layer_strength_report(name, layer.weight, layer.bn, task_ids)
     return snapshot
 
 

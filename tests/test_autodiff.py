@@ -136,7 +136,7 @@ def test_batchnorm_two_point_batch():
     # channel batch {-1, +1}: mean 0, biased var 1 -> outputs +/- 1/sqrt(1+eps)
     tape = Tape()
     y = Tensor(np.array([-1.0, 1.0]).reshape(2, 1, 1, 1))
-    out = tape.task_batchnorm(y, {1: BatchNormState.fresh(1)}, task=1, mode="train", eps=1e-5)
+    out = tape.task_batchnorm(y, {1: BatchNormState.fresh(1)}, task=1, mode="train")
     expected = 1.0 / math.sqrt(1.0 + 1e-5)
     np.testing.assert_allclose(out.data.reshape(-1), [-expected, expected], rtol=0, atol=1e-15)
 
@@ -159,7 +159,7 @@ def test_batchnorm_running_stats_ema_and_eval():
     rng = np.random.default_rng(5)
     y = rng.normal(size=(2, 2, 4, 4))
     state = BatchNormState.fresh(2)
-    Tape().task_batchnorm(Tensor(y), {1: state}, task=1, mode="train", momentum=0.1)
+    Tape().task_batchnorm(Tensor(y), {1: state}, task=1, mode="train")
     np.testing.assert_allclose(state.running_mean, 0.1 * y.mean(axis=(0, 2, 3)))
     np.testing.assert_allclose(state.running_var, 0.9 + 0.1 * y.var(axis=(0, 2, 3)))
     # eval mode uses the running stats, not the batch's

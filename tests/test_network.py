@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -133,7 +135,6 @@ def test_scalar_shared_gradients_and_conflict():
     assert g1.entries["trunk.0.weight"].item() == -2.0
     assert g2.entries["trunk.0.weight"].item() == 2.0
     assert own1 == {} and own2 == {}
-    assert g1.dot(g2) == -4.0
 
 
 def test_zero_loss_weight_annihilates_gradients():
@@ -233,6 +234,19 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for (n, b), (m, c) in zip(sorted(model.named_buffers().items()),
                               sorted(restored.named_buffers().items())):
         assert n == m and np.array_equal(b, c)
+
+
+def test_checkpoint_with_unknown_layer_field_fails(tmp_path):
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(build_model(two_task_spec(), seed=34), path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    spec = json.loads(bytes(arrays["spec_json"]).decode("utf-8"))
+    spec["trunk"][0]["stride"] = 1
+    arrays["spec_json"] = np.frombuffer(json.dumps(spec).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigError, match=r"trunk\[0\]: unknown field 'stride'"):
+        load_checkpoint(path)
 
 
 def test_clone_is_independent():

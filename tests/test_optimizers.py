@@ -172,8 +172,8 @@ def test_phase1_single_task_equals_gd():
                   targets={1: np.random.default_rng(6).normal(size=(2, 1, 4, 4))})
     a = build_model(spec, seed=9)
     b = clone_model(a)
-    MtlOptimizer(a, OptimizerConfig(lr=0.05)).phase1_step(batch, [1.0])
-    MtlOptimizer(b, OptimizerConfig(lr=0.05)).gd_step(batch, [1.0])
+    MtlOptimizer(a, OptimizerConfig(lr=0.05)).phase1_step(batch, {1: 1.0})
+    MtlOptimizer(b, OptimizerConfig(lr=0.05)).gd_step(batch, {1: 1.0})
     for (n, pa), (_, pb) in zip(sorted(a.named_parameters().items()),
                                 sorted(b.named_parameters().items())):
         assert np.array_equal(pa.data, pb.data), n
@@ -192,7 +192,7 @@ def test_phase1_null_step_reports_losses():
 def test_phase1_write_counts():
     model = build_model(conv_two_task_spec(), seed=21)
     opt = MtlOptimizer(model, OptimizerConfig(lr=0.01))
-    opt.phase1_step(conv_batch(31), [0.5, 0.5])
+    opt.phase1_step(conv_batch(31), {1: 0.5, 2: 0.5})
     part = partition_parameters(model)
     for name in part.shared:
         assert opt.last_step_writes[name] == 2, name
@@ -331,8 +331,8 @@ def test_phase2_without_conflicts_equals_gd():
     a.heads[2][0].weight.data[...] = a.heads[1][0].weight.data
     b = clone_model(a)
     snapshot = model_strength_snapshot(a)
-    ra = MtlOptimizer(a, OptimizerConfig(lr=0.05)).phase2_step(batch, [0.5, 0.5], snapshot)
-    MtlOptimizer(b, OptimizerConfig(method="gd", lr=0.05)).gd_step(batch, [0.5, 0.5])
+    ra = MtlOptimizer(a, OptimizerConfig(lr=0.05)).phase2_step(batch, {1: 0.5, 2: 0.5}, snapshot)
+    MtlOptimizer(b, OptimizerConfig(method="gd", lr=0.05)).gd_step(batch, {1: 0.5, 2: 0.5})
     assert sum(ra.projections.values()) == 0
     part = partition_parameters(a)
     for name in part.shared:
@@ -363,7 +363,7 @@ def test_phase2_stale_snapshot_rejected():
     batch = conv_batch(1)
     batch.targets[1] = batch.targets[1]
     with pytest.raises(StateError):
-        opt.phase2_step(batch, [0.5, 0.5], snapshot)
+        opt.phase2_step(batch, {1: 0.5, 2: 0.5}, snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +419,8 @@ def test_pcgrad_no_conflict_equals_gd():
     a.heads[2][0].weight.data[...] = a.heads[1][0].weight.data
     b = clone_model(a)
     MtlOptimizer(a, OptimizerConfig(method="pcgrad", lr=0.05)).pcgrad_step(
-        batch, [0.5, 0.5], np.random.default_rng(1))
-    MtlOptimizer(b, OptimizerConfig(method="gd", lr=0.05)).gd_step(batch, [0.5, 0.5])
+        batch, {1: 0.5, 2: 0.5}, np.random.default_rng(1))
+    MtlOptimizer(b, OptimizerConfig(method="gd", lr=0.05)).gd_step(batch, {1: 0.5, 2: 0.5})
     part = partition_parameters(a)
     for name in part.shared:
         np.testing.assert_allclose(a.named_parameters()[name].data,
@@ -443,7 +443,7 @@ def test_pcgrad_three_tasks_seeded_determinism():
     def run():
         model = build_model(spec, seed=50)
         MtlOptimizer(model, OptimizerConfig(method="pcgrad", lr=0.05)).pcgrad_step(
-            batch, [1 / 3] * 3, np.random.default_rng(123))
+            batch, {1: 1 / 3, 2: 1 / 3, 3: 1 / 3}, np.random.default_rng(123))
         return {n: p.data.copy() for n, p in model.named_parameters().items()}
 
     a, b = run(), run()
@@ -469,7 +469,7 @@ def test_adam_rule_applies_to_combined_gradient():
     model = build_model(conv_two_task_spec(), seed=61)
     opt = MtlOptimizer(model, OptimizerConfig(method="gd", lr=0.01, update_rule="adam"))
     before = {n: p.data.copy() for n, p in model.named_parameters().items()}
-    opt.gd_step(conv_batch(62), [0.5, 0.5])
+    opt.gd_step(conv_batch(62), {1: 0.5, 2: 0.5})
     changed = [n for n, p in model.named_parameters().items()
                if not np.array_equal(p.data, before[n])]
     assert changed  # adam state initialized and applied

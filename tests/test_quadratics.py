@@ -245,26 +245,3 @@ def test_probe_gd_converges_on_structured_problems():
 def test_fit_decay_exponent_on_power_law():
     t = np.arange(1, 5001, dtype=np.float64)
     assert fit_decay_exponent(3.0 / t, skip=10) == pytest.approx(-1.0, abs=0.01)
-
-
-def test_problem_record_roundtrip_fields():
-    problem = make_quadratic_problem(2, 2, 0.5, seed=7)
-    rec = problem.to_record()
-    assert rec["shared_dim"] == 2
-    assert len(rec["matrices"]) == 2
-    assert rec["lipschitz"] == problem.lipschitz
-
-
-def test_problem_dump_load_roundtrip(tmp_path):
-    from mtlopt.quadratics import dump_problem, load_problem
-
-    problem = make_quadratic_problem(3, 2, 0.8, seed=19)
-    path = str(tmp_path / "problem.json")
-    dump_problem(problem, path)
-    loaded = load_problem(path)
-    for a, b in zip(problem.matrices, loaded.matrices):
-        np.testing.assert_array_equal(a, b)
-    assert loaded.lipschitz == problem.lipschitz
-    assert loaded.task_slices == problem.task_slices
-    theta = np.random.default_rng(0).normal(size=problem.dim)
-    assert loaded.loss(0, theta) == problem.loss(0, theta)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 
@@ -8,7 +9,7 @@ from mtlopt.cli import main as cli_main
 from mtlopt.config import ExperimentConfig, apply_dotted_overrides, default_model_dict
 from mtlopt.errors import ConfigError
 from mtlopt import runner
-from mtlopt.network import load_checkpoint
+from mtlopt.network import build_model, load_checkpoint
 from mtlopt.runner import (
     RunReport,
     read_metrics,
@@ -52,6 +53,13 @@ def _model_override(**fields):
 
 
 _CONV_4_TO_1 = {"in_channels": 4, "out_channels": 1, "kernel_size": 1}
+_TRUNK_4_TO_4 = {"in_channels": 4, "out_channels": 4, "kernel_size": 3}
+
+
+def _trunk_layer_override(**fields):
+    """The default model with extra or changed fields on its first trunk layer."""
+    first = {"in_channels": 3, "out_channels": 4, "kernel_size": 3, **fields}
+    return _model_override(trunk=[first, _TRUNK_4_TO_4])
 
 
 @pytest.mark.parametrize("overrides, fragment", [
@@ -84,10 +92,42 @@ _CONV_4_TO_1 = {"in_channels": 4, "out_channels": 1, "kernel_size": 1}
                      tasks=[{"id": 1, "loss": "cross_entropy"}, {"id": 2, "loss": "mse"},
                             {"id": 3, "loss": "mse"}]),
      "model.tasks"),
+    # every conv runs at stride 1 with same padding
+    (_trunk_layer_override(stride=2), "unknown field 'stride'"),
+    (_trunk_layer_override(padding=0), "unknown field 'padding'"),
+    (_trunk_layer_override(kernel_size=2), "kernel_size"),
+    (_trunk_layer_override(kernel_size=4), "kernel_size"),
+    (_model_override(trunk=[{"out_channels": 4}, _TRUNK_4_TO_4]), "missing field 'in_channels'"),
+    # task loss weights come from loss_scaling
+    (_model_override(tasks=[{"id": 1, "loss": "cross_entropy", "weight": 5.0},
+                            {"id": 2, "loss": "mse", "weight": 0.0}]), "manual_ratios"),
+    # data and update-rule fields are typed like the top-level ones
+    ({"data": {"batch_size": True}}, "data.batch_size"),
+    ({"data": {"height": 2.5}}, "data.height"),
+    ({"data": {"num_classes": 4.0}}, "data.num_classes"),
+    ({"data": {"noise": True}}, "data.noise"),
+    ({"data": {"depth_mix": [0.7, "x"]}}, "data.depth_mix"),
+    ({"update_rule": {"kind": "adam", "beta1": "x"}}, "update_rule.beta1"),
+    ({"update_rule": {"beta2": 1.0}}, "update_rule.beta2"),
+    ({"update_rule": {"eps": 0.0}}, "update_rule.eps"),
+    # unknown model keys and mistyped layer fields
+    (_model_override(trunks=[]), "model: unknown field 'trunks'"),
+    (_trunk_layer_override(out_channels=4.0), "positive integers"),
+    (_trunk_layer_override(batch_norm="no"), "booleans"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
         ExperimentConfig.from_dict(overrides)
+
+
+def test_benchmark_workload_configs_build(monkeypatch):
+    # the benchmark's configs live outside the package; a spec change that
+    # breaks one should fail here, not only when the benchmark runs
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for workload in workloads.WORKLOADS.values():
+        config = ExperimentConfig.from_dict(workload.overrides)
+        build_model(config.model, seed=config.seeds[0])
 
 
 def test_headless_task_reads_the_trunk_channels():
