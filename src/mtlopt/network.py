@@ -2,8 +2,9 @@
 
 The trunk is a stack of conv layers, each (by default) followed by one
 batch-norm state per task and a relu. Heads are per-task conv stacks.
-Parameters split into a shared set (trunk conv weights and biases) and one
-set per task (that task's batch-norm scales/shifts plus its head).
+Parameters split into a shared set (trunk conv weights, plus the biases of
+trunk layers without batch norm) and one set per task (that task's
+batch-norm scales/shifts plus its head).
 """
 from __future__ import annotations
 
@@ -22,15 +23,15 @@ LOSS_KINDS = ("mse", "cross_entropy")
 @dataclass(frozen=True)
 class ConvSpec:
     """One conv layer: channels, an odd square kernel, and whether a per-task
-    batch norm (trunk only), a bias term, and a relu are attached. Every conv
-    runs at stride 1 with padding kernel_size // 2, so it keeps the spatial
-    size."""
+    batch norm (trunk only) and a relu are attached. Every conv runs at
+    stride 1 with padding kernel_size // 2, so it keeps the spatial size. A
+    conv has a bias exactly when it has no batch norm: train-mode batch norm
+    subtracts the channel mean, and any bias with it."""
 
     in_channels: int
     out_channels: int
     kernel_size: int = 3
     batch_norm: bool = True
-    bias: bool = True
     activation: bool = True
 
 
@@ -158,12 +159,12 @@ class Batch:
 
 
 class ConvLayer:
-    """Conv weights (plus optional bias and per-task batch-norm states)."""
+    """Conv weights plus either per-task batch-norm states or a bias."""
 
     def __init__(self, spec: ConvSpec, weight: np.ndarray, task_ids: Iterable[int]):
         self.spec = spec
         self.weight = Tensor(weight)
-        self.bias = Tensor(np.zeros(spec.out_channels)) if spec.bias else None
+        self.bias = None if spec.batch_norm else Tensor(np.zeros(spec.out_channels))
         self.bn: dict[int, BatchNormState] = (
             {tid: BatchNormState.fresh(spec.out_channels) for tid in task_ids}
             if spec.batch_norm else {})
@@ -191,8 +192,7 @@ class Model:
         for tid, head in self.heads.items():
             for i, layer in enumerate(head):
                 params[f"head.{tid}.{i}.weight"] = layer.weight
-                if layer.bias is not None:
-                    params[f"head.{tid}.{i}.bias"] = layer.bias
+                params[f"head.{tid}.{i}.bias"] = layer.bias
         return params
 
     def named_buffers(self) -> dict[str, np.ndarray]:
@@ -232,7 +232,8 @@ def build_model(spec: ModelSpec, seed: int) -> Model:
 
     Conv weights ~ U(-a, a) with a = sqrt(1/fan_in); biases start at zero;
     batch-norm states start at gamma=1, beta=0, running stats (0, 1).
-    Head layers never carry batch norm (they are task-specific already).
+    Head layers never carry batch norm (they are task-specific already), so
+    they all carry a bias.
     Deterministic for a fixed seed.
     """
     spec.validate()
@@ -270,8 +271,8 @@ class ParameterPartition:
 
 
 def partition_parameters(model: Model) -> ParameterPartition:
-    """Split parameters: trunk conv weights/biases are shared; each task owns
-    its batch-norm scales/shifts and its head."""
+    """Split parameters: trunk conv weights and biases are shared; each task
+    owns its batch-norm scales/shifts and its head."""
     shared: dict[str, Tensor] = {}
     per_task: dict[int, dict[str, Tensor]] = {tid: {} for tid in model.spec.task_ids}
     for name, p in model.named_parameters().items():

@@ -280,9 +280,9 @@ class MtlOptimizer:
             grads = {tid: shared[tid].entries[name] for tid in self.task_order}
             layer = name.rsplit(".", 1)[0]
             report = snapshot.get(layer)
-            if report is None or not name.endswith(".weight"):
-                # no strength information (bias, or layer without task batch
-                # norm): plain weighted sum
+            if report is None:
+                # a layer without task batch norm has no strength report:
+                # plain weighted sum
                 combined[name] = sum(grads.values())
                 continue
             weight_shape = grads[self.task_order[0]].shape

@@ -31,10 +31,10 @@ def two_task_spec(trunk=None, heads=None):
 
 
 def scalar_shared_spec():
-    """Trunk reduced to a single scalar shared weight: conv 1x1, no bias/bn/relu,
-    empty heads. Prediction on a 1x1x1x1 input is exactly theta * x."""
+    """Trunk reduced to a scalar shared weight and bias: conv 1x1, no bn/relu,
+    empty heads. Prediction on a 1x1x1x1 input is exactly theta * x + b."""
     return ModelSpec(
-        trunk=(ConvSpec(1, 1, kernel_size=1, batch_norm=False, bias=False, activation=False),),
+        trunk=(ConvSpec(1, 1, kernel_size=1, batch_norm=False, activation=False),),
         heads={},
         tasks=(TaskSpec(1, "mse"), TaskSpec(2, "mse")),
     )
@@ -82,7 +82,7 @@ def test_partition_counts_two_layer_trunk():
     part = partition_parameters(model)
     weights = [n for n in part.shared if n.endswith(".weight")]
     biases = [n for n in part.shared if n.endswith(".bias")]
-    assert len(weights) == 2 and len(biases) == 2
+    assert len(weights) == 2 and biases == []  # batch norm drops the trunk biases
     for tid in (1, 2):
         gammas = [n for n in part.per_task[tid] if n.endswith(".gamma")]
         betas = [n for n in part.per_task[tid] if n.endswith(".beta")]
@@ -106,8 +106,7 @@ def test_partition_bookkeeping_randomized():
         depth = int(rng.integers(1, 4))
         chans = [int(rng.integers(1, 5)) for _ in range(depth + 1)]
         trunk = tuple(ConvSpec(chans[i], chans[i + 1], kernel_size=int(rng.choice([1, 3])),
-                               batch_norm=bool(rng.integers(0, 2)),
-                               bias=bool(rng.integers(0, 2)))
+                               batch_norm=bool(rng.integers(0, 2)))
                       for i in range(depth))
         heads = {tid: (ConvSpec(chans[-1], int(rng.integers(1, 4)), kernel_size=1),)
                  for tid in range(1, k + 1) if rng.integers(0, 2)}

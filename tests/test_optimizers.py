@@ -120,7 +120,7 @@ def test_project_group_gradients_owner_fixed_reference():
 
 def scalar_model(theta=0.0):
     spec = ModelSpec(
-        trunk=(ConvSpec(1, 1, kernel_size=1, batch_norm=False, bias=False, activation=False),),
+        trunk=(ConvSpec(1, 1, kernel_size=1, batch_norm=False, activation=False),),
         heads={},
         tasks=(TaskSpec(1, "mse"), TaskSpec(2, "mse")),
     )
@@ -154,13 +154,14 @@ def conv_batch(seed, n=2, c=2, h=5, w=5, classes=3):
 # ---------------------------------------------------------------------------
 
 def test_phase1_hand_arithmetic():
-    # theta=0, w=(0.5, 0.5), lr=0.1:
-    # task 1: g = 0.5 * 2(theta-1) = -1 -> theta = 0.1
-    # task 2: g = 0.5 * 2(theta+1) = 1.1 -> theta = 0.1 - 0.11 = -0.01
+    # prediction theta + b at x=1; theta=b=0, w=(0.5, 0.5), lr=0.1:
+    # task 1: g = 0.5 * 2(theta+b-1) = -1 for both -> theta = b = 0.1
+    # task 2: g = 0.5 * 2(theta+b+1) = 1.2 for both -> theta = b = 0.1 - 0.12 = -0.02
     model = scalar_model(0.0)
     opt = MtlOptimizer(model, OptimizerConfig(lr=0.1))
     result = opt.phase1_step(scalar_batch(), {1: 0.5, 2: 0.5})
-    np.testing.assert_allclose(model.trunk[0].weight.data.item(), -0.01, atol=1e-15)
+    np.testing.assert_allclose(model.trunk[0].weight.data.item(), -0.02, atol=1e-15)
+    np.testing.assert_allclose(model.trunk[0].bias.data.item(), -0.02, atol=1e-15)
     assert result.losses[1] == 1.0  # raw losses at the parameters each task saw
 
 
@@ -220,9 +221,9 @@ def test_phase1_differs_from_gd_with_coupled_tasks():
 def block_diagonal_model():
     """Two shared coordinates, each seen by exactly one task's loss."""
     spec = ModelSpec(
-        trunk=(ConvSpec(1, 2, kernel_size=1, batch_norm=False, bias=False, activation=False),),
-        heads={1: (ConvSpec(2, 1, kernel_size=1, bias=False),),
-               2: (ConvSpec(2, 1, kernel_size=1, bias=False),)},
+        trunk=(ConvSpec(1, 2, kernel_size=1, batch_norm=False, activation=False),),
+        heads={1: (ConvSpec(2, 1, kernel_size=1),),
+               2: (ConvSpec(2, 1, kernel_size=1),)},
         tasks=(TaskSpec(1, "mse"), TaskSpec(2, "mse")),
     )
     model = build_model(spec, seed=0)

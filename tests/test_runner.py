@@ -114,6 +114,8 @@ def _trunk_layer_override(**fields):
     (_model_override(trunks=[]), "model: unknown field 'trunks'"),
     (_trunk_layer_override(out_channels=4.0), "positive integers"),
     (_trunk_layer_override(batch_norm="no"), "booleans"),
+    # a conv has a bias exactly when it has no batch norm
+    (_trunk_layer_override(bias=False), "unknown field 'bias'"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
