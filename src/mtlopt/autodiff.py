@@ -111,7 +111,7 @@ class _Node:
 
 
 def _assert_finite(op: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{op}: produced non-finite values")
 
 
