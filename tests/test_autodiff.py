@@ -1,4 +1,7 @@
 import math
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -404,3 +407,40 @@ def test_gradcheck_relu_and_scale():
         return tape.mse_loss(tape.scale(tape.relu(x), -1.7), Tensor(target))
 
     _fd_check(build, [x])
+
+
+# Runs in a fresh interpreter, so glibc starts from its default thresholds
+# whatever ran earlier in this process.
+_STEADY_STATE_FAULTS = """
+import resource
+from mtlopt.config import ExperimentConfig
+from mtlopt.network import build_model
+from mtlopt.optimizers import MtlOptimizer, OptimizerConfig
+from mtlopt.runner import training_dataset
+
+conv = lambda c_in, c_out, k: {"in_channels": c_in, "out_channels": c_out, "kernel_size": k}
+config = ExperimentConfig.from_dict({
+    "data": {"batch_size": 16, "height": 16, "width": 16},
+    "model": {"trunk": [conv(3, 16, 3), conv(16, 16, 3)],
+              "heads": {"1": [conv(16, 8, 1), conv(8, 4, 1)],
+                        "2": [conv(16, 8, 1), conv(8, 1, 1)]},
+              "tasks": [{"id": 1, "loss": "cross_entropy"}, {"id": 2, "loss": "mse"}]}})
+dataset = training_dataset(config, 1)
+optimizer = MtlOptimizer(build_model(config.model, seed=1), OptimizerConfig(method="gd", lr=1e-3))
+batches = [dataset.batch(i) for i in range(7)]
+for batch in batches[:2]:
+    optimizer.step(batch, {1: 1.0, 2: 1.0})
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for batch in batches[2:]:
+    optimizer.step(batch, {1: 1.0, 2: 1.0})
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds are glibc mallopt settings")
+def test_steady_state_training_does_not_page_fault():
+    proc = subprocess.run([sys.executable, "-c", _STEADY_STATE_FAULTS],
+                          capture_output=True, text=True, check=True)
+    faults = int(proc.stdout)
+    assert faults < 50, f"{faults} minor page faults in 5 wide-trunk gd steps"
