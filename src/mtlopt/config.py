@@ -94,6 +94,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_task_key(value) -> bool:
+    # JSON object keys are strings, so "1" names task 1 as well as 1 does
+    return _is_int(value) or (isinstance(value, str) and value.isdigit())
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -200,6 +205,9 @@ class ExperimentConfig:
         _require(raw["baselines"] is None or isinstance(raw["baselines"], str),
                  "baselines", "must be null or a path string")
 
+        heads = raw["model"].get("heads", {})
+        _require(isinstance(heads, Mapping) and all(_is_task_key(t) for t in heads),
+                 "model.heads", "must map integer task ids to layer lists")
         try:
             model = ModelSpec.from_dict(raw["model"])
         except (ConfigError, TypeError) as exc:
@@ -215,8 +223,10 @@ class ExperimentConfig:
         _require(_is_number(ls["dwa_temperature"]) and ls["dwa_temperature"] > 0,
                  "loss_scaling.dwa_temperature", "must be positive")
 
-        if raw["task_order"] is not None:
-            _require(sorted(raw["task_order"]) == sorted(model.task_ids),
+        order = raw["task_order"]
+        if order is not None:
+            _require(isinstance(order, (list, tuple)) and all(_is_int(t) for t in order)
+                     and sorted(order) == sorted(model.task_ids),
                      "task_order", f"must be a permutation of {model.task_ids}")
 
         data = raw["data"]

@@ -116,6 +116,10 @@ def _trunk_layer_override(**fields):
     (_trunk_layer_override(batch_norm="no"), "booleans"),
     # a conv has a bias exactly when it has no batch norm
     (_trunk_layer_override(bias=False), "unknown field 'bias'"),
+    # malformed head keys and task orders are config errors, not raw Python ones
+    (_model_override(heads={"one": [_CONV_4_TO_1]}), "config.model.heads"),
+    ({"task_order": 5}, "config.task_order"),
+    ({"task_order": [1, "x"]}, "config.task_order"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
