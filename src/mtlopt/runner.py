@@ -82,7 +82,7 @@ class RunReport:
 
     def mean_final_delta_m(self) -> float | None:
         values = [r.rows[-1].delta_m for r in self.seed_results
-                  if r.rows and r.rows[-1].delta_m is not None]
+                  if not r.error and r.rows and r.rows[-1].delta_m is not None]
         return float(np.mean(values)) if values else None
 
 
@@ -228,71 +228,82 @@ def training_dataset(config: ExperimentConfig, seed: int) -> SyntheticMtlDataset
 def _run_seed(config: ExperimentConfig, seed: int,
               metric_spec: MetricSpec | None,
               target_map: Mapping[int, int] | None = None) -> SeedResult:
+    """Train one seed. An MtloptError ends the seed: the result keeps the
+    rows of every finished epoch, gets no model or final values, and its
+    error names the seed, epoch and step where training stopped."""
     result = SeedResult(seed=seed)
     spec = config.model
     task_ids = spec.task_ids
     k = len(task_ids)
+    where = "setup"
+    try:
+        init_seed = int(substream(seed, "init").integers(0, 2 ** 63))
+        model = build_model(spec, seed=init_seed)
+        dataset = training_dataset(config, seed)
+        provider = _WeightProvider(config)
+        rule = config.update_rule
+        optimizer = MtlOptimizer(model, OptimizerConfig(
+            method=config.method, lr=config.lr, update_rule=rule["kind"],
+            adam_beta1=rule["beta1"], adam_beta2=rule["beta2"], adam_eps=rule["eps"],
+            task_order=config.task_order))
+        schedule = PhaseSchedule(config.epochs, substream(seed, "phase-draw"))
+        pcgrad_rng = substream(seed, "pcgrad-order")
 
-    init_seed = int(substream(seed, "init").integers(0, 2 ** 63))
-    model = build_model(spec, seed=init_seed)
-    dataset = training_dataset(config, seed)
-    provider = _WeightProvider(config)
-    rule = config.update_rule
-    optimizer = MtlOptimizer(model, OptimizerConfig(
-        method=config.method, lr=config.lr, update_rule=rule["kind"],
-        adam_beta1=rule["beta1"], adam_beta2=rule["beta2"], adam_eps=rule["eps"],
-        task_order=config.task_order))
-    schedule = PhaseSchedule(config.epochs, substream(seed, "phase-draw"))
-    pcgrad_rng = substream(seed, "pcgrad-order")
+        for epoch in range(config.epochs):
+            where = f"epoch {epoch}, strength snapshot"
+            snapshot = model_strength_snapshot(model)
+            result.strength_rows.extend(snapshot_records(seed, epoch, snapshot))
 
-    for epoch in range(config.epochs):
-        snapshot = model_strength_snapshot(model)
-        result.strength_rows.extend(snapshot_records(seed, epoch, snapshot))
+            phase = None
+            drawn_p = None
+            if config.method == METHOD_OURS:
+                if config.phase_override is not None:
+                    phase = config.phase_override
+                else:
+                    draw = schedule.draw(epoch)
+                    phase, drawn_p = draw.phase, draw.p
 
-        phase = None
-        drawn_p = None
-        if config.method == METHOD_OURS:
-            if config.phase_override is not None:
-                phase = config.phase_override
-            else:
-                draw = schedule.draw(epoch)
-                phase, drawn_p = draw.phase, draw.p
+            epoch_weights = provider.epoch_weights()
+            loss_totals = {tid: 0.0 for tid in task_ids}
+            conflicts: dict[str, int] = {}
+            projections: dict[str, int] = {}
+            for step in range(config.steps_per_epoch):
+                where = f"epoch {epoch}, step {step}"
+                batch = _remap(dataset.batch(epoch * config.steps_per_epoch + step), target_map)
+                weights = provider.step_weights()
+                step_result = optimizer.step(batch, weights, phase=phase,
+                                             snapshot=snapshot, rng=pcgrad_rng)
+                provider.after_step(step_result.losses)
+                for tid, value in step_result.losses.items():
+                    loss_totals[tid] += value
+                for name, n in step_result.conflicts.items():
+                    conflicts[name] = conflicts.get(name, 0) + n
+                for name, n in step_result.projections.items():
+                    projections[name] = projections.get(name, 0) + n
+                _check_step_invariants(result, optimizer, step_result, phase, k, epoch, step)
 
-        epoch_weights = provider.epoch_weights()
-        loss_totals = {tid: 0.0 for tid in task_ids}
-        conflicts: dict[str, int] = {}
-        projections: dict[str, int] = {}
-        for step in range(config.steps_per_epoch):
-            batch = _remap(dataset.batch(epoch * config.steps_per_epoch + step), target_map)
-            weights = provider.step_weights()
-            step_result = optimizer.step(batch, weights, phase=phase,
-                                         snapshot=snapshot, rng=pcgrad_rng)
-            provider.after_step(step_result.losses)
-            for tid, value in step_result.losses.items():
-                loss_totals[tid] += value
-            for name, n in step_result.conflicts.items():
-                conflicts[name] = conflicts.get(name, 0) + n
-            for name, n in step_result.projections.items():
-                projections[name] = projections.get(name, 0) + n
-            _check_step_invariants(result, optimizer, step_result, phase, k, epoch, step)
+            where = f"epoch {epoch}, evaluation"
+            epoch_mean = {tid: total / config.steps_per_epoch
+                          for tid, total in loss_totals.items()}
+            provider.after_epoch(epoch_mean)
 
-        epoch_mean = {tid: total / config.steps_per_epoch for tid, total in loss_totals.items()}
-        provider.after_epoch(epoch_mean)
+            evals, metrics = evaluate_model(model, dataset, config.eval_batches, target_map)
+            shares = _mean_priority_shares(snapshot, task_ids)
+            dm = delta_m(metrics, metric_spec) if metric_spec is not None else None
+            result.rows.append(EpochRow(seed, config.method, epoch, epoch_mean, evals,
+                                        metrics, epoch_weights, shares, dm))
+            result.log_rows.append({
+                "seed": seed, "epoch": epoch, "p": drawn_p, "phase": phase,
+                "losses": {str(t): epoch_mean[t] for t in task_ids},
+                "weights": {str(t): epoch_weights[t] for t in task_ids},
+                "conflicts": conflicts, "projections": projections,
+            })
+    except MtloptError as exc:
+        result.error = f"seed {seed}, {where}: {type(exc).__name__}: {exc}"
+        return result
 
-        evals, metrics = evaluate_model(model, dataset, config.eval_batches, target_map)
-        shares = _mean_priority_shares(snapshot, task_ids)
-        dm = delta_m(metrics, metric_spec) if metric_spec is not None else None
-        result.rows.append(EpochRow(seed, config.method, epoch, epoch_mean, evals,
-                                    metrics, epoch_weights, shares, dm))
-        result.log_rows.append({
-            "seed": seed, "epoch": epoch, "p": drawn_p, "phase": phase,
-            "losses": {str(t): epoch_mean[t] for t in task_ids},
-            "weights": {str(t): epoch_weights[t] for t in task_ids},
-            "conflicts": conflicts, "projections": projections,
-        })
-
-    result.final_eval = result.rows[-1].eval_loss if result.rows else {}
-    result.final_metric = result.rows[-1].metric if result.rows else {}
+    result.final_eval = result.rows[-1].eval_loss
+    result.final_metric = result.rows[-1].metric
     result.model = model
     if config.save_checkpoints:
         os.makedirs(config.out_dir, exist_ok=True)
@@ -341,14 +352,7 @@ def run_experiment(config: ExperimentConfig,
         if set(metric_spec.per_task) != set(config.model.task_ids):
             raise ConfigError("baselines file does not cover the configured tasks")
 
-    results = []
-    for seed in config.seeds:
-        try:
-            results.append(_run_seed(config, seed, metric_spec, target_map))
-        except MtloptError as exc:
-            failed = SeedResult(seed=seed)
-            failed.error = f"{type(exc).__name__}: {exc}"
-            results.append(failed)
+    results = [_run_seed(config, seed, metric_spec, target_map) for seed in config.seeds]
     return RunReport(config.to_dict(), results)
 
 
@@ -451,17 +455,18 @@ def write_report(report: RunReport, out_dir: str) -> dict[str, str]:
             for row in res.strength_rows:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
 
+    finished = [r for r in report.seed_results if not r.error]
     summary = {
         "config": report.config,
         "status": "failed" if report.failed else "ok",
         "violations": report.violations,
         "errors": {str(r.seed): r.error for r in report.seed_results if r.error},
         "per_seed_final_eval": {str(r.seed): {str(t): v for t, v in r.final_eval.items()}
-                                for r in report.seed_results},
+                                for r in finished},
         "per_seed_final_metric": {str(r.seed): {str(t): v for t, v in r.final_metric.items()}
-                                  for r in report.seed_results},
+                                  for r in finished},
         "per_seed_final_delta_m": {str(r.seed): (r.rows[-1].delta_m if r.rows else None)
-                                   for r in report.seed_results},
+                                   for r in finished},
         "mean_final_delta_m": report.mean_final_delta_m(),
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }

@@ -371,6 +371,8 @@ def check_phase1_alignment(seeds=(1, 2, 3, 4, 5), epochs: int = 50,
                     overrides.update({"method": "gd"})
                 config = ExperimentConfig.from_dict(overrides)
                 result = _run_seed(config, seed, None)
+                if result.error:
+                    return False, result.error
                 dataset = training_dataset(config, seed)
                 probes = [dataset.batch(epochs * steps_per_epoch + i)
                           for i in range(probe_batches)]

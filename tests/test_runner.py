@@ -7,7 +7,7 @@ import pytest
 
 from mtlopt.cli import main as cli_main
 from mtlopt.config import ExperimentConfig, apply_dotted_overrides, default_model_dict
-from mtlopt.errors import ConfigError
+from mtlopt.errors import ConfigError, NumericError
 from mtlopt import runner
 from mtlopt.network import build_model, load_checkpoint
 from mtlopt.runner import (
@@ -256,6 +256,43 @@ def test_baselines_and_delta_m(tmp_path):
     with_dm = fast_config(epochs=2, baselines=path)
     report = run_experiment(with_dm)
     assert all(row.delta_m is not None for row in report.seed_results[0].rows)
+
+
+def test_failed_seed_keeps_its_finished_epochs(tmp_path, monkeypatch):
+    # seed 1 fails at epoch 2, step 1; seed 2 trains to the end
+    real_step = runner.MtlOptimizer.step
+    calls = {"n": 0}
+
+    def failing_step(self, batch, weights, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2 * 2 + 2:
+            raise NumericError("mse_loss: produced non-finite values")
+        return real_step(self, batch, weights, **kwargs)
+
+    monkeypatch.setattr(runner.MtlOptimizer, "step", failing_step)
+    path = write_baselines({"tasks": {
+        "1": {"metric": "pixel_accuracy", "lower_is_better": False, "baseline": 0.5},
+        "2": {"metric": "rmse", "lower_is_better": True, "baseline": 1.0}}}, str(tmp_path))
+    report = run_experiment(fast_config(epochs=3, seeds=[1, 2], baselines=path))
+    failed, finished = report.seed_results
+    assert failed.error == ("seed 1, epoch 2, step 1: "
+                            "NumericError: mse_loss: produced non-finite values")
+    assert [row.epoch for row in failed.rows] == [0, 1]
+    assert [row["epoch"] for row in failed.log_rows] == [0, 1]
+    assert {row["epoch"] for row in failed.strength_rows} == {0, 1, 2}
+    assert failed.model is None and not failed.final_eval
+    assert finished.error is None and len(finished.rows) == 3
+    assert report.failed
+    assert report.mean_final_delta_m() == finished.rows[-1].delta_m
+
+    out = tmp_path / "report"
+    write_report(report, str(out))
+    assert [(row["seed"], row["epoch"]) for row in read_metrics(str(out / "metrics.csv"))] == \
+        [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["errors"] == {"1": failed.error}
+    for key in ("per_seed_final_eval", "per_seed_final_metric", "per_seed_final_delta_m"):
+        assert set(summary[key]) == {"2"}
 
 
 def test_delta_m_refuses_missing_baselines():
