@@ -205,6 +205,7 @@ class ExperimentConfig:
         _require(raw["baselines"] is None or isinstance(raw["baselines"], str),
                  "baselines", "must be null or a path string")
 
+        _require(isinstance(raw["model"], Mapping), "model", "must be an object")
         heads = raw["model"].get("heads", {})
         _require(isinstance(heads, Mapping) and all(_is_task_key(t) for t in heads),
                  "model.heads", "must map integer task ids to layer lists")

@@ -120,6 +120,7 @@ def _trunk_layer_override(**fields):
     (_model_override(heads={"one": [_CONV_4_TO_1]}), "config.model.heads"),
     ({"task_order": 5}, "config.task_order"),
     ({"task_order": [1, "x"]}, "config.task_order"),
+    ({"model": []}, "config.model: must be an object"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
