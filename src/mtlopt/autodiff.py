@@ -53,7 +53,7 @@ def _keep_freed_memory() -> None:
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
+    except (AttributeError, OSError, TypeError):  # no mallopt; Windows refuses a None name
         return
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
