@@ -196,8 +196,9 @@ class ExperimentConfig:
         _require(raw["phase_override"] in (None, PHASE1, PHASE2),
                  "phase_override", f"must be null, '{PHASE1}' or '{PHASE2}'")
         _require(isinstance(raw["seeds"], (list, tuple)) and len(raw["seeds"]) >= 1
-                 and all(_is_int(s) for s in raw["seeds"]),
-                 "seeds", "must be a nonempty list of integers")
+                 and all(_is_int(s) for s in raw["seeds"])
+                 and len(set(raw["seeds"])) == len(raw["seeds"]),
+                 "seeds", "must be a nonempty list of distinct integers")
         _require(_is_int(raw["eval_batches"]) and raw["eval_batches"] >= 1,
                  "eval_batches", "must be a positive integer")
         _require(isinstance(raw["save_checkpoints"], bool),

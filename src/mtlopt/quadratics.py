@@ -31,7 +31,6 @@ class QuadraticProblem:
     offsets: list[np.ndarray]        # b_i, each (m_i,)
     shared_dim: int                  # coordinates 0..shared_dim-1 are shared
     task_slices: list[slice]         # per-task private coordinate blocks (may be empty)
-    minimizers: np.ndarray           # (K, n), one constructed minimizer per task
     lipschitz: float                 # H = max_i 2 * lambda_max(A_i^T A_i)
 
     @property
@@ -109,7 +108,6 @@ def make_quadratic_problem(dim: int, K: int, conflict: float, seed: int,
 
     matrices: list[np.ndarray] = []
     offsets: list[np.ndarray] = []
-    minimizers = np.empty((K, n))
     m_rows = max(dim, td) if td > 0 else dim
     for i in range(K):
         a = np.zeros((m_rows, n))
@@ -122,9 +120,7 @@ def make_quadratic_problem(dim: int, K: int, conflict: float, seed: int,
         theta_star[:dim] += conflict * direction
         matrices.append(a)
         offsets.append(a @ theta_star)
-        minimizers[i] = theta_star
-    return QuadraticProblem(matrices, offsets, dim, slices, minimizers,
-                            compute_lipschitz(matrices))
+    return QuadraticProblem(matrices, offsets, dim, slices, compute_lipschitz(matrices))
 
 
 def make_conflicting_quadratic(dim: int, K: int, seed: int, conflict: float = 1.0,
@@ -152,13 +148,14 @@ def oracle_priority_partition(problem: QuadraticProblem, theta: np.ndarray,
     For each block, every task's candidate step is evaluated in full; the
     argmin wins, ties go to the lowest task index.
     """
+    grads = [problem.gradient(task, theta) for task in range(problem.num_tasks)]
     owners = np.zeros(problem.shared_dim, dtype=np.intp)
     for start in range(0, problem.shared_dim, block_size):
         idx = np.arange(start, min(start + block_size, problem.shared_dim))
         best_task, best_loss = 0, np.inf
         for task in range(problem.num_tasks):
             candidate = theta.copy()
-            candidate[idx] -= eta * problem.gradient(task, theta)[idx]
+            candidate[idx] -= eta * grads[task][idx]
             loss = problem.total_loss(candidate, weights)
             if loss < best_loss - 1e-15:
                 best_task, best_loss = task, loss
@@ -182,12 +179,11 @@ def priority_update_check(problem: QuadraticProblem, theta: np.ndarray,
     unweighted gradient; the reference update steps all shared coordinates
     by the weighted gradient sum. Both leave task-private blocks untouched.
     """
-    grads = [problem.gradient(k, theta) for k in range(problem.num_tasks)]
+    grads = np.stack([problem.gradient(k, theta) for k in range(problem.num_tasks)])
     ds = problem.shared_dim
 
     theta_priority = theta.copy()
-    for p in range(ds):
-        theta_priority[p] -= eta * grads[int(owners[p])][p]
+    theta_priority[:ds] -= eta * grads[owners, np.arange(ds)]
 
     theta_sum = theta.copy()
     combined = sum(w * g[:ds] for w, g in zip(weights, grads))
@@ -250,24 +246,20 @@ def model_priority_oracle(model, batch, layer_index: int, channel: int,
 # convergence probe
 # ---------------------------------------------------------------------------
 
-def _fast_priority_owners(problem: QuadraticProblem, theta: np.ndarray,
-                          residuals: list[np.ndarray], shared_grads: np.ndarray,
-                          weights: np.ndarray, eta: float,
-                          col_curvature: np.ndarray) -> np.ndarray:
+def _priority_owners(shared_grads: np.ndarray, weights: np.ndarray, eta: float,
+                     col_curvature: np.ndarray) -> np.ndarray:
     """Per-coordinate owners via the exact closed form of the loss change.
 
+    ``shared_grads`` is the (K, shared_dim) block of the task gradients.
     For a quadratic, moving one coordinate by delta changes the total loss
-    by 2*delta*G_p + delta^2/2*C_p, with G_p half the weighted-gradient
-    coordinate and C_p the weighted second derivative. This equals the
-    direct evaluation the brute-force oracle performs (cross-checked in
-    tests); third derivatives vanish.
+    by delta*G_p + delta^2/2*C_p, with G_p the weighted-gradient coordinate
+    and C_p the weighted second derivative. This equals the direct
+    evaluation the brute-force oracle performs (cross-checked in tests);
+    third derivatives vanish. Ties go to the lowest task index.
     """
-    half_grad = np.zeros(problem.shared_dim)
-    for k, w in enumerate(weights):
-        half_grad += w * (problem.matrices[k][:, :problem.shared_dim].T @ residuals[k])
-    delta = -eta * shared_grads  # (K, shared_dim)
-    change = 2.0 * delta * half_grad[None, :] + 0.5 * delta * delta * col_curvature[None, :]
-    return np.argmin(change, axis=0)
+    delta = -eta * shared_grads
+    change = delta * (weights @ shared_grads) + 0.5 * delta * delta * col_curvature
+    return change.argmin(axis=0)
 
 
 @dataclass
@@ -319,46 +311,38 @@ def convergence_probe(problem: QuadraticProblem, method: str, eta: float,
         warning = (f"eta {eta:g} above the sufficient bound 1/(H max w) = {bound:g}; "
                    "proceeding anyway")
 
-    ds = problem.shared_dim
-    col_curvature = np.zeros(ds)
-    for kk in range(k):
-        cols = problem.matrices[kk][:, :ds]
-        col_curvature += 2.0 * w[kk] * (cols * cols).sum(axis=0)
+    # Gram form: task k's full gradient is H_k theta - c_k, and all K of them
+    # come from one product with the stacked (K*n, n) matrix. Task k's
+    # gradient is exactly zero on the other tasks' private blocks, so one
+    # weighted sum of the rows updates shared and private coordinates at once.
+    n, ds = problem.dim, problem.shared_dim
+    gram = np.stack([2.0 * a.T @ a for a in problem.matrices])
+    hess = gram.reshape(k * n, n)
+    lin = np.concatenate([2.0 * a.T @ b for a, b in zip(problem.matrices, problem.offsets)])
+    col_curvature = w @ np.diagonal(gram, axis1=1, axis2=2)[:, :ds]
+    step = -eta * w
+    coords = np.arange(ds)
 
     trace = []
     converged_at = None
     for it in range(max_iters):
-        residuals = [problem.matrices[i] @ theta - problem.offsets[i] for i in range(k)]
-        shared_grads = np.stack([
-            2.0 * problem.matrices[i][:, :ds].T @ residuals[i] for i in range(k)])
-        functional = float(sum(w[i] ** 2 * np.sum(shared_grads[i] ** 2) for i in range(k)))
+        grads = (hess @ theta - lin).reshape(k, n)
+        shared = grads[:, :ds]
+        weighted = w[:, None] * shared
+        functional = float(np.vdot(weighted, weighted))
         trace.append(functional)
         if converged_at is None and functional < target_functional:
             converged_at = it
         if stop_functional > 0.0 and functional < stop_functional:
             break
 
-        if method == "gd":
-            shared_update = (w[:, None] * shared_grads).sum(axis=0)
-        else:
-            owners = _fast_priority_owners(problem, theta, residuals, shared_grads,
-                                           w, eta, col_curvature)
-            own = shared_grads[owners, np.arange(ds)]
-            agree = shared_grads * own[None, :] >= 0.0  # sign-compatible with owner
-            zero_ref = own == 0.0
-            keep = agree | zero_ref[None, :]
-            shared_update = (w[:, None] * np.where(keep, shared_grads, 0.0)).sum(axis=0)
-
-        # simultaneous update: private blocks use the same iteration-start residuals
-        private_updates = []
-        for i in range(k):
-            sl = problem.task_slices[i]
-            if sl.stop > sl.start:
-                private_updates.append(
-                    (sl, eta * w[i] * (2.0 * problem.matrices[i][:, sl].T @ residuals[i])))
-        theta[:ds] -= eta * shared_update
-        for sl, upd in private_updates:
-            theta[sl] -= upd
+        if method == "phase2":
+            # drop every shared coordinate that is not sign-compatible with its
+            # owner's; a zero owner coordinate keeps all tasks (0 * x >= 0)
+            own = shared[_priority_owners(shared, w, eta, col_curvature), coords]
+            shared[shared * own < 0.0] = 0.0
+        # simultaneous update: every block uses the iteration-start gradients
+        theta += step @ grads
 
     trace_arr = np.asarray(trace)
     return ProbeResult(trace_arr, np.minimum.accumulate(trace_arr),

@@ -282,11 +282,12 @@ def _run_seed(config: ExperimentConfig, seed: int,
                     projections[name] = projections.get(name, 0) + n
                 _check_step_invariants(result, optimizer, step_result, phase, k, epoch, step)
 
-            where = f"epoch {epoch}, evaluation"
+            where = f"epoch {epoch}, loss weighting"
             epoch_mean = {tid: total / config.steps_per_epoch
                           for tid, total in loss_totals.items()}
             provider.after_epoch(epoch_mean)
 
+            where = f"epoch {epoch}, evaluation"
             evals, metrics = evaluate_model(model, dataset, config.eval_batches, target_map)
             shares = _mean_priority_shares(snapshot, task_ids)
             dm = delta_m(metrics, metric_spec) if metric_spec is not None else None

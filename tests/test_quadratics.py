@@ -20,14 +20,12 @@ def scalar_two_task(b1=1.0, b2=-1.0):
     offsets = [np.array([b1]), np.array([b2])]
     return QuadraticProblem(matrices, offsets, shared_dim=1,
                             task_slices=[slice(1, 1), slice(1, 1)],
-                            minimizers=np.array([[b1], [b2]]),
                             lipschitz=compute_lipschitz(matrices))
 
 
 def test_scalar_instance_lipschitz_and_minimizers():
     problem = scalar_two_task()
     assert problem.lipschitz == 2.0
-    np.testing.assert_array_equal(problem.minimizers, [[1.0], [-1.0]])
     assert problem.loss(0, np.array([1.0])) == 0.0
     assert problem.gradient(1, np.array([0.0]))[0] == 2.0
 
@@ -43,23 +41,40 @@ def test_generator_determinism():
     assert not all(np.array_equal(x, y) for x, y in zip(a.matrices, c.matrices))
 
 
+def _common_minimizer(problem):
+    """A point that zeroes every task's residual, when one exists."""
+    return np.linalg.lstsq(np.vstack(problem.matrices), np.concatenate(problem.offsets),
+                           rcond=None)[0]
+
+
 def test_generator_zero_conflict_aligned():
+    # every task is exactly minimized at one common point
     problem = make_quadratic_problem(4, 3, 0.0, seed=5)
-    for i in range(1, 3):
-        np.testing.assert_allclose(problem.minimizers[i], problem.minimizers[0])
-    # every task is exactly minimized at the common point
+    common = _common_minimizer(problem)
     for i in range(3):
-        assert problem.loss(i, problem.minimizers[0]) < 1e-24
+        assert problem.loss(i, common) < 1e-24
 
 
 def test_generator_minimizer_separation_scales_with_conflict():
-    lo = make_quadratic_problem(4, 2, 0.2, seed=9)
-    hi = make_quadratic_problem(4, 2, 1.0, seed=9)
-    sep = lambda p: np.linalg.norm(p.minimizers[0] - p.minimizers[1])
-    np.testing.assert_allclose(sep(hi), 5.0 * sep(lo))
-    for problem in (lo, hi):
+    # task i's minimizer is the conflict-0 common point moved by conflict along
+    # a unit shared direction; recover each move from the change of b_i
+    base = make_quadratic_problem(4, 2, 0.0, seed=9)
+    common = _common_minimizer(base)
+    minimizers = {}
+    for conflict in (0.2, 1.0):
+        problem = make_quadratic_problem(4, 2, conflict, seed=9)
+        minimizers[conflict] = []
         for i in range(2):
-            assert problem.loss(i, problem.minimizers[i]) < 1e-24
+            a, ds = problem.matrices[i], problem.shared_dim
+            shift = np.linalg.lstsq(a[:, :ds], problem.offsets[i] - base.offsets[i],
+                                    rcond=None)[0]
+            assert np.linalg.norm(shift) == pytest.approx(conflict)
+            theta = common.copy()
+            theta[:ds] += shift
+            assert problem.loss(i, theta) < 1e-24
+            minimizers[conflict].append(theta)
+    sep = {c: np.linalg.norm(m[0] - m[1]) for c, m in minimizers.items()}
+    np.testing.assert_allclose(sep[1.0], 5.0 * sep[0.2])
 
 
 def test_generator_validation():
@@ -94,10 +109,8 @@ def _separable_problem(strong_task):
     rows = [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])]
     offsets = [np.array([-1.0]), np.array([-1.0])]  # minimizers at +1 / -1 on coord 0
     rows[strong_task], offsets[strong_task] = np.array([[10.0, 0.0]]), np.array([10.0])
-    minimizers = np.array([[-1.0, 0.0], [-1.0, 0.0]])
-    minimizers[strong_task, 0] = 1.0
     return QuadraticProblem(rows, offsets, shared_dim=2, task_slices=[slice(2, 2)] * 2,
-                            minimizers=minimizers, lipschitz=compute_lipschitz(rows))
+                            lipschitz=compute_lipschitz(rows))
 
 
 def test_oracle_picks_stronger_gradient_in_separable_problem():
@@ -128,7 +141,7 @@ def test_oracle_antisymmetry():
         permuted = QuadraticProblem([problem.matrices[t] for t in order],
                                     [problem.offsets[t] for t in order],
                                     problem.shared_dim, [problem.task_slices[t] for t in order],
-                                    problem.minimizers[order], problem.lipschitz)
+                                    problem.lipschitz)
         a = oracle_priority_partition(problem, theta, w, 1e-3, block_size=2)
         b = oracle_priority_partition(permuted, theta, w[order], 1e-3, block_size=2)
         np.testing.assert_array_equal(a, np.asarray(order)[b])
@@ -136,7 +149,7 @@ def test_oracle_antisymmetry():
 
 def test_fast_owner_partition_matches_bruteforce_closed_form():
     # the probe's vectorized owner computation must agree with the oracle
-    from mtlopt.quadratics import _fast_priority_owners
+    from mtlopt.quadratics import _priority_owners
 
     for s in range(12):
         problem = make_quadratic_problem(4, 3, 0.9, seed=s, task_dim=2)
@@ -145,14 +158,12 @@ def test_fast_owner_partition_matches_bruteforce_closed_form():
         w = np.full(3, 1 / 3)
         eta = 0.5 / problem.lipschitz
         ds = problem.shared_dim
-        residuals = [problem.matrices[i] @ theta - problem.offsets[i] for i in range(3)]
-        shared_grads = np.stack([2.0 * problem.matrices[i][:, :ds].T @ residuals[i]
-                                 for i in range(3)])
+        shared_grads = np.stack([problem.shared_gradient(i, theta) for i in range(3)])
         col_curv = np.zeros(ds)
         for kk in range(3):
             cols = problem.matrices[kk][:, :ds]
             col_curv += 2.0 * w[kk] * (cols * cols).sum(axis=0)
-        fast = _fast_priority_owners(problem, theta, residuals, shared_grads, w, eta, col_curv)
+        fast = _priority_owners(shared_grads, w, eta, col_curv)
         brute = oracle_priority_partition(problem, theta, w, eta)
         np.testing.assert_array_equal(fast, brute)
 
@@ -207,7 +218,6 @@ def test_probe_single_task_geometric():
     offsets = [np.array([0.4, -0.3])]
     problem = QuadraticProblem(matrices, offsets, shared_dim=2,
                                task_slices=[slice(2, 2)],
-                               minimizers=np.linalg.solve(matrices[0], offsets[0])[None, :],
                                lipschitz=compute_lipschitz(matrices))
     res = convergence_probe(problem, "phase2", eta=1.0 / problem.lipschitz,
                             max_iters=200, weights=np.array([1.0]))
@@ -245,3 +255,85 @@ def test_probe_gd_converges_on_structured_problems():
 def test_fit_decay_exponent_on_power_law():
     t = np.arange(1, 5001, dtype=np.float64)
     assert fit_decay_exponent(3.0 / t, skip=10) == pytest.approx(-1.0, abs=0.01)
+
+
+# ---------------------------------------------------------------------------
+# Gram-form probe against the per-task loop it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_probe(problem, method, eta, max_iters, weights=None, theta0=None,
+                     stop_functional=0.0, target_functional=1e-6):
+    """The probe as one residual and one product per task, kept verbatim as
+    the reference for the Gram-form iteration; returns (trace, converged)."""
+    k = problem.num_tasks
+    w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=np.float64)
+    theta = np.zeros(problem.dim) if theta0 is None else theta0.astype(np.float64).copy()
+
+    ds = problem.shared_dim
+    col_curvature = np.zeros(ds)
+    for kk in range(k):
+        cols = problem.matrices[kk][:, :ds]
+        col_curvature += 2.0 * w[kk] * (cols * cols).sum(axis=0)
+
+    trace = []
+    converged_at = None
+    for it in range(max_iters):
+        residuals = [problem.matrices[i] @ theta - problem.offsets[i] for i in range(k)]
+        shared_grads = np.stack([
+            2.0 * problem.matrices[i][:, :ds].T @ residuals[i] for i in range(k)])
+        functional = float(sum(w[i] ** 2 * np.sum(shared_grads[i] ** 2) for i in range(k)))
+        trace.append(functional)
+        if converged_at is None and functional < target_functional:
+            converged_at = it
+        if stop_functional > 0.0 and functional < stop_functional:
+            break
+
+        if method == "gd":
+            shared_update = (w[:, None] * shared_grads).sum(axis=0)
+        else:
+            half_grad = np.zeros(problem.shared_dim)
+            for kk, wk in enumerate(w):
+                half_grad += wk * (problem.matrices[kk][:, :problem.shared_dim].T
+                                   @ residuals[kk])
+            delta = -eta * shared_grads  # (K, shared_dim)
+            change = (2.0 * delta * half_grad[None, :]
+                      + 0.5 * delta * delta * col_curvature[None, :])
+            owners = np.argmin(change, axis=0)
+            own = shared_grads[owners, np.arange(ds)]
+            agree = shared_grads * own[None, :] >= 0.0  # sign-compatible with owner
+            zero_ref = own == 0.0
+            keep = agree | zero_ref[None, :]
+            shared_update = (w[:, None] * np.where(keep, shared_grads, 0.0)).sum(axis=0)
+
+        # simultaneous update: private blocks use the same iteration-start residuals
+        private_updates = []
+        for i in range(k):
+            sl = problem.task_slices[i]
+            if sl.stop > sl.start:
+                private_updates.append(
+                    (sl, eta * w[i] * (2.0 * problem.matrices[i][:, sl].T @ residuals[i])))
+        theta[:ds] -= eta * shared_update
+        for sl, upd in private_updates:
+            theta[sl] -= upd
+    return np.asarray(trace), converged_at
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("task_dim", [0, None])
+@pytest.mark.parametrize("method", ["gd", "phase2"])
+def test_probe_matches_per_task_reference(k, task_dim, method):
+    # task_dim None gives private blocks, which let the dynamics converge and
+    # trip stop_functional; task_dim 0 is purely shared; eta 0 must stand still
+    for s in range(4):
+        rng = np.random.default_rng(100 * k + s)
+        problem = make_conflicting_quadratic(2, k, seed=s, task_dim=task_dim)
+        w = rng.uniform(0.5, 1.0, size=k)
+        w /= w.sum()
+        theta0 = rng.normal(size=problem.dim) if s % 2 else None
+        eta = 0.0 if s == 3 else 0.8 / problem.lipschitz
+        kwargs = dict(weights=w, theta0=theta0, stop_functional=1e-14 if s < 2 else 0.0)
+        ref_trace, ref_converged = _reference_probe(problem, method, eta, 300, **kwargs)
+        res = convergence_probe(problem, method, eta, 300, **kwargs)
+        assert len(res.functional_trace) == len(ref_trace)
+        assert res.converged_iteration == ref_converged
+        assert np.all(np.abs(res.functional_trace - ref_trace) <= 1e-14 * ref_trace[0])

@@ -121,6 +121,8 @@ def _trunk_layer_override(**fields):
     ({"task_order": 5}, "config.task_order"),
     ({"task_order": [1, "x"]}, "config.task_order"),
     ({"model": []}, "config.model: must be an object"),
+    # a repeated seed would train twice and count twice in the mean delta-m
+    ({"seeds": [1, 1]}, "config.seeds"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -294,6 +296,18 @@ def test_failed_seed_keeps_its_finished_epochs(tmp_path, monkeypatch):
     assert summary["errors"] == {"1": failed.error}
     for key in ("per_seed_final_eval", "per_seed_final_metric", "per_seed_final_delta_m"):
         assert set(summary[key]) == {"2"}
+
+
+def test_failed_loss_weighting_is_labelled(monkeypatch):
+    def failing_update(self, epoch_mean_losses):
+        raise NumericError("dwa: non-finite epoch loss")
+
+    monkeypatch.setattr(runner.DwaState, "update", failing_update)
+    report = run_experiment(fast_config(epochs=2, loss_scaling={"scheme": "dwa"}))
+    failed = report.seed_results[0]
+    assert failed.error == ("seed 1, epoch 0, loss weighting: "
+                            "NumericError: dwa: non-finite epoch loss")
+    assert failed.rows == []
 
 
 def test_delta_m_refuses_missing_baselines():
