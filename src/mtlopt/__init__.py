@@ -14,7 +14,6 @@ from .loss_scaling import DwaState, UncertaintyState, dwa_weights, static_weight
 from .network import (
     Batch,
     ConvSpec,
-    GradientSet,
     Model,
     ModelSpec,
     ParameterPartition,

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .autodiff import BatchNormState, Tape, Tensor
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, MtloptError, NumericError
 
 LOSS_KINDS = ("mse", "cross_entropy")
 
@@ -288,39 +288,33 @@ def partition_parameters(model: Model) -> ParameterPartition:
     return part
 
 
-@dataclass
-class GradientSet:
-    """Snapshot of one task's gradients over the shared parameters."""
-
-    task: int
-    entries: dict[str, np.ndarray]
-
-    def flat(self, order: Iterable[str]) -> np.ndarray:
-        return np.concatenate([self.entries[n].reshape(-1) for n in order])
-
-
 def per_task_gradients(model: Model, batch: Batch, task: int,
                        loss_weight: float = 1.0,
                        partition: "ParameterPartition | None" = None,
-                       ) -> tuple[float, GradientSet, dict[str, np.ndarray]]:
+                       ) -> tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Forward/backward one task; return (raw loss, shared grads, own grads).
 
     Backpropagates loss_weight * L_task. The returned loss value is the raw
     (unweighted) loss. Gradient snapshots are copies; later passes or
     parameter updates cannot alias them. Caller zeroes grads beforehand.
+    An error in the forward or backward pass is re-raised as the same type
+    with the task named.
     """
     if task not in batch.targets:
         raise DataError(f"batch has no target for task {task}")
-    tape = Tape()
-    pred = model.forward(batch.x, task, tape)
-    kind = model.spec.task(task).loss
-    loss = tape.compute_loss(pred, batch.targets[task], kind)
-    if not np.isfinite(loss.data):
-        raise NumericError(f"task {task}: non-finite loss {loss.data!r}")
-    tape.backward(tape.scale(loss, loss_weight))
+    try:
+        tape = Tape()
+        pred = model.forward(batch.x, task, tape)
+        kind = model.spec.task(task).loss
+        loss = tape.compute_loss(pred, batch.targets[task], kind)
+        if not np.isfinite(loss.data):
+            raise NumericError(f"non-finite loss {loss.data!r}")
+        tape.backward(tape.scale(loss, loss_weight))
+    except MtloptError as exc:
+        raise type(exc)(f"task {task}: {exc}") from exc
     if partition is None:
         partition = partition_parameters(model)
-    shared = GradientSet(task, {n: p.grad.copy() for n, p in partition.shared.items()})
+    shared = {n: p.grad.copy() for n, p in partition.shared.items()}
     own = {n: p.grad.copy() for n, p in partition.per_task[task].items()}
     return loss.item(), shared, own
 

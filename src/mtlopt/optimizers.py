@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError
-from .network import Batch, GradientSet, Model, partition_parameters, per_task_gradients
+from .network import Batch, Model, partition_parameters, per_task_gradients
 from .strength import StrengthReport
 
 PHASE1 = "phase1"
@@ -152,6 +152,10 @@ class OptimizerConfig:
         order = self.task_order or tuple(task_ids)
         if sorted(order) != sorted(task_ids):
             raise ConfigError(f"task order {order} is not a permutation of {tuple(task_ids)}")
+        if self.method == METHOD_PCGRAD and len(task_ids) > 2:
+            # projection against the one other task; more tasks would need
+            # PCGrad's random order over them
+            raise ConfigError(f"pcgrad takes at most 2 tasks, got {len(task_ids)}")
 
 
 class _SgdRule:
@@ -222,17 +226,6 @@ class MtlOptimizer:
     def _weights_by_task(self, weights: Mapping[int, float]) -> dict[int, float]:
         return {tid: float(weights[tid]) for tid in self.model.spec.task_ids}
 
-    def _collect_gradients(self, batch: Batch, w: dict[int, float]
-                           ) -> tuple[dict[int, float], dict[int, GradientSet], dict[int, dict[str, np.ndarray]]]:
-        losses: dict[int, float] = {}
-        shared: dict[int, GradientSet] = {}
-        own: dict[int, dict[str, np.ndarray]] = {}
-        for tid in self.task_order:
-            self.model.zero_grad()
-            losses[tid], shared[tid], own[tid] = per_task_gradients(
-                self.model, batch, tid, loss_weight=w[tid], partition=self.partition)
-        return losses, shared, own
-
     def _apply_own(self, own: dict[int, dict[str, np.ndarray]]) -> None:
         for tid in self.task_order:
             for name, grad in own[tid].items():
@@ -251,33 +244,53 @@ class MtlOptimizer:
             loss, shared, own = per_task_gradients(
                 self.model, batch, tid, loss_weight=w[tid], partition=self.partition)
             losses[tid] = loss
-            for name, grad in shared.entries.items():
+            for name, grad in shared.items():
                 self._apply(name, self.partition.shared[name], grad)
             for name, grad in own.items():
                 self._apply(name, self.partition.per_task[tid][name], grad)
         return StepResult(losses)
 
-    def phase2_step(self, batch: Batch, weights: Mapping[int, float],
-                    snapshot: Mapping[str, StrengthReport]) -> StepResult:
-        """Priority-preserving step: project conflicting per-group gradients
-        against the group owner's gradient, then apply the summed result."""
+    def _joint_step(self, batch: Batch, weights: Mapping[int, float], combine) -> StepResult:
+        """All task gradients at the same parameters; ``combine(shared,
+        result)`` turns the per-task shared gradients into one gradient per
+        shared parameter, and each parameter is written once."""
         self._begin_step()
         w = self._weights_by_task(weights)
-        losses, shared, own = self._collect_gradients(batch, w)
-        combined, result = self._combine_phase2(shared, snapshot)
-        result.losses = losses
-        for name, grad in combined.items():
+        losses: dict[int, float] = {}
+        shared: dict[int, dict[str, np.ndarray]] = {}
+        own: dict[int, dict[str, np.ndarray]] = {}
+        for tid in self.task_order:
+            self.model.zero_grad()
+            losses[tid], shared[tid], own[tid] = per_task_gradients(
+                self.model, batch, tid, loss_weight=w[tid], partition=self.partition)
+        result = StepResult(losses)
+        for name, grad in combine(shared, result).items():
             self._apply(name, self.partition.shared[name], grad)
         self._apply_own(own)
         return result
 
-    def _combine_phase2(self, shared: dict[int, GradientSet],
-                        snapshot: Mapping[str, StrengthReport]
-                        ) -> tuple[dict[str, np.ndarray], StepResult]:
-        result = StepResult(losses={})
+    def gd_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
+        """Conventional GD: one update with the weighted gradient sum."""
+        return self._joint_step(batch, weights, self._combine_gd)
+
+    def _combine_gd(self, shared: dict[int, dict[str, np.ndarray]],
+                    result: StepResult) -> dict[str, np.ndarray]:
+        return {name: sum(shared[tid][name] for tid in self.task_order)
+                for name in self.partition.shared}
+
+    def phase2_step(self, batch: Batch, weights: Mapping[int, float],
+                    snapshot: Mapping[str, StrengthReport]) -> StepResult:
+        """Priority-preserving step: project conflicting per-group gradients
+        against the group owner's gradient, then apply the summed result."""
+        return self._joint_step(
+            batch, weights, lambda shared, result: self._combine_phase2(shared, snapshot, result))
+
+    def _combine_phase2(self, shared: dict[int, dict[str, np.ndarray]],
+                        snapshot: Mapping[str, StrengthReport],
+                        result: StepResult) -> dict[str, np.ndarray]:
         combined: dict[str, np.ndarray] = {}
         for name in self.partition.shared:
-            grads = {tid: shared[tid].entries[name] for tid in self.task_order}
+            grads = {tid: shared[tid][name] for tid in self.task_order}
             layer = name.rsplit(".", 1)[0]
             report = snapshot.get(layer)
             if report is None:
@@ -305,63 +318,46 @@ class MtlOptimizer:
                 result.projections[layer] = result.projections.get(layer, 0) + group.projections
                 result.group_details.append(group)
             combined[name] = out
-        return combined, result
+        return combined
 
-    def gd_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
-        """Conventional GD: one update with the weighted gradient sum."""
-        self._begin_step()
-        w = self._weights_by_task(weights)
-        losses, shared, own = self._collect_gradients(batch, w)
-        for name in self.partition.shared:
-            total = sum(shared[tid].entries[name] for tid in self.task_order)
-            self._apply(name, self.partition.shared[name], total)
-        self._apply_own(own)
-        return StepResult(losses)
+    def pcgrad_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
+        """PCGrad over one group that holds every shared parameter: each
+        task's flattened gradient is projected against the other task's
+        when the two conflict. With at most two tasks the order is fixed."""
+        return self._joint_step(batch, weights, self._combine_pcgrad)
 
-    def pcgrad_step(self, batch: Batch, weights: Mapping[int, float],
-                    rng: np.random.Generator) -> StepResult:
-        """Pairwise projection over the full flattened shared gradient, in
-        seeded random order, whenever a pair conflicts."""
-        self._begin_step()
-        w = self._weights_by_task(weights)
-        losses, shared, own = self._collect_gradients(batch, w)
+    def _combine_pcgrad(self, shared: dict[int, dict[str, np.ndarray]],
+                        result: StepResult) -> dict[str, np.ndarray]:
         names = sorted(self.partition.shared)
-        flats = {tid: shared[tid].flat(names) for tid in self.task_order}
-        result = StepResult(losses)
+        flats = {tid: np.concatenate([shared[tid][n].reshape(-1) for n in names])
+                 for tid in self.task_order}
         adjusted: dict[int, np.ndarray] = {}
-        for tid in self.task_order:
-            g = flats[tid].copy()
-            others = [o for o in self.task_order if o != tid]
-            order = rng.permutation(len(others))
-            for k in order:
-                ref = flats[others[int(k)]]
-                d = float(g @ ref)
-                if d <= 0.0:
-                    result.conflicts["shared"] = result.conflicts.get("shared", 0) + 1
-                if d < 0.0 and float(ref @ ref) > 0.0:
-                    result.projections["shared"] = result.projections.get("shared", 0) + 1
-                g = project_gradient(g, ref)
-            adjusted[tid] = g
-        total = sum(adjusted.values())
+        for owner in self.task_order:
+            group = project_group_gradients(flats, owner, "shared")
+            adjusted.update((tid, g) for tid, g in group.projected.items() if tid != owner)
+            result.group_details.append(group)
+            # the log names the shared group only in steps that count one
+            if group.conflicts:
+                result.conflicts["shared"] = result.conflicts.get("shared", 0) + group.conflicts
+            if group.projections:
+                result.projections["shared"] = (result.projections.get("shared", 0)
+                                                + group.projections)
+        total = sum(adjusted.get(tid, flats[tid]) for tid in self.task_order)
+        combined: dict[str, np.ndarray] = {}
         offset = 0
         for name in names:
             tensor = self.partition.shared[name]
-            size = tensor.size
-            self._apply(name, tensor, total[offset:offset + size].reshape(tensor.shape))
-            offset += size
-        self._apply_own(own)
-        return result
+            combined[name] = total[offset:offset + tensor.size].reshape(tensor.shape)
+            offset += tensor.size
+        return combined
 
     def step(self, batch: Batch, weights: Mapping[int, float], phase: str | None = None,
-             snapshot: Mapping[str, StrengthReport] | None = None,
-             rng: np.random.Generator | None = None) -> StepResult:
+             snapshot: Mapping[str, StrengthReport] | None = None) -> StepResult:
         """Dispatch one step for the configured method."""
         if self.config.method == METHOD_GD:
             return self.gd_step(batch, weights)
         if self.config.method == METHOD_PCGRAD:
-            if rng is None:
-                raise ConfigError("pcgrad step needs the projection-order rng")
-            return self.pcgrad_step(batch, weights, rng)
+            return self.pcgrad_step(batch, weights)
         if phase == PHASE1:
             return self.phase1_step(batch, weights)
         if phase == PHASE2:

@@ -212,8 +212,8 @@ def model_priority_oracle(model, batch, layer_index: int, channel: int,
     grads = {}
     for tid in model.spec.task_ids:
         model.zero_grad()
-        _, gs, _ = per_task_gradients(model, batch, tid, loss_weight=1.0)
-        grads[tid] = gs.entries[name][channel].copy()
+        _, shared, _ = per_task_gradients(model, batch, tid, loss_weight=1.0)
+        grads[tid] = shared[name][channel].copy()
     model.zero_grad()
 
     def total_loss() -> float:
@@ -305,10 +305,12 @@ def convergence_probe(problem: QuadraticProblem, method: str, eta: float,
     w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=np.float64)
     theta = np.zeros(problem.dim) if theta0 is None else theta0.astype(np.float64).copy()
 
-    bound = 1.0 / (problem.lipschitz * w.max())
+    # the weighted sum's Hessian has norm at most H * sum(w), so plain GD on
+    # it descends for eta up to 1/(H sum w)
+    bound = 1.0 / (problem.lipschitz * w.sum())
     warning = None
     if eta > bound:
-        warning = (f"eta {eta:g} above the sufficient bound 1/(H max w) = {bound:g}; "
+        warning = (f"eta {eta:g} above gd's descent bound 1/(H sum w) = {bound:g}; "
                    "proceeding anyway")
 
     # Gram form: task k's full gradient is H_k theta - c_k, and all K of them

@@ -205,8 +205,8 @@ def mean_pairwise_gradient_cosine(model: Model, batches: list[Batch]) -> float:
         flats = {}
         for tid in task_ids:
             model.zero_grad()
-            _, gs, _ = per_task_gradients(model, batch, tid, loss_weight=1.0)
-            flats[tid] = gs.flat(sorted(gs.entries))
+            _, shared, _ = per_task_gradients(model, batch, tid, loss_weight=1.0)
+            flats[tid] = np.concatenate([shared[n].reshape(-1) for n in sorted(shared)])
         for i, a in enumerate(task_ids):
             for b in task_ids[i + 1:]:
                 na, nb = np.linalg.norm(flats[a]), np.linalg.norm(flats[b])
@@ -247,7 +247,6 @@ def _run_seed(config: ExperimentConfig, seed: int,
             adam_beta1=rule["beta1"], adam_beta2=rule["beta2"], adam_eps=rule["eps"],
             task_order=config.task_order))
         schedule = PhaseSchedule(config.epochs, substream(seed, "phase-draw"))
-        pcgrad_rng = substream(seed, "pcgrad-order")
 
         for epoch in range(config.epochs):
             where = f"epoch {epoch}, strength snapshot"
@@ -271,8 +270,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
                 where = f"epoch {epoch}, step {step}"
                 batch = _remap(dataset.batch(epoch * config.steps_per_epoch + step), target_map)
                 weights = provider.step_weights()
-                step_result = optimizer.step(batch, weights, phase=phase,
-                                             snapshot=snapshot, rng=pcgrad_rng)
+                step_result = optimizer.step(batch, weights, phase=phase, snapshot=snapshot)
                 provider.after_step(step_result.losses)
                 for tid, value in step_result.losses.items():
                     loss_totals[tid] += value

@@ -315,7 +315,7 @@ def check_convergence(instances: int = 100) -> CheckResult:
             k = int(rng.integers(2, 5))
             dim = int(rng.integers(2, 5))
             problem = make_conflicting_quadratic(dim, k, seed=s, conflict=1.0)
-            eta = 0.5 / problem.lipschitz  # within the bound 1/(H max w) for w = 1/K
+            eta = 0.5 / problem.lipschitz  # within gd's descent bound 1/(H sum w) = 1/H
             res = convergence_probe(problem, "phase2", eta, max_iters=100_000,
                                     weights=np.full(k, 1.0 / k), stop_functional=1e-16)
             if res.converged_iteration is not None:

@@ -131,8 +131,8 @@ def test_scalar_shared_gradients_and_conflict():
 
     # L1 = (theta-1)^2, L2 = (theta+1)^2 at theta=0
     assert l1 == 1.0 and l2 == 1.0
-    assert g1.entries["trunk.0.weight"].item() == -2.0
-    assert g2.entries["trunk.0.weight"].item() == 2.0
+    assert g1["trunk.0.weight"].item() == -2.0
+    assert g2["trunk.0.weight"].item() == 2.0
     assert own1 == {} and own2 == {}
 
 
@@ -141,7 +141,7 @@ def test_zero_loss_weight_annihilates_gradients():
     batch = make_batch(9)
     model.zero_grad()
     _, shared, own = per_task_gradients(model, batch, task=2, loss_weight=0.0)
-    assert all(np.all(g == 0) for g in shared.entries.values())
+    assert all(np.all(g == 0) for g in shared.values())
     assert all(np.all(g == 0) for g in own.values())
 
 
@@ -186,12 +186,12 @@ def test_gradient_snapshot_independence():
     model = build_model(two_task_spec(), seed=13)
     model.zero_grad()
     _, shared, _ = per_task_gradients(model, make_batch(4), task=1)
-    frozen = {n: g.copy() for n, g in shared.entries.items()}
+    frozen = {n: g.copy() for n, g in shared.items()}
     for p in model.named_parameters().values():
         p.data[...] = 0.0
         p.grad[...] = 123.0
     for n in frozen:
-        assert np.array_equal(shared.entries[n], frozen[n])
+        assert np.array_equal(shared[n], frozen[n])
 
 
 def test_weighted_sum_consistency():
@@ -204,9 +204,9 @@ def test_weighted_sum_consistency():
         model.zero_grad()
         _, gs, _ = per_task_gradients(model, batch, task=tid, loss_weight=weights[tid])
         if summed is None:
-            summed = {n: g.copy() for n, g in gs.entries.items()}
+            summed = {n: g.copy() for n, g in gs.items()}
         else:
-            for n, g in gs.entries.items():
+            for n, g in gs.items():
                 summed[n] += g
 
     # one tape, one backward per weighted task loss, accumulating into .grad

@@ -246,6 +246,25 @@ def test_probe_eta_above_bound_warns_but_runs():
     assert len(res.functional_trace) == 10
 
 
+def test_probe_eta_warning_is_gds_descent_bound():
+    # eta = 0.9/(H max w) is below the old 1/(H max w) bound, yet the gd
+    # functional diverges on seed 0 and the phase-2 one on seed 1
+    w = np.array([0.36, 0.34, 0.30])
+    for seed, method in ((0, "gd"), (1, "phase2")):
+        problem = make_conflicting_quadratic(2, 3, seed=seed, task_dim=0)
+        eta = 0.9 / (problem.lipschitz * w.max())
+        res = convergence_probe(problem, method, eta=eta, max_iters=300, weights=w)
+        assert res.functional_trace[-1] > 1e40
+        assert res.eta_warning is not None and "1/(H sum w)" in res.eta_warning
+    # criterion 5's and the benchmark's step size, eta = 0.5/H with w = 1/K
+    for k in (2, 3, 4):
+        for dim in (2, 3, 4):
+            problem = make_conflicting_quadratic(dim, k, seed=dim, conflict=1.0)
+            res = convergence_probe(problem, "phase2", eta=0.5 / problem.lipschitz,
+                                    max_iters=1, weights=np.full(k, 1.0 / k))
+            assert res.eta_warning is None
+
+
 def test_probe_gd_converges_on_structured_problems():
     problem = make_conflicting_quadratic(3, 2, seed=6)
     res = convergence_probe(problem, "gd", eta=0.5 / problem.lipschitz, max_iters=20_000)

@@ -8,7 +8,7 @@ import pytest
 from mtlopt.cli import main as cli_main
 from mtlopt.config import ExperimentConfig, apply_dotted_overrides, default_model_dict
 from mtlopt.errors import ConfigError, NumericError
-from mtlopt import runner
+from mtlopt import optimizers, runner
 from mtlopt.network import build_model, load_checkpoint
 from mtlopt.runner import (
     RunReport,
@@ -137,6 +137,24 @@ def test_benchmark_workload_configs_build(monkeypatch):
     for workload in workloads.WORKLOADS.values():
         config = ExperimentConfig.from_dict(workload.overrides)
         build_model(config.model, seed=config.seeds[0])
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # the traced benchmark patches package names from outside; a renamed
+    # step method or function should fail here, not crash the traced run
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    original_step = optimizers.MtlOptimizer.__dict__["pcgrad_step"]
+    original_projection = optimizers.project_gradient
+    try:
+        layers.install(tracer)
+        assert optimizers.MtlOptimizer.__dict__["pcgrad_step"] is not original_step
+        assert optimizers.project_gradient is not original_projection
+    finally:
+        tracer.restore()
+    assert optimizers.MtlOptimizer.__dict__["pcgrad_step"] is original_step
+    assert optimizers.project_gradient is original_projection
 
 
 def test_headless_task_reads_the_trunk_channels():
@@ -308,6 +326,27 @@ def test_failed_loss_weighting_is_labelled(monkeypatch):
     assert failed.error == ("seed 1, epoch 0, loss weighting: "
                             "NumericError: dwa: non-finite epoch loss")
     assert failed.rows == []
+
+
+def test_failed_seed_names_the_task():
+    # a step size of 1000 blows the mse task's prediction up in epoch 8
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_experiment(ExperimentConfig.from_dict(
+            {"epochs": 10, "steps_per_epoch": 5, "lr": 1000.0, "method": "gd"}))
+    failed = report.seed_results[0]
+    assert failed.error == ("seed 1, epoch 8, step 4: "
+                            "NumericError: task 2: mse_loss: produced non-finite values")
+    assert len(failed.rows) == 8
+
+
+def test_pcgrad_is_covered_by_the_projection_invariant(monkeypatch):
+    # with the projection switched off, conflicting pcgrad gradients must
+    # show up as violations of the post-projection check
+    monkeypatch.setattr(optimizers, "project_gradient", lambda g, ref: g)
+    report = run_experiment(ExperimentConfig.from_dict(
+        {"epochs": 1, "steps_per_epoch": 3, "seeds": [3], "method": "pcgrad"}))
+    assert report.seed_results[0].log_rows[0]["conflicts"]["shared"] > 0
+    assert any(v.endswith("still conflicts after projection") for v in report.violations)
 
 
 def test_delta_m_refuses_missing_baselines():
