@@ -108,8 +108,9 @@ def project_group_gradients(blocks: Mapping[int, np.ndarray], owner: int,
     """Project every non-owner block gradient against the owner's.
 
     ``blocks`` maps task id -> flattened (already weighted) gradient over
-    the group's channels. The owner's gradient is the fixed reference;
-    projected results are never re-projected against each other.
+    the group's channels, or over every shared parameter for PCGrad. The
+    owner's gradient is the fixed reference; projected results are never
+    re-projected against each other.
     """
     ref = blocks[owner]
     projected: dict[int, np.ndarray] = {}
@@ -342,6 +343,7 @@ class MtlOptimizer:
             if group.projections:
                 result.projections["shared"] = (result.projections.get("shared", 0)
                                                 + group.projections)
+        # a lone task has no other task to be projected against
         total = sum(adjusted.get(tid, flats[tid]) for tid in self.task_order)
         combined: dict[str, np.ndarray] = {}
         offset = 0
