@@ -173,6 +173,19 @@ class Tape:
         A plain array ``x`` is a constant: it gets no gradient. The input is
         unfolded once into a ``(C_in*K*K, N*H_out*W_out)`` matrix, so forward
         and both weight-side and input-side backward products are 2-d GEMMs.
+        A 1x1, stride-1 conv's matrix is the input's channel-major rows, with
+        no padding or window copy.
+
+        The input-side backward puts each output gradient at its window's
+        corner on the padded input grid, zeros elsewhere, and multiplies
+        once. Window (i, j) is then a flat shift by ``i*W_pad + j`` of that
+        product, and the k*k shifted rows are added into the gradient in
+        (i, j) order, as a per-window scatter adds them. The product's extra
+        columns are exact zeros, and a sum that starts from +0.0 never
+        becomes -0.0, so the two agree bit for bit wherever the BLAS rounds
+        a column alike in the two product shapes. It may not for a
+        one-column product or at the edge of a large one, where the results
+        can differ in the last bit.
         """
         xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
         if xd.ndim != 4:
@@ -198,15 +211,23 @@ class Tape:
 
         # channel-major (C, N, H, W) layout keeps every slice copy contiguous
         # on the destination side and makes the column matrix a free reshape
+        hp, wp = h + 2 * padding, w + 2 * padding
         inner = np.s_[:, :, padding:padding + h, padding:padding + w]
-        xp = np.zeros((c_in, n, h + 2 * padding, w + 2 * padding))
-        xp[inner] = xd.transpose(1, 0, 2, 3)
-        windows = [(i, j, np.s_[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride])
-                   for i in range(k) for j in range(k)]
-        cols = np.empty((c_in, k, k, n, h_out, w_out))
-        for i, j, window in windows:
-            cols[:, i, j] = xp[window]
-        cols = cols.reshape(c_in * k * k, n * h_out * w_out)
+        xc = xd.transpose(1, 0, 2, 3)
+        if padding:
+            xp = np.zeros((c_in, n, hp, wp))
+            xp[inner] = xc
+        else:
+            xp = xc
+        pointwise = k == 1 and stride == 1
+        if pointwise:
+            cols = xp.reshape(c_in, -1)
+        else:
+            cols = np.empty((c_in, k, k, n, h_out, w_out))
+            for i in range(k):
+                for j in range(k):
+                    cols[:, i, j] = xp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
+            cols = cols.reshape(c_in * k * k, n * h_out * w_out)
         w2 = weight.data.reshape(c_out, -1)
         out2 = w2 @ cols
         if bias is not None:
@@ -220,11 +241,21 @@ class Tape:
             grad_w = (g2 @ cols.T).reshape(weight.shape)
             grad_x = None
             if isinstance(x, Tensor):
-                grad_cols = (w2.T @ g2).reshape(c_in, k, k, n, h_out, w_out)
-                grad_xp = np.zeros_like(xp)
-                for i, j, window in windows:
-                    grad_xp[window] += grad_cols[:, i, j]
-                grad_x = grad_xp[inner].transpose(1, 0, 2, 3)
+                if pointwise:
+                    grad_xp = w2.T @ g2
+                else:
+                    corners = np.zeros((c_out, n, hp, wp))
+                    corners[:, :, :stride * h_out:stride, :stride * w_out:stride] = \
+                        grad_out.transpose(1, 0, 2, 3)
+                    shifted = (w2.T @ corners.reshape(c_out, -1)).reshape(c_in, k, k, -1)
+                    del corners
+                    size = n * hp * wp
+                    grad_xp = np.zeros((c_in, size))
+                    for i in range(k):
+                        for j in range(k):
+                            shift = i * wp + j
+                            grad_xp[:, shift:] += shifted[:, i, j, :size - shift]
+                grad_x = grad_xp.reshape(c_in, n, hp, wp)[inner].transpose(1, 0, 2, 3)
             if bias is None:
                 return grad_x, grad_w
             return grad_x, grad_w, g2.sum(axis=1)
@@ -258,9 +289,11 @@ class Tape:
             if m < 2:
                 raise ShapeError(f"batchnorm: train mode needs >= 2 elements per channel, got {m}")
             mu = y.data.mean(axis=(0, 2, 3))
-            var = y.data.var(axis=(0, 2, 3))  # biased (population) variance
+            centred = y.data - mu[None, :, None, None]
+            # biased (population) variance, by the same operations as np.var
+            var = (centred * centred).sum(axis=(0, 2, 3)) / m
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (y.data - mu[None, :, None, None]) * inv_std[None, :, None, None]
+            xhat = centred * inv_std[None, :, None, None]
             out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
             state.running_mean[...] = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mu
             state.running_var[...] = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
@@ -294,8 +327,14 @@ class Tape:
         return self._record("task_batchnorm", (y, gamma, beta), out, backward)
 
     def relu(self, x: Tensor) -> Tensor:
+        """``max(x, 0)``, with +0.0 for every input that is not positive.
+
+        ``np.maximum`` may pass a -0.0 input through; adding +0.0 turns it
+        into +0.0 and leaves every other value unchanged.
+        """
         mask = x.data > 0
-        out = np.where(mask, x.data, 0.0)
+        out = np.maximum(x.data, 0.0)
+        out += 0.0
 
         def backward(grad_out: np.ndarray):
             return (grad_out * mask,)

@@ -4,6 +4,9 @@
 class MtloptError(Exception):
     """Base class for all package errors."""
 
+    #: the task whose forward or backward pass raised the error, if known
+    task: int | None = None
+
 
 class ShapeError(MtloptError, ValueError):
     """Tensor dimensions are inconsistent with the operation's contract."""

@@ -298,7 +298,7 @@ def per_task_gradients(model: Model, batch: Batch, task: int,
     (unweighted) loss. Gradient snapshots are copies; later passes or
     parameter updates cannot alias them. Caller zeroes grads beforehand.
     An error in the forward or backward pass is re-raised as the same type
-    with the task named.
+    with the task named in its message and in its ``task`` attribute.
     """
     if task not in batch.targets:
         raise DataError(f"batch has no target for task {task}")
@@ -311,7 +311,9 @@ def per_task_gradients(model: Model, batch: Batch, task: int,
             raise NumericError(f"non-finite loss {loss.data!r}")
         tape.backward(tape.scale(loss, loss_weight))
     except MtloptError as exc:
-        raise type(exc)(f"task {task}: {exc}") from exc
+        named = type(exc)(f"task {task}: {exc}")
+        named.task = task
+        raise named from exc
     if partition is None:
         partition = partition_parameters(model)
     shared = {n: p.grad.copy() for n, p in partition.shared.items()}

@@ -64,6 +64,9 @@ class SeedResult:
     final_metric: dict[int, float] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     error: str | None = None
+    # where a failed seed stopped: epoch, step, stage, task and error_type,
+    # each None where it does not apply
+    failure: dict | None = None
     model: Model | None = field(default=None, repr=False)  # trained model, in-memory only
 
 
@@ -230,12 +233,13 @@ def _run_seed(config: ExperimentConfig, seed: int,
               target_map: Mapping[int, int] | None = None) -> SeedResult:
     """Train one seed. An MtloptError ends the seed: the result keeps the
     rows of every finished epoch, gets no model or final values, and its
-    error names the seed, epoch and step where training stopped."""
+    error and failure fields name the seed, epoch, step, stage and task
+    where training stopped."""
     result = SeedResult(seed=seed)
     spec = config.model
     task_ids = spec.task_ids
     k = len(task_ids)
-    where = "setup"
+    stage, epoch, step = "setup", None, None
     try:
         init_seed = int(substream(seed, "init").integers(0, 2 ** 63))
         model = build_model(spec, seed=init_seed)
@@ -249,7 +253,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
         schedule = PhaseSchedule(config.epochs, substream(seed, "phase-draw"))
 
         for epoch in range(config.epochs):
-            where = f"epoch {epoch}, strength snapshot"
+            stage, step = "strength snapshot", None
             snapshot = model_strength_snapshot(model)
             result.strength_rows.extend(snapshot_records(seed, epoch, snapshot))
 
@@ -266,8 +270,8 @@ def _run_seed(config: ExperimentConfig, seed: int,
             loss_totals = {tid: 0.0 for tid in task_ids}
             conflicts: dict[str, int] = {}
             projections: dict[str, int] = {}
+            stage = "step"
             for step in range(config.steps_per_epoch):
-                where = f"epoch {epoch}, step {step}"
                 batch = _remap(dataset.batch(epoch * config.steps_per_epoch + step), target_map)
                 weights = provider.step_weights()
                 step_result = optimizer.step(batch, weights, phase=phase, snapshot=snapshot)
@@ -280,12 +284,12 @@ def _run_seed(config: ExperimentConfig, seed: int,
                     projections[name] = projections.get(name, 0) + n
                 _check_step_invariants(result, optimizer, step_result, phase, k, epoch, step)
 
-            where = f"epoch {epoch}, loss weighting"
+            stage, step = "loss weighting", None
             epoch_mean = {tid: total / config.steps_per_epoch
                           for tid, total in loss_totals.items()}
             provider.after_epoch(epoch_mean)
 
-            where = f"epoch {epoch}, evaluation"
+            stage = "evaluation"
             evals, metrics = evaluate_model(model, dataset, config.eval_batches, target_map)
             shares = _mean_priority_shares(snapshot, task_ids)
             dm = delta_m(metrics, metric_spec) if metric_spec is not None else None
@@ -298,7 +302,12 @@ def _run_seed(config: ExperimentConfig, seed: int,
                 "conflicts": conflicts, "projections": projections,
             })
     except MtloptError as exc:
-        result.error = f"seed {seed}, {where}: {type(exc).__name__}: {exc}"
+        error_type = type(exc).__name__
+        result.failure = {"epoch": epoch, "step": step, "stage": stage, "task": exc.task,
+                          "error_type": error_type}
+        where = ("" if epoch is None else f"epoch {epoch}, ") + \
+            (stage if step is None else f"step {step}")
+        result.error = f"seed {seed}, {where}: {error_type}: {exc}"
         return result
 
     result.final_eval = result.rows[-1].eval_loss
@@ -460,6 +469,7 @@ def write_report(report: RunReport, out_dir: str) -> dict[str, str]:
         "status": "failed" if report.failed else "ok",
         "violations": report.violations,
         "errors": {str(r.seed): r.error for r in report.seed_results if r.error},
+        "failures": {str(r.seed): r.failure for r in report.seed_results if r.error},
         "per_seed_final_eval": {str(r.seed): {str(t): v for t, v in r.final_eval.items()}
                                 for r in finished},
         "per_seed_final_metric": {str(r.seed): {str(t): v for t, v in r.final_metric.items()}

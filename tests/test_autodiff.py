@@ -107,6 +107,102 @@ def test_conv_matches_direct_reference(k, stride, padding):
             close(x.grad, gx_ref)
 
 
+def _window_conv(x, w, b, stride, padding, grad_out):
+    """conv2d by the k*k-window im2col and per-window col2im scatter.
+
+    A reference copy of the kernel that the flat-shift backward replaced:
+    the same products, summed in the same order.
+    """
+    n, c_in, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    h_out = (h + 2 * padding - k) // stride + 1
+    w_out = (wd + 2 * padding - k) // stride + 1
+    inner = np.s_[:, :, padding:padding + h, padding:padding + wd]
+    xp = np.zeros((c_in, n, h + 2 * padding, wd + 2 * padding))
+    xp[inner] = x.transpose(1, 0, 2, 3)
+    windows = [(i, j, np.s_[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride])
+               for i in range(k) for j in range(k)]
+    cols = np.empty((c_in, k, k, n, h_out, w_out))
+    for i, j, window in windows:
+        cols[:, i, j] = xp[window]
+    cols = cols.reshape(c_in * k * k, n * h_out * w_out)
+    w2 = w.reshape(c_out, -1)
+    out2 = w2 @ cols
+    out2 += b[:, None]
+    out = out2.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
+    if grad_out is None:
+        return out
+    g2 = grad_out.transpose(1, 0, 2, 3).reshape(c_out, -1)
+    grad_w = (g2 @ cols.T).reshape(w.shape)
+    grad_cols = (w2.T @ g2).reshape(c_in, k, k, n, h_out, w_out)
+    grad_xp = np.zeros_like(xp)
+    for i, j, window in windows:
+        grad_xp[window] += grad_cols[:, i, j]
+    return out, grad_xp[inner].transpose(1, 0, 2, 3), grad_w, g2.sum(axis=1)
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(actual).view(np.uint64),
+                                  np.ascontiguousarray(expected).view(np.uint64))
+
+
+def _with_signed_zeros(rng, arr, share=0.2):
+    hit = rng.random(arr.shape) < share
+    arr[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return arr
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_conv_bits_match_window_scatter(k, stride, padding):
+    # The flat-shift col2im and the copy-free 1x1 path must give every bit,
+    # signs of zero included, of the per-window kernel. Both multiply the
+    # same matrices except the input-side product, whose shape differs; the
+    # products here are small enough that the BLAS rounds their columns
+    # alike (a one-column or a large product may round its edge columns
+    # differently).
+    rng = np.random.default_rng(1000 + 100 * k + 10 * stride + padding)
+    h, w = k + 3, k + 5
+    while (h + 2 * padding - k) % stride:
+        h += 1
+    while (w + 2 * padding - k) % stride:
+        w += 1
+    x_val = _with_signed_zeros(rng, rng.normal(size=(3, 4, h, w)))
+    w_val = _with_signed_zeros(rng, rng.normal(size=(5, 4, k, k)), share=0.1)
+    b_val = rng.normal(size=5)
+    out_ref = _window_conv(x_val, w_val, b_val, stride, padding, None)
+    target = _with_signed_zeros(rng, out_ref.copy(), share=0.3)  # zero gradients too
+    grad_ref = (np.ones(()) * (2.0 / out_ref.size)) * (out_ref - target)  # mse's backward
+    _, gx_ref, gw_ref, gb_ref = _window_conv(x_val, w_val, b_val, stride, padding, grad_ref)
+
+    # channel-major memory, as the trunk's activations have it, and NCHW
+    for x_in in (x_val, x_val.transpose(1, 0, 2, 3).copy().transpose(1, 0, 2, 3)):
+        for constant_input in (False, True):
+            tape = Tape()
+            x = x_in if constant_input else Tensor(x_in)
+            wt, bt = Tensor(w_val), Tensor(b_val)
+            out = tape.conv2d(x, wt, bt, stride=stride, padding=padding)
+            _assert_same_bits(out.data, out_ref)
+            tape.backward(tape.mse_loss(out, target))
+            _assert_same_bits(wt.grad, gw_ref)
+            _assert_same_bits(bt.grad, gb_ref)
+            if not constant_input:
+                _assert_same_bits(x.grad, gx_ref)
+
+
+def test_relu_bits_match_select():
+    rng = np.random.default_rng(5)
+    # odd sizes reach both the vector and the scalar tail loops
+    for shape in ((7,), (3, 5, 9, 11), (16, 16, 16, 16)):
+        x_val = _with_signed_zeros(rng, rng.normal(size=shape), share=0.3)
+        x_val.flat[:2] = (-0.0, 0.0)
+        out = Tape().relu(Tensor(x_val))
+        _assert_same_bits(out.data, np.where(x_val > 0, x_val, 0.0))
+        assert not np.signbit(out.data).any()
+
+
 def test_conv_shape_errors():
     tape = Tape()
     x = Tensor(np.zeros((1, 2, 4, 4)))

@@ -7,7 +7,7 @@ import pytest
 
 from mtlopt.cli import main as cli_main
 from mtlopt.config import ExperimentConfig, apply_dotted_overrides, default_model_dict
-from mtlopt.errors import ConfigError, NumericError
+from mtlopt.errors import ConfigError, NumericError, ShapeError
 from mtlopt import optimizers, runner
 from mtlopt.network import build_model, load_checkpoint
 from mtlopt.runner import (
@@ -312,6 +312,8 @@ def test_failed_seed_keeps_its_finished_epochs(tmp_path, monkeypatch):
         [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["errors"] == {"1": failed.error}
+    assert summary["failures"] == {"1": {"epoch": 2, "step": 1, "stage": "step", "task": None,
+                                         "error_type": "NumericError"}}
     for key in ("per_seed_final_eval", "per_seed_final_metric", "per_seed_final_delta_m"):
         assert set(summary[key]) == {"2"}
 
@@ -325,10 +327,23 @@ def test_failed_loss_weighting_is_labelled(monkeypatch):
     failed = report.seed_results[0]
     assert failed.error == ("seed 1, epoch 0, loss weighting: "
                             "NumericError: dwa: non-finite epoch loss")
+    assert failed.failure == {"epoch": 0, "step": None, "stage": "loss weighting",
+                              "task": None, "error_type": "NumericError"}
     assert failed.rows == []
 
 
-def test_failed_seed_names_the_task():
+def test_failed_setup_has_no_epoch_or_step(monkeypatch):
+    def failing_build(spec, seed):
+        raise ShapeError("conv2d: bad weight")
+
+    monkeypatch.setattr(runner, "build_model", failing_build)
+    failed = run_experiment(fast_config(epochs=1)).seed_results[0]
+    assert failed.error == "seed 1, setup: ShapeError: conv2d: bad weight"
+    assert failed.failure == {"epoch": None, "step": None, "stage": "setup", "task": None,
+                              "error_type": "ShapeError"}
+
+
+def test_failed_seed_names_the_task(tmp_path):
     # a step size of 1000 blows the mse task's prediction up in epoch 8
     with np.errstate(over="ignore", invalid="ignore"):
         report = run_experiment(ExperimentConfig.from_dict(
@@ -337,6 +352,10 @@ def test_failed_seed_names_the_task():
     assert failed.error == ("seed 1, epoch 8, step 4: "
                             "NumericError: task 2: mse_loss: produced non-finite values")
     assert len(failed.rows) == 8
+    write_report(report, str(tmp_path))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["failures"] == {"1": {"epoch": 8, "step": 4, "stage": "step", "task": 2,
+                                         "error_type": "NumericError"}}
 
 
 def test_pcgrad_is_covered_by_the_projection_invariant(monkeypatch):
