@@ -58,9 +58,10 @@ def _keep_freed_memory() -> None:
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     # 32 MiB is glibc's documented upper limit for the mmap threshold on
-    # 64-bit systems, and above the largest per-pass temporary (a 4.7 MB
-    # im2col matrix on a 16-channel, 16x16, batch-16 trunk). The 1 GiB trim
-    # threshold keeps the freed heap top for the next pass.
+    # 64-bit systems, and above the largest per-pass temporary (conv2d's
+    # 6 MB input-gradient product on a 16-channel, 16x16, batch-16 trunk,
+    # one column per padded pixel). The 1 GiB trim threshold keeps the
+    # freed heap top for the next pass.
     mallopt(_M_MMAP_THRESHOLD, 32 * 1024 * 1024)
     mallopt(_M_TRIM_THRESHOLD, 1024 * 1024 * 1024)
 

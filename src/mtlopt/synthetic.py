@@ -115,7 +115,8 @@ class SyntheticMtlDataset:
         edges = np.quantile(z1.reshape(n, h * w),
                             np.linspace(0.0, 1.0, cfg.num_classes + 1)[1:-1], axis=1)
         # the number of an image's edges at or below a pixel is its class, as
-        # np.digitize counts it
-        seg = (z1[..., None] >= edges.T[:, None, None, :]).sum(axis=-1)
+        # np.digitize counts it; summing over a leading edge axis adds whole
+        # images, where a trailing one would reduce a few elements per pixel
+        seg = (z1 >= edges[:, :, None, None]).sum(axis=0)
         depth = np.tanh(cfg.depth_mix[0] * z1 + cfg.depth_mix[1] * z2)[:, None]
         return Batch(x=x, targets={SEG_TASK: seg, DEPTH_TASK: depth})
