@@ -227,7 +227,8 @@ class Tape:
             cols = np.empty((c_in, k, k, n, h_out, w_out))
             for i in range(k):
                 for j in range(k):
-                    cols[:, i, j] = xp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
+                    cols[:, i, j] = xp[:, :, i:i + stride * h_out:stride,
+                                       j:j + stride * w_out:stride]
             cols = cols.reshape(c_in * k * k, n * h_out * w_out)
         w2 = weight.data.reshape(c_out, -1)
         out2 = w2 @ cols
