@@ -295,13 +295,15 @@ def per_task_gradients(model: Model, batch: Batch, task: int,
     """Forward/backward one task; return (raw loss, shared grads, own grads).
 
     Backpropagates loss_weight * L_task. The returned loss value is the raw
-    (unweighted) loss. Gradient snapshots are copies; later passes or
-    parameter updates cannot alias them. Caller zeroes grads beforehand.
+    (unweighted) loss. The model's gradients are zeroed first; gradient
+    snapshots are copies, so later passes or parameter updates cannot alias
+    them.
     An error in the forward or backward pass is re-raised as the same type
     with the task named in its message and in its ``task`` attribute.
     """
     if task not in batch.targets:
         raise DataError(f"batch has no target for task {task}")
+    model.zero_grad()
     try:
         tape = Tape()
         pred = model.forward(batch.x, task, tape)

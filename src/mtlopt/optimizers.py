@@ -8,6 +8,13 @@ projects conflicting group gradients onto the plane orthogonal to the
 group owner's gradient before summing. An epoch's phase is drawn from a
 uniform variable compared against e/E, so Phase 2 takes over as training
 progresses.
+
+Phase 2, GD and PCGrad run through one projection loop in
+``MtlOptimizer._joint_step`` and differ only in the groups they pass it: a
+group is a set of shared-gradient coordinates plus, for each task, the
+reference task its block is projected against. Phase 2 forms one group per
+channel group with the owner as every task's reference, PCGrad one group of
+every shared parameter with the other task as the reference, GD none.
 """
 from __future__ import annotations
 
@@ -92,41 +99,14 @@ def project_gradient(g: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class GroupProjection:
-    """Projection record for one channel group of one layer."""
+class Projection:
+    """One task's block of a group, projected against its reference task's block."""
 
     layer: str
-    owner: int
+    task: int
+    reference_task: int
     reference: np.ndarray
-    projected: dict[int, np.ndarray]
-    conflicts: int
-    projections: int
-
-
-def project_group_gradients(blocks: Mapping[int, np.ndarray], owner: int,
-                            layer: str = "") -> GroupProjection:
-    """Project every non-owner block gradient against the owner's.
-
-    ``blocks`` maps task id -> flattened (already weighted) gradient over
-    the group's channels, or over every shared parameter for PCGrad. The
-    owner's gradient is the fixed reference; projected results are never
-    re-projected against each other.
-    """
-    ref = blocks[owner]
-    projected: dict[int, np.ndarray] = {}
-    conflicts = 0
-    projections = 0
-    for tid, g in blocks.items():
-        if tid == owner:
-            projected[tid] = g.copy()
-            continue
-        d = float(g @ ref)
-        if d <= 0.0:
-            conflicts += 1
-        if d < 0.0 and float(ref @ ref) > 0.0:
-            projections += 1
-        projected[tid] = project_gradient(g, ref)
-    return GroupProjection(layer, owner, ref.copy(), projected, conflicts, projections)
+    result: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +173,12 @@ class StepResult:
     losses: dict[int, float]
     conflicts: dict[str, int] = field(default_factory=dict)
     projections: dict[str, int] = field(default_factory=dict)
-    group_details: list[GroupProjection] = field(default_factory=list)
+    projected: list[Projection] = field(default_factory=list)
+
+
+# a group of flat shared-gradient coordinates: (log label, flat indices, the
+# reference task of each task); a task that is its own reference is summed as is
+Group = tuple[str, np.ndarray, Mapping[int, int]]
 
 
 class MtlOptimizer:
@@ -209,6 +194,11 @@ class MtlOptimizer:
         self.config = config
         self.task_order = config.task_order or model.spec.task_ids
         self.partition = partition_parameters(model)
+        # the joint steps lay the shared gradients out flat in sorted-name order
+        self._names = sorted(self.partition.shared)
+        sizes = [self.partition.shared[n].size for n in self._names]
+        self._offsets = dict(zip(self._names, np.cumsum([0] + sizes[:-1]).tolist()))
+        self._flat_size = sum(sizes)
         if config.update_rule == "adam":
             self._rule = _AdamRule(config.lr, config.adam_beta1, config.adam_beta2, config.adam_eps)
         else:
@@ -227,11 +217,6 @@ class MtlOptimizer:
     def _weights_by_task(self, weights: Mapping[int, float]) -> dict[int, float]:
         return {tid: float(weights[tid]) for tid in self.model.spec.task_ids}
 
-    def _apply_own(self, own: dict[int, dict[str, np.ndarray]]) -> None:
-        for tid in self.task_order:
-            for name, grad in own[tid].items():
-                self._apply(name, self.partition.per_task[tid][name], grad)
-
     # -- steps -------------------------------------------------------------
 
     def phase1_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
@@ -241,7 +226,6 @@ class MtlOptimizer:
         w = self._weights_by_task(weights)
         losses: dict[int, float] = {}
         for tid in self.task_order:
-            self.model.zero_grad()
             loss, shared, own = per_task_gradients(
                 self.model, batch, tid, loss_weight=w[tid], partition=self.partition)
             losses[tid] = loss
@@ -251,107 +235,93 @@ class MtlOptimizer:
                 self._apply(name, self.partition.per_task[tid][name], grad)
         return StepResult(losses)
 
-    def _joint_step(self, batch: Batch, weights: Mapping[int, float], combine) -> StepResult:
-        """All task gradients at the same parameters; ``combine(shared,
-        result)`` turns the per-task shared gradients into one gradient per
-        shared parameter, and each parameter is written once."""
+    def _joint_step(self, batch: Batch, weights: Mapping[int, float],
+                    groups: Sequence[Group]) -> StepResult:
+        """All task gradients at the same parameters, one write per parameter.
+
+        Every shared coordinate gets the sum of the task gradients in task
+        order. Each group then resums its coordinates, with each task's block
+        projected against its reference task's block where that is another
+        task. A dot <= 0 counts as a conflict and a projection that moves the
+        block (dot < 0, nonzero reference) as a projection; every group logs
+        its label, 0 included.
+        """
         self._begin_step()
         w = self._weights_by_task(weights)
-        losses: dict[int, float] = {}
-        shared: dict[int, dict[str, np.ndarray]] = {}
+        result = StepResult({})
+        flats: dict[int, np.ndarray] = {}
         own: dict[int, dict[str, np.ndarray]] = {}
         for tid in self.task_order:
-            self.model.zero_grad()
-            losses[tid], shared[tid], own[tid] = per_task_gradients(
+            result.losses[tid], shared, own[tid] = per_task_gradients(
                 self.model, batch, tid, loss_weight=w[tid], partition=self.partition)
-        result = StepResult(losses)
-        for name, grad in combine(shared, result).items():
-            self._apply(name, self.partition.shared[name], grad)
-        self._apply_own(own)
+            # the empty head keeps a model without shared parameters valid
+            flats[tid] = np.concatenate([np.empty(0)] + [shared[n].reshape(-1) for n in self._names])
+        total = np.zeros(self._flat_size)
+        for tid in self.task_order:
+            total += flats[tid]
+        for layer, idx, references in groups:
+            blocks = {tid: flat[idx] for tid, flat in flats.items()}
+            part = np.zeros(idx.size)
+            conflicts = projections = 0
+            for tid in self.task_order:
+                g, ref_tid = blocks[tid], references[tid]
+                if ref_tid != tid:
+                    ref = blocks[ref_tid]
+                    d = float(g @ ref)
+                    conflicts += d <= 0.0
+                    projections += d < 0.0 and float(ref @ ref) > 0.0
+                    g = project_gradient(g, ref)
+                    result.projected.append(Projection(layer, tid, ref_tid, ref, g))
+                part += g
+            total[idx] = part
+            result.conflicts[layer] = result.conflicts.get(layer, 0) + conflicts
+            result.projections[layer] = result.projections.get(layer, 0) + projections
+        for name in self._names:
+            tensor = self.partition.shared[name]
+            offset = self._offsets[name]
+            self._apply(name, tensor, total[offset:offset + tensor.size].reshape(tensor.shape))
+        for tid in self.task_order:
+            for name, grad in own[tid].items():
+                self._apply(name, self.partition.per_task[tid][name], grad)
         return result
 
     def gd_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
         """Conventional GD: one update with the weighted gradient sum."""
-        return self._joint_step(batch, weights, self._combine_gd)
-
-    def _combine_gd(self, shared: dict[int, dict[str, np.ndarray]],
-                    result: StepResult) -> dict[str, np.ndarray]:
-        return {name: sum(shared[tid][name] for tid in self.task_order)
-                for name in self.partition.shared}
+        return self._joint_step(batch, weights, [])
 
     def phase2_step(self, batch: Batch, weights: Mapping[int, float],
                     snapshot: Mapping[str, StrengthReport]) -> StepResult:
-        """Priority-preserving step: project conflicting per-group gradients
-        against the group owner's gradient, then apply the summed result."""
-        return self._joint_step(
-            batch, weights, lambda shared, result: self._combine_phase2(shared, snapshot, result))
-
-    def _combine_phase2(self, shared: dict[int, dict[str, np.ndarray]],
-                        snapshot: Mapping[str, StrengthReport],
-                        result: StepResult) -> dict[str, np.ndarray]:
-        combined: dict[str, np.ndarray] = {}
+        """Priority-preserving step: in each channel group of a batch-norm
+        layer, every task's gradient is projected against the group owner's
+        when the two conflict. Layers without a strength report are summed."""
+        groups: list[Group] = []
         for name in self.partition.shared:
-            grads = {tid: shared[tid][name] for tid in self.task_order}
             layer = name.rsplit(".", 1)[0]
             report = snapshot.get(layer)
             if report is None:
-                # a layer without task batch norm has no strength report:
-                # plain weighted sum
-                combined[name] = sum(grads.values())
                 continue
-            weight_shape = grads[self.task_order[0]].shape
-            if report.num_channels != weight_shape[0]:
+            tensor = self.partition.shared[name]
+            if report.num_channels != tensor.shape[0]:
                 raise StateError(
                     f"{layer}: snapshot has {report.num_channels} channels, "
-                    f"weight has {weight_shape[0]} (stale snapshot)")
-            out = np.zeros(weight_shape)
+                    f"weight has {tensor.shape[0]} (stale snapshot)")
+            width = tensor.size // tensor.shape[0]
             for owner, channels in report.groups.items():
-                if not channels:
-                    continue
-                idx = np.asarray(channels, dtype=np.intp)
-                blocks = {tid: grads[tid][idx].reshape(-1) for tid in self.task_order}
-                group = project_group_gradients(blocks, owner, layer)
-                total = np.zeros_like(group.reference)
-                for tid in self.task_order:
-                    total += group.projected[tid]
-                out[idx] = total.reshape((len(channels),) + weight_shape[1:])
-                result.conflicts[layer] = result.conflicts.get(layer, 0) + group.conflicts
-                result.projections[layer] = result.projections.get(layer, 0) + group.projections
-                result.group_details.append(group)
-            combined[name] = out
-        return combined
+                if channels:
+                    rows = self._offsets[name] + width * np.asarray(channels, dtype=np.intp)
+                    idx = (rows[:, None] + np.arange(width)).reshape(-1)
+                    groups.append((layer, idx, dict.fromkeys(self.task_order, owner)))
+        return self._joint_step(batch, weights, groups)
 
     def pcgrad_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
         """PCGrad over one group that holds every shared parameter: each
         task's flattened gradient is projected against the other task's
-        when the two conflict. With at most two tasks the order is fixed."""
-        return self._joint_step(batch, weights, self._combine_pcgrad)
-
-    def _combine_pcgrad(self, shared: dict[int, dict[str, np.ndarray]],
-                        result: StepResult) -> dict[str, np.ndarray]:
-        names = sorted(self.partition.shared)
-        flats = {tid: np.concatenate([shared[tid][n].reshape(-1) for n in names])
-                 for tid in self.task_order}
-        adjusted: dict[int, np.ndarray] = {}
-        for owner in self.task_order:
-            group = project_group_gradients(flats, owner, "shared")
-            adjusted.update((tid, g) for tid, g in group.projected.items() if tid != owner)
-            result.group_details.append(group)
-            # the log names the shared group only in steps that count one
-            if group.conflicts:
-                result.conflicts["shared"] = result.conflicts.get("shared", 0) + group.conflicts
-            if group.projections:
-                result.projections["shared"] = (result.projections.get("shared", 0)
-                                                + group.projections)
-        # a lone task has no other task to be projected against
-        total = sum(adjusted.get(tid, flats[tid]) for tid in self.task_order)
-        combined: dict[str, np.ndarray] = {}
-        offset = 0
-        for name in names:
-            tensor = self.partition.shared[name]
-            combined[name] = total[offset:offset + tensor.size].reshape(tensor.shape)
-            offset += tensor.size
-        return combined
+        when the two conflict. A lone task forms no group."""
+        order = self.task_order
+        groups: list[Group] = []
+        if len(order) == 2:
+            groups.append(("shared", np.arange(self._flat_size), dict(zip(order, order[::-1]))))
+        return self._joint_step(batch, weights, groups)
 
     def step(self, batch: Batch, weights: Mapping[int, float], phase: str | None = None,
              snapshot: Mapping[str, StrengthReport] | None = None) -> StepResult:

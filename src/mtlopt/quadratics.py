@@ -141,25 +141,23 @@ def make_conflicting_quadratic(dim: int, K: int, seed: int, conflict: float = 1.
 # ---------------------------------------------------------------------------
 
 def oracle_priority_partition(problem: QuadraticProblem, theta: np.ndarray,
-                              weights: np.ndarray, eta: float,
-                              block_size: int = 1) -> np.ndarray:
-    """Owner task per shared-coordinate block by direct loss evaluation.
+                              weights: np.ndarray, eta: float) -> np.ndarray:
+    """Owner task per shared coordinate by direct loss evaluation.
 
-    For each block, every task's candidate step is evaluated in full; the
-    argmin wins, ties go to the lowest task index.
+    For each coordinate, every task's candidate step is evaluated in full;
+    the argmin wins, ties go to the lowest task index.
     """
     grads = [problem.gradient(task, theta) for task in range(problem.num_tasks)]
     owners = np.zeros(problem.shared_dim, dtype=np.intp)
-    for start in range(0, problem.shared_dim, block_size):
-        idx = np.arange(start, min(start + block_size, problem.shared_dim))
+    for i in range(problem.shared_dim):
         best_task, best_loss = 0, np.inf
         for task in range(problem.num_tasks):
             candidate = theta.copy()
-            candidate[idx] -= eta * grads[task][idx]
+            candidate[i] -= eta * grads[task][i]
             loss = problem.total_loss(candidate, weights)
             if loss < best_loss - 1e-15:
                 best_task, best_loss = task, loss
-        owners[idx] = best_task
+        owners[i] = best_task
     return owners
 
 
@@ -211,10 +209,8 @@ def model_priority_oracle(model, batch, layer_index: int, channel: int,
     name = f"trunk.{layer_index}.weight"
     grads = {}
     for tid in model.spec.task_ids:
-        model.zero_grad()
         _, shared, _ = per_task_gradients(model, batch, tid, loss_weight=1.0)
         grads[tid] = shared[name][channel].copy()
-    model.zero_grad()
 
     def total_loss() -> float:
         total = 0.0

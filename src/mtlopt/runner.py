@@ -207,7 +207,6 @@ def mean_pairwise_gradient_cosine(model: Model, batches: list[Batch]) -> float:
     for batch in batches:
         flats = {}
         for tid in task_ids:
-            model.zero_grad()
             _, shared, _ = per_task_gradients(model, batch, tid, loss_weight=1.0)
             flats[tid] = np.concatenate([shared[n].reshape(-1) for n in sorted(shared)])
         for i, a in enumerate(task_ids):
@@ -215,7 +214,6 @@ def mean_pairwise_gradient_cosine(model: Model, batches: list[Batch]) -> float:
                 na, nb = np.linalg.norm(flats[a]), np.linalg.norm(flats[b])
                 if na > 0 and nb > 0:
                     cosines.append(float(flats[a] @ flats[b] / (na * nb)))
-    model.zero_grad()
     return float(np.mean(cosines)) if cosines else 0.0
 
 
@@ -343,12 +341,11 @@ def _check_step_invariants(result: SeedResult, optimizer: MtlOptimizer, step_res
             if writes[name] != 1:
                 result.violations.append(
                     f"epoch {epoch} step {step}: {name} written {writes[name]}x, expected 1")
-    for group in step_result.group_details:
-        for tid, g in group.projected.items():
-            if float(g @ group.reference) < -1e-12:
-                result.violations.append(
-                    f"epoch {epoch} step {step}: {group.layer} group {group.owner} "
-                    f"task {tid} still conflicts after projection")
+    for p in step_result.projected:
+        if float(p.result @ p.reference) < -1e-12:
+            result.violations.append(
+                f"epoch {epoch} step {step}: {p.layer} task {p.task} (reference task "
+                f"{p.reference_task}) still conflicts after projection")
 
 
 def run_experiment(config: ExperimentConfig,

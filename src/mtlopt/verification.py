@@ -254,9 +254,8 @@ def check_projection_contract(models: int = 20, steps: int = 3,
                 weights = {1: float(rng.uniform(0.2, 2.0)), 2: float(rng.uniform(0.2, 2.0))}
                 result = opt.phase2_step(batch, weights, model_strength_snapshot(model))
                 projections_seen += sum(result.projections.values())
-                for group in result.group_details:
-                    for g in group.projected.values():
-                        worst_dot = min(worst_dot, float(g @ group.reference))
+                for p in result.projected:
+                    worst_dot = min(worst_dot, float(p.result @ p.reference))
         if worst_dot < -1e-12:
             return False, f"post-projection dot {worst_dot:.2e} below -1e-12"
         if projections_seen == 0:

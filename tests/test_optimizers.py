@@ -19,7 +19,6 @@ from mtlopt.optimizers import (
     OptimizerConfig,
     PhaseSchedule,
     project_gradient,
-    project_group_gradients,
 )
 from mtlopt.strength import model_strength_snapshot
 
@@ -105,15 +104,6 @@ def test_projection_idempotent_and_norm_bounded():
         assert np.linalg.norm(once) <= np.linalg.norm(g) + 1e-12
 
 
-def test_project_group_gradients_owner_fixed_reference():
-    blocks = {1: np.array([1.0, 0.0]), 2: np.array([-1.0, 0.5]), 3: np.array([-2.0, 0.0])}
-    group = project_group_gradients(blocks, owner=1)
-    np.testing.assert_array_equal(group.projected[1], blocks[1])
-    np.testing.assert_array_equal(group.projected[2], [0.0, 0.5])
-    np.testing.assert_array_equal(group.projected[3], [0.0, 0.0])
-    assert group.conflicts == 2 and group.projections == 2
-
-
 # ---------------------------------------------------------------------------
 # model fixtures
 # ---------------------------------------------------------------------------
@@ -134,19 +124,26 @@ def scalar_batch():
                  targets={1: np.ones((1, 1, 1, 1)), 2: -np.ones((1, 1, 1, 1))})
 
 
-def conv_two_task_spec():
+def conv_task_spec(num_tasks=2):
+    """Task 1 classifies, tasks 2 and (with ``num_tasks=3``) 3 regress."""
+    heads = {1: (ConvSpec(4, 3, kernel_size=1),), 2: (ConvSpec(4, 1, kernel_size=1),),
+             3: (ConvSpec(4, 1, kernel_size=1),)}
+    tasks = (TaskSpec(1, "cross_entropy"), TaskSpec(2, "mse"), TaskSpec(3, "mse"))
     return ModelSpec(
         trunk=(ConvSpec(2, 4, kernel_size=3), ConvSpec(4, 4, kernel_size=3)),
-        heads={1: (ConvSpec(4, 3, kernel_size=1),), 2: (ConvSpec(4, 1, kernel_size=1),)},
-        tasks=(TaskSpec(1, "cross_entropy"), TaskSpec(2, "mse")),
+        heads={tid: heads[tid] for tid in range(1, num_tasks + 1)},
+        tasks=tasks[:num_tasks],
     )
 
 
-def conv_batch(seed, n=2, c=2, h=5, w=5, classes=3):
+def conv_batch(seed, n=2, c=2, h=5, w=5, classes=3, num_tasks=2):
     rng = np.random.default_rng(seed)
-    return Batch(x=rng.normal(size=(n, c, h, w)),
-                 targets={1: rng.integers(0, classes, size=(n, h, w)),
-                          2: rng.normal(size=(n, 1, h, w))})
+    batch = Batch(x=rng.normal(size=(n, c, h, w)),
+                  targets={1: rng.integers(0, classes, size=(n, h, w)),
+                           2: rng.normal(size=(n, 1, h, w))})
+    if num_tasks == 3:
+        batch.targets[3] = rng.normal(size=(n, 1, h, w))
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +188,7 @@ def test_phase1_null_step_reports_losses():
 
 
 def test_phase1_write_counts():
-    model = build_model(conv_two_task_spec(), seed=21)
+    model = build_model(conv_task_spec(), seed=21)
     opt = MtlOptimizer(model, OptimizerConfig(lr=0.01))
     opt.phase1_step(conv_batch(31), {1: 0.5, 2: 0.5})
     part = partition_parameters(model)
@@ -248,18 +245,19 @@ def test_phase1_equals_gd_on_independent_coordinates():
 # ---------------------------------------------------------------------------
 
 def brute_force_phase2(model, batch, weights, snapshot, task_order, lr):
-    """Recompute Algorithm 1's phase-2 update with explicit loops."""
+    """Recompute Algorithm 1's phase-2 update and its per-layer conflict and
+    projection counts with explicit loops."""
     grads, owns = {}, {}
     for tid in task_order:
-        model.zero_grad()
         _, gs, own = per_task_gradients(model, batch, tid, loss_weight=weights[tid])
         grads[tid], owns[tid] = gs, own
     part = partition_parameters(model)
-    expected = {}
+    expected, conflicts, projections = {}, {}, {}
     for name, tensor in part.shared.items():
         layer = name.rsplit(".", 1)[0]
         if name.endswith(".weight") and layer in snapshot:
             combined = np.zeros_like(tensor.data)
+            conflicts[layer] = projections[layer] = 0
             for owner, channels in snapshot[layer].groups.items():
                 if not channels:
                     continue
@@ -272,7 +270,9 @@ def brute_force_phase2(model, batch, weights, snapshot, task_order, lr):
                     v = blocks[t].copy()
                     if t != owner:
                         d = float(np.dot(v, ref))
+                        conflicts[layer] += d <= 0.0
                         if d < 0.0 and nsq > 0.0:
+                            projections[layer] += 1
                             v = v - (d / nsq) * ref
                     total += v
                 width = grads[task_order[0]][name][channels[0]].size
@@ -284,37 +284,44 @@ def brute_force_phase2(model, batch, weights, snapshot, task_order, lr):
     for tid in task_order:
         for name, g in owns[tid].items():
             expected[name] = part.per_task[tid][name].data - lr * g
-    return expected
+    return expected, conflicts, projections
 
 
 def test_phase2_matches_brute_force_oracle():
-    weights = {1: 0.6, 2: 0.4}
-    saw_projection = False
-    for seed in range(6):
-        model = build_model(conv_two_task_spec(), seed=seed)
-        batch = conv_batch(seed + 100)
-        snapshot = model_strength_snapshot(model)
-        reference = clone_model(model)
-        expected = brute_force_phase2(reference, batch, weights, snapshot, (1, 2), lr=0.05)
+    # with three tasks, projecting one non-owner against another non-owner
+    # (instead of against the group owner) would break the match
+    weights = {1: 0.6, 2: 0.4, 3: 0.5}
+    for num_tasks in (2, 3):
+        order = tuple(range(1, num_tasks + 1))
+        saw_projection = False
+        for seed in range(6):
+            model = build_model(conv_task_spec(num_tasks), seed=seed)
+            batch = conv_batch(seed + 100, num_tasks=num_tasks)
+            snapshot = model_strength_snapshot(model)
+            reference = clone_model(model)
+            expected, conflicts, projections = brute_force_phase2(
+                reference, batch, weights, snapshot, order, lr=0.05)
 
-        opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
-        result = opt.phase2_step(batch, weights, snapshot)
-        saw_projection |= sum(result.projections.values()) > 0
-        for name, p in model.named_parameters().items():
-            np.testing.assert_allclose(p.data, expected[name], rtol=1e-10, atol=1e-14,
-                                       err_msg=name)
-    assert saw_projection  # the fixture family must actually exercise projections
+            opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
+            result = opt.phase2_step(batch, weights, snapshot)
+            assert (result.conflicts, result.projections) == (conflicts, projections)
+            saw_projection |= sum(result.projections.values()) > 0
+            for name, p in model.named_parameters().items():
+                np.testing.assert_allclose(p.data, expected[name], rtol=1e-10, atol=1e-14,
+                                           err_msg=f"{num_tasks} tasks: {name}")
+        # the fixture family must actually exercise projections
+        assert saw_projection, num_tasks
 
 
 def test_phase2_post_projection_non_conflict():
     for seed in range(4):
-        model = build_model(conv_two_task_spec(), seed=seed)
+        model = build_model(conv_task_spec(), seed=seed)
         opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
         result = opt.phase2_step(conv_batch(seed), {1: 0.7, 2: 0.3},
                                  model_strength_snapshot(model))
-        for group in result.group_details:
-            for tid, g in group.projected.items():
-                assert float(g @ group.reference) >= -1e-12
+        assert result.projected
+        for p in result.projected:
+            assert float(p.result @ p.reference) >= -1e-12
 
 
 def test_phase2_without_conflicts_equals_gd():
@@ -342,20 +349,26 @@ def test_phase2_without_conflicts_equals_gd():
 
 
 def test_phase2_zero_reference_guard_passthrough():
-    model = build_model(conv_two_task_spec(), seed=3)
+    model = build_model(conv_task_spec(), seed=3)
+    plain = clone_model(model)
     opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
     # weight 0 for task 1 zeroes its gradients; groups owned by task 1 must
     # leave task 2's block gradients untouched
     result = opt.phase2_step(conv_batch(55), {1: 0.0, 2: 1.0},
                              model_strength_snapshot(model))
-    for group in result.group_details:
-        if group.owner == 1:
-            assert not np.any(group.reference)
-            assert group.projections == 0
+    assert sum(result.projections.values()) == 0
+    assert any(p.reference_task == 1 for p in result.projected)
+    for p in result.projected:
+        if p.reference_task == 1:
+            assert not np.any(p.reference)
+    MtlOptimizer(plain, OptimizerConfig(method="gd", lr=0.05)).gd_step(
+        conv_batch(55), {1: 0.0, 2: 1.0})
+    for name, p in model.named_parameters().items():
+        np.testing.assert_array_equal(p.data, plain.named_parameters()[name].data, err_msg=name)
 
 
 def test_phase2_stale_snapshot_rejected():
-    model = build_model(conv_two_task_spec(), seed=3)
+    model = build_model(conv_task_spec(), seed=3)
     other = build_model(ModelSpec(
         trunk=(ConvSpec(2, 7), ConvSpec(7, 7)), heads={},
         tasks=(TaskSpec(1, "mse"), TaskSpec(2, "mse"))), seed=3)
@@ -381,11 +394,10 @@ def test_pcgrad_two_task_hand_check():
 
 def test_pcgrad_matches_manual_projection_sum():
     weights = {1: 0.6, 2: 0.4}
-    model = build_model(conv_two_task_spec(), seed=41)
+    model = build_model(conv_task_spec(), seed=41)
     reference = clone_model(model)
     grads = {}
     for tid in (1, 2):
-        reference.zero_grad()
         _, gs, _ = per_task_gradients(reference, conv_batch(8), tid, loss_weight=weights[tid])
         grads[tid] = gs
     names = sorted(grads[1])
@@ -429,6 +441,19 @@ def test_pcgrad_no_conflict_equals_gd():
                                    rtol=0, atol=1e-16, err_msg=name)
 
 
+def test_joint_steps_accept_a_model_without_shared_parameters():
+    spec = ModelSpec(trunk=(), heads={1: (ConvSpec(2, 1, kernel_size=1),),
+                                      2: (ConvSpec(2, 1, kernel_size=1),)},
+                     tasks=(TaskSpec(1, "mse"), TaskSpec(2, "mse")))
+    batch = Batch(x=np.ones((1, 2, 2, 2)), targets={1: np.ones((1, 1, 2, 2)),
+                                                    2: -np.ones((1, 1, 2, 2))})
+    for method in ("gd", "pcgrad"):
+        model = build_model(spec, seed=4)
+        before = model.heads[1][0].weight.data.copy()
+        MtlOptimizer(model, OptimizerConfig(method=method, lr=0.1)).step(batch, {1: 0.5, 2: 0.5})
+        assert not np.array_equal(model.heads[1][0].weight.data, before), method
+
+
 def test_pcgrad_rejects_three_tasks():
     # PCGrad projects each task against the one other task; with three
     # tasks it would need a random order over the others
@@ -458,7 +483,7 @@ def test_optimizer_config_validation():
 
 
 def test_adam_rule_applies_to_combined_gradient():
-    model = build_model(conv_two_task_spec(), seed=61)
+    model = build_model(conv_task_spec(), seed=61)
     opt = MtlOptimizer(model, OptimizerConfig(method="gd", lr=0.01, update_rule="adam"))
     before = {n: p.data.copy() for n, p in model.named_parameters().items()}
     opt.gd_step(conv_batch(62), {1: 0.5, 2: 0.5})

@@ -142,8 +142,8 @@ def test_oracle_antisymmetry():
                                     [problem.offsets[t] for t in order],
                                     problem.shared_dim, [problem.task_slices[t] for t in order],
                                     problem.lipschitz)
-        a = oracle_priority_partition(problem, theta, w, 1e-3, block_size=2)
-        b = oracle_priority_partition(permuted, theta, w[order], 1e-3, block_size=2)
+        a = oracle_priority_partition(problem, theta, w, 1e-3)
+        b = oracle_priority_partition(permuted, theta, w[order], 1e-3)
         np.testing.assert_array_equal(a, np.asarray(order)[b])
 
 

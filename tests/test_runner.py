@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -155,6 +156,27 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         tracer.restore()
     assert optimizers.MtlOptimizer.__dict__["pcgrad_step"] is original_step
     assert optimizers.project_gradient is original_projection
+
+
+def test_benchmark_call_counts_match_closed_form(monkeypatch, tmp_path):
+    # the traced benchmark requires every call count to equal its closed
+    # form (one project_gradient per non-owner per group, one zero_grad per
+    # task pass, ...); a change that breaks one should fail here
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    layers = importlib.import_module("layers")
+    workloads = importlib.import_module("workloads")
+    Clock = importlib.import_module("clock").Clock
+    tracer = importlib.import_module("tracer").Tracer()
+    inputs = workloads.make_inputs(workloads.smoke_workload(workloads.WORKLOADS["desk-default"]), 1)
+    outcome = workloads.Outcome()
+    with Clock() as clock:
+        time.sleep(0.06)  # past the clock's first calibration tick, which measure needs
+        rounds = layers.run_pass(inputs, outcome, str(tmp_path), {}, clock, tracer)
+    counts = {name: len(spans) for name, spans in tracer.total_s.items()}
+    expected = layers.expected_calls(inputs, rounds)
+    assert {name: counts.get(name, 0) for name in expected} == expected
+    assert counts["optimizers.project_gradient"] > 0
+    assert outcome.failed == 0, outcome.failures
 
 
 def test_headless_task_reads_the_trunk_channels():
