@@ -19,7 +19,6 @@ from .network import (
     ParameterPartition,
     TaskSpec,
     build_model,
-    clone_model,
     load_checkpoint,
     partition_parameters,
     per_task_gradients,

@@ -4,7 +4,7 @@ Every value is a Tensor: a data array paired with a same-shape gradient
 array. An op output holds a gradient array only while a backward pass
 that needs it runs, so eval-only forwards allocate none. Operations are
 recorded on an explicit Tape; ``Tape.backward`` replays the recorded nodes
-in reverse order and accumulates exact gradients with ``+=``. Zeroing
+in reverse order and accumulates exact leaf gradients with ``+=``. Zeroing
 gradients between backward passes is the caller's responsibility.
 
 The operator set is exactly what training runs: conv2d, task-specific
@@ -12,8 +12,10 @@ batch norm, relu, mse / softmax cross-entropy, and ``scale``, which
 weights a task loss before its backward pass.
 
 A tape and the tensors on it belong to one execution context; never call
-into the same tape concurrently. Distinct tapes share no mutable state and
-may run fully in parallel.
+into the same tape concurrently. Distinct tapes over one model are not
+independent either: they accumulate into the same parameter ``.grad``
+arrays and update the same batch-norm running statistics, so run them one
+at a time.
 """
 from __future__ import annotations
 
@@ -180,13 +182,14 @@ class Tape:
         The input-side backward puts each output gradient at its window's
         corner on the padded input grid, zeros elsewhere, and multiplies
         once. Window (i, j) is then a flat shift by ``i*W_pad + j`` of that
-        product, and the k*k shifted rows are added into the gradient in
-        (i, j) order, as a per-window scatter adds them. The product's extra
-        columns are exact zeros, and a sum that starts from +0.0 never
-        becomes -0.0, so the two agree bit for bit wherever the BLAS rounds
-        a column alike in the two product shapes. It may not for a
-        one-column product or at the edge of a large one, where the results
-        can differ in the last bit.
+        product; the gradient starts as a copy of the shift-0 rows, and the
+        other shifted rows are added into it in (i, j) order, as a
+        per-window scatter adds them. The product's extra columns are exact
+        zeros, so the two agree in value, and in every bit once added into a
+        zeroed leaf gradient (the copy may keep a -0.0 that a sum from +0.0
+        would not), wherever the BLAS rounds a column alike in the two
+        product shapes. It may not for a one-column product or at the edge
+        of a large one, where the results can differ in the last bit.
         """
         xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
         if xd.ndim != 4:
@@ -240,7 +243,11 @@ class Tape:
 
         def backward(grad_out: np.ndarray):
             g2 = grad_out.transpose(1, 0, 2, 3).reshape(c_out, -1)
-            grad_w = (g2 @ cols.T).reshape(weight.shape)
+            # g2 @ cols.T with the long column axis as the product's rows:
+            # faster, and the same bits on one BLAS thread; a threaded BLAS
+            # may split the two shapes differently and round a large
+            # product differently in the last bit
+            grad_w = (cols @ g2.T).T.reshape(weight.shape)
             grad_x = None
             if isinstance(x, Tensor):
                 if pointwise:
@@ -252,11 +259,12 @@ class Tape:
                     shifted = (w2.T @ corners.reshape(c_out, -1)).reshape(c_in, k, k, -1)
                     del corners
                     size = n * hp * wp
-                    grad_xp = np.zeros((c_in, size))
+                    grad_xp = shifted[:, 0, 0].copy()
                     for i in range(k):
                         for j in range(k):
                             shift = i * wp + j
-                            grad_xp[:, shift:] += shifted[:, i, j, :size - shift]
+                            if shift:
+                                grad_xp[:, shift:] += shifted[:, i, j, :size - shift]
                 grad_x = grad_xp.reshape(c_in, n, hp, wp)[inner].transpose(1, 0, 2, 3)
             if bias is None:
                 return grad_x, grad_w
@@ -295,8 +303,10 @@ class Tape:
             # biased (population) variance, by the same operations as np.var
             var = (centred * centred).sum(axis=(0, 2, 3)) / m
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = centred * inv_std[None, :, None, None]
-            out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+            xhat = centred
+            xhat *= inv_std[None, :, None, None]
+            out = gamma.data[None, :, None, None] * xhat
+            out += beta.data[None, :, None, None]
             state.running_mean[...] = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mu
             state.running_var[...] = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
 
@@ -306,11 +316,13 @@ class Tape:
                 dxhat = grad_out * gamma.data[None, :, None, None]
                 sum_dxhat = dxhat.sum(axis=(0, 2, 3))
                 sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3))
-                dy = (inv_std[None, :, None, None] / m) * (
-                    m * dxhat
-                    - sum_dxhat[None, :, None, None]
-                    - xhat * sum_dxhat_xhat[None, :, None, None]
-                )
+                # (inv_std / m) * (m*dxhat - sum_dxhat - xhat*sum_dxhat_xhat),
+                # by the same operations in place on dxhat
+                dy = dxhat
+                dy *= m
+                dy -= sum_dxhat[None, :, None, None]
+                dy -= xhat * sum_dxhat_xhat[None, :, None, None]
+                dy *= inv_std[None, :, None, None] / m
                 return dy, dgamma, dbeta
 
         else:
@@ -334,12 +346,14 @@ class Tape:
         ``np.maximum`` may pass a -0.0 input through; adding +0.0 turns it
         into +0.0 and leaves every other value unchanged.
         """
-        mask = x.data > 0
         out = np.maximum(x.data, 0.0)
         out += 0.0
 
         def backward(grad_out: np.ndarray):
-            return (grad_out * mask,)
+            # a fresh product, not one in place on grad_out: when grad_out is
+            # conv2d's strided grad_x view, batch norm's backward reads the
+            # compact product about twice as fast
+            return (grad_out * (x.data > 0),)
 
         return self._record("relu", (x,), out, backward)
 
@@ -377,10 +391,11 @@ class Tape:
             raise LabelError(f"cross_entropy: label out of range [0, {num_classes})")
 
         z = logits.data
-        zmax = z.max(axis=1, keepdims=True)
-        ez = np.exp(z - zmax)
-        softmax = ez / ez.sum(axis=1, keepdims=True)
-        logp = (z - zmax) - np.log(ez.sum(axis=1, keepdims=True))
+        logp = z - z.max(axis=1, keepdims=True)
+        softmax = np.exp(logp)
+        total = softmax.sum(axis=1, keepdims=True)
+        softmax /= total
+        logp -= np.log(total)
         onehot = np.moveaxis(np.eye(num_classes)[labels], -1, 1)
         count = labels.size
         out = np.asarray(-(onehot * logp).sum() / count)
@@ -410,10 +425,20 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(tensor) into .grad for every tensor feeding loss.
 
-        Parameters (leaf tensors) accumulate with +=. A needed node output
-        gets a zero gradient at its first contribution and drops it once its
-        own rule has run, so one forward pass can serve several backward
-        passes and intermediate gradients never outlive the call.
+        Leaves (parameters, and outputs of other tapes) accumulate with +=
+        into their gradient array, zero-filled first if they have none. A
+        needed output of this tape adopts the first gradient array a
+        consumer's rule returns and adds later ones into it; it drops the
+        gradient once its own rule has run, so one forward pass can serve
+        several backward passes and intermediate gradients never outlive
+        the call.
+
+        Adoption relies on a contract every backward rule keeps: it returns
+        arrays that no other input or node holds, so adding into one
+        changes nothing else. An adopted gradient can hold -0.0 where a
+        zero-filled sum holds +0.0; every op's rule gives equal values from
+        equal inputs, and a leaf's ``+=`` into zeros turns -0.0 into +0.0,
+        so leaf gradients keep every bit.
         """
         if loss.size != 1:
             raise TapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -446,12 +471,16 @@ class Tape:
             # gradient reuse the block
             node.output.grad = None
             for t, g in zip(node.inputs, grads_in):
-                if g is not None:
+                if g is None:
+                    continue
+                if id(t) not in self._producer:
+                    leaves.setdefault(id(t), (node.op, t))
                     if t.grad is None:
                         t.grad = np.zeros_like(t.data)
-                    t.grad += g
-                    if id(t) not in self._producer:
-                        leaves.setdefault(id(t), (node.op, t))
+                elif t.grad is None:
+                    t.grad = g
+                    continue
+                t.grad += g
 
         # Forward outputs were checked in _record, and a non-finite
         # intermediate gradient flows on into some leaf, so one check per

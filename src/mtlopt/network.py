@@ -361,8 +361,3 @@ def load_checkpoint(path: str) -> Model:
         model = _load_state(build_model(spec, seed=0), data)
     model.zero_grad()
     return model
-
-
-def clone_model(model: Model) -> Model:
-    """Deep copy of the parameters and running statistics."""
-    return _load_state(build_model(model.spec, seed=0), _state_arrays(model))

@@ -317,6 +317,12 @@ def test_op_outputs_hold_gradients_only_inside_backward():
     other = Tape()  # an output of another tape is a leaf here
     other.backward(other.mse_loss(hidden, np.zeros(2)))
     np.testing.assert_array_equal(hidden.grad, [1.5, 0.0])
+    # A leaf's gradient is summed from +0.0, so the -0.0 that relu's rule
+    # gives a non-positive input under a negative gradient lands as +0.0.
+    late = tape.relu(theta)
+    assert late.grad is None
+    other.backward(other.mse_loss(other.relu(late), np.array([2.0, 1.0])))
+    assert late.grad.tobytes() == np.array([-0.5, 0.0]).tobytes()
 
 
 def test_cross_entropy_uniform_logits():
@@ -503,6 +509,35 @@ def test_gradcheck_relu_and_scale():
         return tape.mse_loss(tape.scale(tape.relu(x), -1.7), Tensor(target))
 
     _fd_check(build, [x])
+
+
+def _two_consumer_loss(tape, x, w, b):
+    # the conv output feeds both relu and scale, so its gradient is adopted
+    # from one rule and the other is added into it
+    h = tape.conv2d(x, w, b, padding=1)
+    return tape.mse_loss(tape.relu(h), tape.scale(h, 0.3))
+
+
+def _two_consumer_params(seed):
+    rng = np.random.default_rng(seed)
+    return (Tensor(rng.normal(size=(2, 2, 4, 4))), Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5),
+            Tensor(rng.normal(size=3) * 0.1))
+
+
+def test_gradcheck_output_with_two_consumers():
+    params = _two_consumer_params(37)
+    _fd_check(lambda tape: _two_consumer_loss(tape, *params), params)
+
+
+def test_second_backward_on_a_tape_doubles_the_first():
+    params = _two_consumer_params(41)
+    tape = Tape()
+    loss = _two_consumer_loss(tape, *params)
+    tape.backward(loss)
+    first = [p.grad.copy() for p in params]
+    tape.backward(loss)
+    for p, g in zip(params, first):
+        _assert_same_bits(p.grad, 2.0 * g)
 
 
 # Runs in a fresh interpreter, so glibc starts from its default thresholds

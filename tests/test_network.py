@@ -11,7 +11,6 @@ from mtlopt.network import (
     ModelSpec,
     TaskSpec,
     build_model,
-    clone_model,
     load_checkpoint,
     partition_parameters,
     per_task_gradients,
@@ -246,11 +245,3 @@ def test_checkpoint_with_unknown_layer_field_fails(tmp_path):
     np.savez(path, **arrays)
     with pytest.raises(ConfigError, match=r"trunk\[0\]: unknown field 'stride'"):
         load_checkpoint(path)
-
-
-def test_clone_is_independent():
-    model = build_model(two_task_spec(), seed=35)
-    twin = clone_model(model)
-    before = twin.trunk[0].weight.data.copy()
-    model.trunk[0].weight.data[...] = 0.0
-    assert np.array_equal(twin.trunk[0].weight.data, before)

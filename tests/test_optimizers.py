@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from mtlopt.network import (
     ModelSpec,
     TaskSpec,
     build_model,
-    clone_model,
     partition_parameters,
     per_task_gradients,
 )
@@ -169,7 +170,7 @@ def test_phase1_single_task_equals_gd():
     batch = Batch(x=np.random.default_rng(5).normal(size=(2, 2, 4, 4)),
                   targets={1: np.random.default_rng(6).normal(size=(2, 1, 4, 4))})
     a = build_model(spec, seed=9)
-    b = clone_model(a)
+    b = copy.deepcopy(a)
     MtlOptimizer(a, OptimizerConfig(lr=0.05)).phase1_step(batch, {1: 1.0})
     MtlOptimizer(b, OptimizerConfig(lr=0.05)).gd_step(batch, {1: 1.0})
     for (n, pa), (_, pb) in zip(sorted(a.named_parameters().items()),
@@ -298,7 +299,7 @@ def test_phase2_matches_brute_force_oracle():
             model = build_model(conv_task_spec(num_tasks), seed=seed)
             batch = conv_batch(seed + 100, num_tasks=num_tasks)
             snapshot = model_strength_snapshot(model)
-            reference = clone_model(model)
+            reference = copy.deepcopy(model)
             expected, conflicts, projections = brute_force_phase2(
                 reference, batch, weights, snapshot, order, lr=0.05)
 
@@ -337,7 +338,7 @@ def test_phase2_without_conflicts_equals_gd():
     a = build_model(spec, seed=13)
     # the two heads must match for the task gradients to align exactly
     a.heads[2][0].weight.data[...] = a.heads[1][0].weight.data
-    b = clone_model(a)
+    b = copy.deepcopy(a)
     snapshot = model_strength_snapshot(a)
     ra = MtlOptimizer(a, OptimizerConfig(lr=0.05)).phase2_step(batch, {1: 0.5, 2: 0.5}, snapshot)
     MtlOptimizer(b, OptimizerConfig(method="gd", lr=0.05)).gd_step(batch, {1: 0.5, 2: 0.5})
@@ -350,7 +351,7 @@ def test_phase2_without_conflicts_equals_gd():
 
 def test_phase2_zero_reference_guard_passthrough():
     model = build_model(conv_task_spec(), seed=3)
-    plain = clone_model(model)
+    plain = copy.deepcopy(model)
     opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
     # weight 0 for task 1 zeroes its gradients; groups owned by task 1 must
     # leave task 2's block gradients untouched
@@ -395,7 +396,7 @@ def test_pcgrad_two_task_hand_check():
 def test_pcgrad_matches_manual_projection_sum():
     weights = {1: 0.6, 2: 0.4}
     model = build_model(conv_task_spec(), seed=41)
-    reference = clone_model(model)
+    reference = copy.deepcopy(model)
     grads = {}
     for tid in (1, 2):
         _, gs, _ = per_task_gradients(reference, conv_batch(8), tid, loss_weight=weights[tid])
@@ -430,7 +431,7 @@ def test_pcgrad_no_conflict_equals_gd():
     batch = Batch(x=x, targets={1: y, 2: y.copy()})
     a = build_model(spec, seed=14)
     a.heads[2][0].weight.data[...] = a.heads[1][0].weight.data
-    b = clone_model(a)
+    b = copy.deepcopy(a)
     MtlOptimizer(a, OptimizerConfig(method="pcgrad", lr=0.05)).pcgrad_step(
         batch, {1: 0.5, 2: 0.5})
     MtlOptimizer(b, OptimizerConfig(method="gd", lr=0.05)).gd_step(batch, {1: 0.5, 2: 0.5})

@@ -1,14 +1,23 @@
 """Pin the bytes of the deterministic output files for a small run matrix.
 
 Every method under every loss-scaling scheme, plus adam with uncertainty,
-runs 3 epochs of 3 steps on the default shapes. The sha256 of each run's
-metrics.csv, run_log.jsonl and strength.jsonl must equal the values in
-``output_bytes.json``. A change that moves output bits on purpose replaces
-that file with the JSON the failure message prints.
+runs 3 epochs of 3 steps on the default shapes. One more run puts a
+16-channel trunk of two 3x3 convs on batch 5 of 13x13 images: 845 output
+pixels, not a multiple of 8, so the conv products have BLAS edge columns.
+The sha256 of each run's metrics.csv, run_log.jsonl and strength.jsonl must
+equal the values in ``output_bytes.json``. A change that moves output bits
+on purpose replaces that file with the JSON the failure message prints.
+
+The matrix runs in a child process with one BLAS thread: a threaded
+OpenBLAS splits a product above its threading threshold by thread count,
+so the wide run's bits would otherwise depend on the machine's core count.
 """
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +26,16 @@ from mtlopt.runner import METRICS_FILE, RUN_LOG_FILE, STRENGTH_FILE, run_experim
 
 PIN_FILE = os.path.join(os.path.dirname(__file__), "output_bytes.json")
 PINNED_FILES = (METRICS_FILE, RUN_LOG_FILE, STRENGTH_FILE)
+WIDE_ODD_MODEL = {
+    "trunk": [{"in_channels": 3, "out_channels": 16, "kernel_size": 3},
+              {"in_channels": 16, "out_channels": 16, "kernel_size": 3}],
+    "heads": {"1": [{"in_channels": 16, "out_channels": 8, "kernel_size": 1},
+                    {"in_channels": 8, "out_channels": 4, "kernel_size": 1}],
+              "2": [{"in_channels": 16, "out_channels": 8, "kernel_size": 1},
+                    {"in_channels": 8, "out_channels": 1, "kernel_size": 1}]},
+    "tasks": [{"id": 1, "loss": "cross_entropy", "weight": 1.0},
+              {"id": 2, "loss": "mse", "weight": 1.0}],
+}
 SCHEMES = {
     "equal": {"scheme": "equal"},
     "manual": {"scheme": "manual", "manual_ratios": [1.0, 0.5]},
@@ -32,6 +51,8 @@ def _run_matrix() -> dict[str, dict]:
                                      "update_rule": {"kind": "adam", "beta1": 0.9,
                                                      "beta2": 0.999, "eps": 1e-8},
                                      "lr": 0.01}
+    runs["ours-equal-wide-odd"] = {"method": "ours", "model": WIDE_ODD_MODEL,
+                                   "data": {"batch_size": 5, "height": 13, "width": 13}}
     return runs
 
 
@@ -57,7 +78,11 @@ def _hashes(tmp_path) -> dict[str, dict[str, str]]:
 def test_output_bytes_match_pin(tmp_path):
     with open(PIN_FILE) as fh:
         pinned = json.load(fh)
-    current = {**_environment(), "runs": _hashes(tmp_path)}
+    one_thread = {key: "1" for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, __file__, str(tmp_path)], capture_output=True,
+                          text=True, env={**os.environ, **one_thread})
+    assert proc.returncode == 0, proc.stderr
+    current = json.loads(proc.stdout)
     if current["runs"] != pinned["runs"]:
         moved = sorted(name for name in current["runs"]
                        if current["runs"][name] != pinned["runs"].get(name))
@@ -67,3 +92,7 @@ def test_output_bytes_match_pin(tmp_path):
             f"now numpy {current['numpy']}, {current['blas']}\n"
             f"if the change is intended, replace {PIN_FILE} with:\n"
             + json.dumps(current, indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    print(json.dumps({**_environment(), "runs": _hashes(Path(sys.argv[1]))}))
