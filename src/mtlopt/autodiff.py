@@ -61,8 +61,8 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     # 32 MiB is glibc's documented upper limit for the mmap threshold on
     # 64-bit systems, and above the largest per-pass temporary (conv2d's
-    # 6 MB input-gradient product on a 16-channel, 16x16, batch-16 trunk,
-    # one column per padded pixel). The 1 GiB trim threshold keeps the
+    # 4.7 MB forward column matrix on a 16-channel, 16x16, batch-16 trunk,
+    # one column per output pixel). The 1 GiB trim threshold keeps the
     # freed heap top for the next pass.
     mallopt(_M_MMAP_THRESHOLD, 32 * 1024 * 1024)
     mallopt(_M_TRIM_THRESHOLD, 1024 * 1024 * 1024)
@@ -180,16 +180,18 @@ class Tape:
         no padding or window copy.
 
         The input-side backward puts each output gradient at its window's
-        corner on the padded input grid, zeros elsewhere, and multiplies
-        once. Window (i, j) is then a flat shift by ``i*W_pad + j`` of that
-        product; the gradient starts as a copy of the shift-0 rows, and the
-        other shifted rows are added into it in (i, j) order, as a
-        per-window scatter adds them. The product's extra columns are exact
-        zeros, so the two agree in value, and in every bit once added into a
-        zeroed leaf gradient (the copy may keep a -0.0 that a sum from +0.0
-        would not), wherever the BLAS rounds a column alike in the two
-        product shapes. It may not for a one-column product or at the edge
-        of a large one, where the results can differ in the last bit.
+        corner on the padded input grid, zeros elsewhere, and multiplies it
+        by one ``(C_in, C_out)`` weight block per kernel offset, so no
+        temporary is larger than the padded input. Offset (i, j)'s product
+        is a flat shift by ``i*W_pad + j`` of the gradient it adds; the
+        gradient starts as the offset-(0, 0) product, and the others are
+        added into it in (i, j) order, as a per-window scatter adds them.
+        The products' extra columns are exact zeros, so the two agree in
+        value, and in every bit once added into a zeroed leaf gradient (the
+        offset-(0, 0) product may keep a -0.0 that a sum from +0.0 would
+        not), wherever the BLAS rounds a column alike in the two product
+        shapes. It may not for a one-column product or at the edge of a
+        large one, where the results can differ in the last bit.
         """
         xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
         if xd.ndim != 4:
@@ -256,15 +258,18 @@ class Tape:
                     corners = np.zeros((c_out, n, hp, wp))
                     corners[:, :, :stride * h_out:stride, :stride * w_out:stride] = \
                         grad_out.transpose(1, 0, 2, 3)
-                    shifted = (w2.T @ corners.reshape(c_out, -1)).reshape(c_in, k, k, -1)
-                    del corners
+                    corners = corners.reshape(c_out, -1)
+                    # w2.T's rows for offset (i, j), as one contiguous
+                    # (c_in, c_out) block per offset
+                    blocks = np.ascontiguousarray(
+                        w2.T.reshape(c_in, k, k, c_out).transpose(1, 2, 0, 3))
                     size = n * hp * wp
-                    grad_xp = shifted[:, 0, 0].copy()
+                    grad_xp = blocks[0, 0] @ corners
                     for i in range(k):
                         for j in range(k):
                             shift = i * wp + j
                             if shift:
-                                grad_xp[:, shift:] += shifted[:, i, j, :size - shift]
+                                grad_xp[:, shift:] += (blocks[i, j] @ corners)[:, :size - shift]
                 grad_x = grad_xp.reshape(c_in, n, hp, wp)[inner].transpose(1, 0, 2, 3)
             if bias is None:
                 return grad_x, grad_w
@@ -329,8 +334,10 @@ class Tape:
             if np.any(state.running_var < 0):
                 raise StateError("batchnorm: running variance is negative (corrupt state)")
             inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
-            xhat = (y.data - state.running_mean[None, :, None, None]) * inv_std[None, :, None, None]
-            out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+            xhat = y.data - state.running_mean[None, :, None, None]
+            xhat *= inv_std[None, :, None, None]
+            out = gamma.data[None, :, None, None] * xhat
+            out += beta.data[None, :, None, None]
 
             def backward(grad_out: np.ndarray):
                 dgamma = (grad_out * xhat).sum(axis=(0, 2, 3))
@@ -425,13 +432,17 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(tensor) into .grad for every tensor feeding loss.
 
-        Leaves (parameters, and outputs of other tapes) accumulate with +=
-        into their gradient array, zero-filled first if they have none. A
-        needed output of this tape adopts the first gradient array a
-        consumer's rule returns and adds later ones into it; it drops the
-        gradient once its own rule has run, so one forward pass can serve
-        several backward passes and intermediate gradients never outlive
-        the call.
+        One sweep walks this tape's nodes from the loss back to the first.
+        It first drops the gradient of every output recorded up to the
+        loss, whether the loss depends on it or not; so an output of this
+        tape that another tape used as a leaf loses the gradient that tape
+        gave it. Leaves (parameters, and outputs of other tapes) accumulate
+        with += into their gradient array, zero-filled first if they have
+        none. An output of this tape that feeds the loss adopts the first
+        gradient array a consumer's rule returns and adds later ones into
+        it; it drops the gradient once its own rule has run, so one forward
+        pass can serve several backward passes and intermediate gradients
+        never outlive the call.
 
         Adoption relies on a contract every backward rule keeps: it returns
         arrays that no other input or node holds, so adding into one
@@ -446,25 +457,17 @@ class Tape:
         if start is None:
             raise TapeError("backward: loss was not produced on this tape")
 
-        needed: set[int] = set()
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            if i in needed:
-                continue
-            needed.add(i)
-            for t in self._nodes[i].inputs:
-                j = self._producer.get(id(t))
-                if j is not None:
-                    stack.append(j)
-
-        for i in needed:
-            self._nodes[i].output.grad = None
+        nodes = self._nodes[:start + 1]
+        for node in nodes:
+            node.output.grad = None
         loss.grad = np.ones_like(loss.data)
 
         leaves: dict[int, tuple[str, Tensor]] = {}  # id -> (consuming op, leaf)
-        for i in sorted(needed, reverse=True):
-            node = self._nodes[i]
+        for node in reversed(nodes):
+            if node.output.grad is None:
+                # rules return None only for constants, so an output that
+                # got no gradient does not feed the loss
+                continue
             grads_in = node.backward(node.output.grad)
             # every consumer of this output ran before it, so its gradient is
             # complete and read no more; freeing it lets a later input

@@ -428,6 +428,25 @@ def _metric_columns(task_ids) -> list[str]:
     return cols
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def numeric_environment() -> dict:
+    """numpy's version, its BLAS and the thread settings of this process.
+
+    A product large enough for the BLAS to split over threads can round
+    differently in the last bit on another thread count, so a run's output
+    bytes depend on these; None marks a variable that is not set.
+    """
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {key: os.environ.get(key) for key in BLAS_THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def write_report(report: RunReport, out_dir: str) -> dict[str, str]:
     """Emit metrics.csv, run_log.jsonl, strength.jsonl, and summary.json."""
     os.makedirs(out_dir, exist_ok=True)
@@ -475,6 +494,7 @@ def write_report(report: RunReport, out_dir: str) -> dict[str, str]:
                                    for r in finished},
         "mean_final_delta_m": report.mean_final_delta_m(),
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "numerics": numeric_environment(),
     }
     paths["summary"] = os.path.join(out_dir, SUMMARY_FILE)
     with open(paths["summary"], "w") as fh:

@@ -92,31 +92,58 @@ class SyntheticMtlDataset:
         denom = np.array([2 * float(s) ** 2 for s in (0.15 + (0.35 - 0.15) * draws[..., 2]).flat]
                          ).reshape(cx.shape)
 
-        fields = np.zeros((n, 2, h, w))
-        for b in range(cfg.bumps):
-            dx2 = (self._xs - cx[:, :, b, None, None]) ** 2
-            dy2 = (self._ys[:, None] - cy[:, :, b, None, None]) ** 2
-            bump = -(dx2 + dy2) / denom[:, :, b, None, None]
-            np.exp(bump, out=bump)
-            bump *= amp[:, :, b, None, None]
-            fields += bump
-        # reduce over one flat H*W axis so the summation order, and hence
-        # every byte, matches a reduction over one image's 2-D field
-        flat = fields.reshape(n, 2, h * w)
-        centred = flat - flat.mean(axis=-1, keepdims=True)
-        scale = centred.std(axis=-1, keepdims=True)
+        # every bump at once, then summed in bump order as a loop over them
+        # would sum them
+        dx2 = (self._xs - cx[..., None, None]) ** 2
+        dy2 = (self._ys[:, None] - cy[..., None, None]) ** 2
+        bumps = -(dx2 + dy2) / denom[..., None, None]
+        np.exp(bumps, out=bumps)
+        bumps *= amp[..., None, None]
+        fields = bumps[:, :, 0].copy()
+        for b in range(1, cfg.bumps):
+            fields += bumps[:, :, b]
+        # centre and scale each latent over one flat H*W axis by the steps
+        # of np.mean and np.std, so every byte matches those calls on one
+        # image's 2-D field
+        m = h * w
+        flat = fields.reshape(n, 2, m)
+        centred = flat - flat.sum(axis=-1, keepdims=True) / m
+        dev = centred - centred.sum(axis=-1, keepdims=True) / m
+        dev *= dev
+        scale = np.sqrt(dev.sum(axis=-1, keepdims=True) / m)
         fields = (centred / np.where(scale > 0, scale, 1.0)).reshape(n, 2, h, w)
         z1, z2 = fields[:, 0], fields[:, 1]
 
         # two latent fields: segmentation reads the first, regression mixes
         # both, so the tasks share structure but compete for features
-        feats = np.stack([z1, z2, (z1 + z2) / np.sqrt(2.0)], axis=1)
-        x = feats[:, [c % 3 for c in range(cfg.channels)]] + cfg.noise * noise
-        edges = np.quantile(z1.reshape(n, h * w),
-                            np.linspace(0.0, 1.0, cfg.num_classes + 1)[1:-1], axis=1)
+        feats = (z1, z2, (z1 + z2) / np.sqrt(2.0))
+        x = noise
+        x *= cfg.noise
+        for c in range(cfg.channels):
+            x[:, c] += feats[c % 3]
+        edges = _class_edges(z1.reshape(n, m), cfg.num_classes)
         # the number of an image's edges at or below a pixel is its class, as
         # np.digitize counts it; summing over a leading edge axis adds whole
         # images, where a trailing one would reduce a few elements per pixel
         seg = (z1 >= edges[:, :, None, None]).sum(axis=0)
         depth = np.tanh(cfg.depth_mix[0] * z1 + cfg.depth_mix[1] * z2)[:, None]
         return Batch(x=x, targets={SEG_TASK: seg, DEPTH_TASK: depth})
+
+
+def _class_edges(values: np.ndarray, num_classes: int) -> np.ndarray:
+    """Each row's inner ``num_classes``-quantiles, shape ``(num_classes - 1, rows)``.
+
+    The same values as ``np.quantile(values, q, axis=1)`` with the default
+    linear method and ``q`` the inner points of ``linspace(0, 1,
+    num_classes + 1)``, by numpy's arithmetic on one sort of each row.
+    """
+    m = values.shape[1]
+    ordered = np.sort(values, axis=1)
+    virtual = (m - 1) * np.linspace(0.0, 1.0, num_classes + 1)[1:-1]
+    below = np.floor(virtual)
+    gamma = (virtual - below)[:, None]
+    lo = below.astype(np.intp)
+    a = ordered[:, lo].T
+    b = ordered[:, np.minimum(lo + 1, m - 1)].T
+    d = b - a
+    return np.where(gamma >= 0.5, b - d * (1 - gamma), a + d * gamma)

@@ -2,6 +2,7 @@ import math
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -538,6 +539,40 @@ def test_second_backward_on_a_tape_doubles_the_first():
     tape.backward(loss)
     for p, g in zip(params, first):
         _assert_same_bits(p.grad, 2.0 * g)
+
+
+def test_backward_resets_every_output_up_to_the_loss():
+    p = Tensor(np.array([1.0, 2.0]))
+    tape = Tape()
+    unused = tape.scale(p, 3.0)
+    loss = tape.mse_loss(tape.scale(p, 2.0), np.zeros(2))
+    other = Tape()
+    other.backward(other.mse_loss(unused, np.zeros(2)))  # unused is a leaf there
+    assert unused.grad is not None
+    p.zero_grad()
+    tape.backward(loss)
+    # the loss does not depend on unused, but the sweep drops its gradient
+    assert unused.grad is None
+    _assert_same_bits(p.grad, np.array([4.0, 8.0]))
+
+
+def test_conv_backward_peak_stays_below_one_stacked_offset_product():
+    # the wide trunk's 16->16 3x3 conv: one (c_in*k*k, N*Hp*Wp) array would
+    # be 5.97 MB, and no temporary of the backward may come near it
+    rng = np.random.default_rng(43)
+    n, c, h, k = 16, 16, 16, 3
+    x = Tensor(rng.normal(size=(n, c, h, h)))
+    w = Tensor(rng.normal(size=(c, c, k, k)))
+    tape = Tape()
+    loss = tape.mse_loss(tape.conv2d(x, w, padding=1), np.zeros((n, c, h, h)))
+    stacked = c * k * k * n * (h + 2) * (h + 2) * 8
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stacked, f"backward peak {peak} B >= {stacked} B"
 
 
 # Runs in a fresh interpreter, so glibc starts from its default thresholds

@@ -19,10 +19,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from mtlopt.config import ExperimentConfig
-from mtlopt.runner import METRICS_FILE, RUN_LOG_FILE, STRENGTH_FILE, run_experiment, write_report
+from mtlopt.runner import (
+    BLAS_THREAD_VARIABLES,
+    METRICS_FILE,
+    RUN_LOG_FILE,
+    STRENGTH_FILE,
+    numeric_environment,
+    run_experiment,
+    write_report,
+)
 
 PIN_FILE = os.path.join(os.path.dirname(__file__), "output_bytes.json")
 PINNED_FILES = (METRICS_FILE, RUN_LOG_FILE, STRENGTH_FILE)
@@ -57,8 +63,8 @@ def _run_matrix() -> dict[str, dict]:
 
 
 def _environment() -> dict[str, str]:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+    env = numeric_environment()
+    return {"numpy": env["numpy"], "blas": f"{env['blas']['name']} {env['blas']['version']}"}
 
 
 def _hashes(tmp_path) -> dict[str, dict[str, str]]:
@@ -78,7 +84,7 @@ def _hashes(tmp_path) -> dict[str, dict[str, str]]:
 def test_output_bytes_match_pin(tmp_path):
     with open(PIN_FILE) as fh:
         pinned = json.load(fh)
-    one_thread = {key: "1" for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    one_thread = {key: "1" for key in BLAS_THREAD_VARIABLES}
     proc = subprocess.run([sys.executable, __file__, str(tmp_path)], capture_output=True,
                           text=True, env={**os.environ, **one_thread})
     assert proc.returncode == 0, proc.stderr

@@ -254,6 +254,26 @@ def test_empty_report_writes_valid_header(tmp_path):
     assert summary["status"] == "ok"
 
 
+def test_summary_names_numpy_blas_and_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    report = run_experiment(fast_config(epochs=1, steps_per_epoch=1))
+    write_report(report, str(tmp_path))
+    numerics = json.loads((tmp_path / "summary.json").read_text())["numerics"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert numerics == {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None},
+        "cpu_count": os.cpu_count(),
+    }
+    # the byte-compared files stay free of them
+    for name in ("metrics.csv", "run_log.jsonl", "strength.jsonl"):
+        text = (tmp_path / name).read_text()
+        assert "THREADS" not in text and np.__version__ not in text
+
+
 def test_phase_override_forces_single_phase():
     report = run_experiment(fast_config(epochs=3, method="ours", phase_override="phase2"))
     log = report.seed_results[0].log_rows

@@ -5,7 +5,7 @@ import pytest
 
 from mtlopt.errors import ConfigError
 from mtlopt.rng import substream
-from mtlopt.synthetic import DEPTH_TASK, SEG_TASK, SyntheticConfig, SyntheticMtlDataset
+from mtlopt.synthetic import DEPTH_TASK, SEG_TASK, SyntheticConfig, SyntheticMtlDataset, _class_edges
 
 
 def test_batch_shapes_match_config():
@@ -149,3 +149,17 @@ def test_train_batches_are_fresh_and_writable():
         arr[...] = 0
     assert a.x.tobytes() != b.x.tobytes()
     assert b.x.tobytes() == ds.batch(2).x.tobytes()
+
+
+@pytest.mark.parametrize("num_classes", range(2, 8))
+def test_class_edges_match_np_quantile(num_classes):
+    rng = np.random.default_rng(num_classes)
+    q = np.linspace(0.0, 1.0, num_classes + 1)[1:-1]
+    for values in (rng.normal(size=(3, 2)),                    # m = 2
+                   rng.integers(0, 3, size=(4, 9)) * 0.5,      # ties
+                   np.repeat(rng.normal(size=(2, 1)), 5, axis=1),
+                   rng.normal(size=(5, 144))):
+        got = _class_edges(values, num_classes)
+        want = np.quantile(values, q, axis=1)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
