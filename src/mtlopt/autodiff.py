@@ -26,7 +26,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    ConfigError,
     LabelError,
     NumericError,
     ShapeError,
@@ -169,15 +168,16 @@ class Tape:
     # operators
     # ------------------------------------------------------------------
 
-    def conv2d(self, x: Tensor | np.ndarray, weight: Tensor, bias: Tensor | None = None,
-               stride: int = 1, padding: int = 0) -> Tensor:
-        """2-d cross-correlation of NCHW input with an OIKK kernel.
+    def conv2d(self, x: Tensor | np.ndarray, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+        """Same-size 2-d cross-correlation of NCHW input with an OIKK kernel.
 
+        The kernel is square with an odd side k; the conv runs at stride 1
+        with zero padding ``k // 2``, so the output keeps the input's H x W.
         A plain array ``x`` is a constant: it gets no gradient. The input is
-        unfolded once into a ``(C_in*K*K, N*H_out*W_out)`` matrix, so forward
-        and both weight-side and input-side backward products are 2-d GEMMs.
-        A 1x1, stride-1 conv's matrix is the input's channel-major rows, with
-        no padding or window copy.
+        unfolded once into a ``(C_in*K*K, N*H*W)`` matrix, so forward and
+        both weight-side and input-side backward products are 2-d GEMMs. A
+        1x1 conv's matrix is the input's channel-major rows, with no padding
+        or window copy.
 
         The input-side backward puts each output gradient at its window's
         corner on the padded input grid, zeros elsewhere, and multiplies it
@@ -196,50 +196,37 @@ class Tape:
         xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
         if xd.ndim != 4:
             raise ShapeError(f"conv2d: input must be N x C x H x W, got shape {xd.shape}")
-        if weight.data.ndim != 4 or weight.shape[2] != weight.shape[3]:
-            raise ShapeError(f"conv2d: weight must be O x I x K x K, got shape {weight.shape}")
+        if weight.data.ndim != 4 or weight.shape[2] != weight.shape[3] or weight.shape[2] % 2 == 0:
+            raise ShapeError(
+                f"conv2d: weight must be O x I x K x K with odd K, got shape {weight.shape}")
         n, c_in, h, w = xd.shape
         c_out, c_in_w, k, _ = weight.shape
         if c_in != c_in_w:
             raise ShapeError(f"conv2d: input has {c_in} channels but weight expects {c_in_w}")
         if bias is not None and bias.shape != (c_out,):
             raise ShapeError(f"conv2d: bias must have shape ({c_out},), got {bias.shape}")
-        if stride < 1 or padding < 0:
-            raise ConfigError(f"conv2d: stride must be >= 1 and padding >= 0, got {stride}, {padding}")
-        if (h + 2 * padding - k) % stride != 0 or (w + 2 * padding - k) % stride != 0:
-            raise ConfigError(
-                f"conv2d: output extent is not an integer for input {h}x{w}, "
-                f"kernel {k}, stride {stride}, padding {padding}")
-        h_out = (h + 2 * padding - k) // stride + 1
-        w_out = (w + 2 * padding - k) // stride + 1
-        if h_out < 1 or w_out < 1:
-            raise ConfigError(f"conv2d: non-positive output extent {h_out}x{w_out}")
 
         # channel-major (C, N, H, W) layout keeps every slice copy contiguous
         # on the destination side and makes the column matrix a free reshape
-        hp, wp = h + 2 * padding, w + 2 * padding
-        inner = np.s_[:, :, padding:padding + h, padding:padding + w]
+        pad = k // 2
+        hp, wp = h + 2 * pad, w + 2 * pad
+        inner = np.s_[:, :, pad:pad + h, pad:pad + w]
         xc = xd.transpose(1, 0, 2, 3)
-        if padding:
+        if k == 1:
+            cols = xc.reshape(c_in, -1)
+        else:
             xp = np.zeros((c_in, n, hp, wp))
             xp[inner] = xc
-        else:
-            xp = xc
-        pointwise = k == 1 and stride == 1
-        if pointwise:
-            cols = xp.reshape(c_in, -1)
-        else:
-            cols = np.empty((c_in, k, k, n, h_out, w_out))
+            cols = np.empty((c_in, k, k, n, h, w))
             for i in range(k):
                 for j in range(k):
-                    cols[:, i, j] = xp[:, :, i:i + stride * h_out:stride,
-                                       j:j + stride * w_out:stride]
-            cols = cols.reshape(c_in * k * k, n * h_out * w_out)
+                    cols[:, i, j] = xp[:, :, i:i + h, j:j + w]
+            cols = cols.reshape(c_in * k * k, n * h * w)
         w2 = weight.data.reshape(c_out, -1)
         out2 = w2 @ cols
         if bias is not None:
             out2 += bias.data[:, None]
-        out = out2.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
+        out = out2.reshape(c_out, n, h, w).transpose(1, 0, 2, 3)
 
         inputs = (x, weight) if bias is None else (x, weight, bias)
 
@@ -252,12 +239,11 @@ class Tape:
             grad_w = (cols @ g2.T).T.reshape(weight.shape)
             grad_x = None
             if isinstance(x, Tensor):
-                if pointwise:
+                if k == 1:
                     grad_xp = w2.T @ g2
                 else:
                     corners = np.zeros((c_out, n, hp, wp))
-                    corners[:, :, :stride * h_out:stride, :stride * w_out:stride] = \
-                        grad_out.transpose(1, 0, 2, 3)
+                    corners[:, :, :h, :w] = grad_out.transpose(1, 0, 2, 3)
                     corners = corners.reshape(c_out, -1)
                     # w2.T's rows for offset (i, j), as one contiguous
                     # (c_in, c_out) block per offset

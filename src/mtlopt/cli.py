@@ -71,13 +71,22 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+def _criteria(text: str) -> set[int]:
+    """``--criteria``'s value: comma-separated criterion numbers, each 1 to 10."""
+    try:
+        selected = {int(c) for c in text.split(",")}
+    except ValueError:
+        selected = set()
+    if not selected or not selected <= set(range(1, 11)):
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: expected comma-separated criterion numbers from 1 to 10")
+    return selected
+
+
 def cmd_verify(args) -> int:
     from .verification import run_all
 
-    selected = None
-    if args.criteria:
-        selected = {int(c) for c in args.criteria.split(",")}
-    results = run_all(fast=args.fast, selected=selected)
+    results = run_all(fast=args.fast, selected=args.criteria)
     failed = [r for r in results if not r.passed]
     return 1 if failed else 0
 
@@ -156,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the oracle/acceptance suite")
     p_verify.add_argument("--fast", action="store_true",
                           help="reduced sample counts (smoke test)")
-    p_verify.add_argument("--criteria", help="comma-separated criterion numbers, e.g. 1,4,6")
+    p_verify.add_argument("--criteria", type=_criteria,
+                          help="comma-separated criterion numbers (1-10), e.g. 1,4,6")
     p_verify.set_defaults(func=cmd_verify)
 
     p_report = sub.add_parser("report", help="aggregate a run directory's metrics")

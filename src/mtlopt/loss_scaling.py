@@ -13,7 +13,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ConfigError
 
 SCHEMES = ("equal", "manual", "uncertainty", "dwa")
@@ -40,14 +39,15 @@ def static_weights(mode: str, K: int, ratios: Sequence[float] | None = None) -> 
 
 @dataclass
 class UncertaintyState:
-    """Per-task log-variance parameters rho = log(sigma^2).
+    """Per-task log-variance parameters rho = log(sigma^2), each a 0-d float64
+    array updated in place.
 
     Parameterizing through rho keeps sigma^2 = exp(rho) positive without
     constraints. Regression losses scale by 1/(2 sigma^2), classification
     losses by 1/sigma^2; both add log(sigma) = rho/2.
     """
 
-    rho: dict[int, Tensor]
+    rho: dict[int, np.ndarray]
     kinds: dict[int, str]
 
     @classmethod
@@ -55,24 +55,24 @@ class UncertaintyState:
         for tid, kind in kinds.items():
             if kind not in (TASK_KIND_REGRESSION, TASK_KIND_CLASSIFICATION):
                 raise ConfigError(f"task {tid}: unknown kind {kind!r}")
-        return cls(rho={tid: Tensor(0.0) for tid in kinds}, kinds=dict(kinds))
+        return cls(rho={tid: np.zeros(()) for tid in kinds}, kinds=dict(kinds))
 
     def coefficient(self, task: int) -> float:
         return 0.5 if self.kinds[task] == TASK_KIND_REGRESSION else 1.0
 
     def loss_weight(self, task: int) -> float:
         """The effective multiplier on the raw task loss, c / sigma^2."""
-        return self.coefficient(task) * float(np.exp(-self.rho[task].data))
+        return self.coefficient(task) * float(np.exp(-self.rho[task]))
 
     def rho_gradient(self, raw_losses: Mapping[int, float]) -> dict[int, float]:
         """d/d(rho) of the objective  sum_i  c_i * L_i * exp(-rho_i) + rho_i / 2."""
-        return {tid: -self.coefficient(tid) * raw_losses[tid] * float(np.exp(-rho.data)) + 0.5
+        return {tid: -self.coefficient(tid) * raw_losses[tid] * float(np.exp(-rho)) + 0.5
                 for tid, rho in self.rho.items()}
 
     def sgd_update(self, raw_losses: Mapping[int, float], lr: float) -> None:
         """One plain-SGD step on each rho."""
         for tid, grad in self.rho_gradient(raw_losses).items():
-            self.rho[tid].data -= lr * grad
+            self.rho[tid] -= lr * grad
 
 
 @dataclass

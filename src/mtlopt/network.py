@@ -214,14 +214,14 @@ class Model:
             raise ConfigError(f"forward: unknown task {task}")
         h = x  # a plain array stays a constant: no gradient for the images
         for layer in self.trunk:
-            h = tape.conv2d(h, layer.weight, layer.bias, padding=layer.spec.kernel_size // 2)
+            h = tape.conv2d(h, layer.weight, layer.bias)
             if layer.bn:
                 h = tape.task_batchnorm(h, layer.bn, task, mode=mode)
             if layer.spec.activation:
                 h = tape.relu(h)
         head = self.heads.get(task, [])
         for i, layer in enumerate(head):
-            h = tape.conv2d(h, layer.weight, layer.bias, padding=layer.spec.kernel_size // 2)
+            h = tape.conv2d(h, layer.weight, layer.bias)
             if i < len(head) - 1 and layer.spec.activation:
                 h = tape.relu(h)
         return h

@@ -127,7 +127,6 @@ def make_conflicting_quadratic(dim: int, K: int, seed: int, conflict: float = 1.
                                task_dim: int | None = None,
                                max_tries: int = 64) -> QuadraticProblem:
     """A generated problem whose tasks conflict at the zero start point."""
-    theta0 = None
     for attempt in range(max_tries):
         problem = make_quadratic_problem(dim, K, conflict, seed + 1_000_003 * attempt, task_dim)
         theta0 = np.zeros(problem.dim)
@@ -261,7 +260,6 @@ def _priority_owners(shared_grads: np.ndarray, weights: np.ndarray, eta: float,
 @dataclass
 class ProbeResult:
     functional_trace: np.ndarray      # sum_k w_k^2 ||g_k||^2 over shared coords, per iter
-    min_prefix: np.ndarray
     fitted_exponent: float
     converged_iteration: int | None   # first iteration with functional < target
     eta_warning: str | None = None
@@ -343,5 +341,4 @@ def convergence_probe(problem: QuadraticProblem, method: str, eta: float,
         theta += step @ grads
 
     trace_arr = np.asarray(trace)
-    return ProbeResult(trace_arr, np.minimum.accumulate(trace_arr),
-                       fit_decay_exponent(trace_arr), converged_at, warning)
+    return ProbeResult(trace_arr, fit_decay_exponent(trace_arr), converged_at, warning)

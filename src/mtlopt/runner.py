@@ -190,11 +190,16 @@ def _remap(batch: Batch, target_map: Mapping[int, int] | None) -> Batch:
 def load_baseline_metric_spec(path: str) -> MetricSpec:
     if not os.path.exists(path):
         raise ConfigError(f"baselines file not found: {path} (run the baseline subcommand)")
-    with open(path) as fh:
-        data = json.load(fh)
-    per_task = {int(tid): TaskMetricSpec(entry["metric"], entry["lower_is_better"],
-                                         entry["baseline"])
-                for tid, entry in data["tasks"].items()}
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        per_task = {int(tid): TaskMetricSpec(entry["metric"], entry["lower_is_better"],
+                                             float(entry["baseline"]))
+                    for tid, entry in data["tasks"].items()}
+    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+        # ValueError covers a file that is not JSON
+        raise ConfigError(f"baselines file {path}: not the JSON the baseline subcommand "
+                          f"writes ({type(exc).__name__}: {exc})") from exc
     spec = MetricSpec(per_task)
     spec.validate()
     return spec

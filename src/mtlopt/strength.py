@@ -41,11 +41,7 @@ def normalized_strength(raw: np.ndarray) -> np.ndarray:
     if np.any(raw < 0):
         raise ShapeError("normalized_strength: raw strengths must be nonnegative")
     sums = raw.sum(axis=1, keepdims=True)
-    out = np.empty_like(raw)
-    n = raw.shape[1]
-    for r in range(raw.shape[0]):
-        out[r] = raw[r] / sums[r] if sums[r] > 0 else 1.0 / n
-    return out
+    return np.divide(raw, sums, out=np.full_like(raw, 1.0 / raw.shape[1]), where=sums > 0)
 
 
 def build_channel_groups(norm: np.ndarray, task_ids: tuple[int, ...]) -> dict[int, tuple[int, ...]]:

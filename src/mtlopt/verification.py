@@ -73,21 +73,16 @@ def _gradcheck_case(rng: np.random.Generator, op: str) -> float:
 
     if op == "conv2d":
         n, ci, co = rng.integers(1, 3), rng.integers(1, 3), rng.integers(1, 3)
-        k = int(rng.choice([1, 2, 3]))
-        h = int(rng.integers(k, k + 3))
-        stride = int(rng.choice([1, 2]))
-        pad = int(rng.integers(0, 2))
-        while (h + 2 * pad - k) % stride != 0:
-            h += 1
+        k = int(rng.choice([1, 3]))
+        h = int(rng.integers(1, k + 3))  # some images smaller than the kernel
         x = Tensor(rng.normal(size=(n, ci, h, h)))
         w = Tensor(rng.normal(size=(co, ci, k, k)))
         b = Tensor(rng.normal(size=co) * 0.2)
-        ho = (h + 2 * pad - k) // stride + 1
-        t = rng.normal(size=(n, co, ho, ho))
+        t = rng.normal(size=(n, co, h, h))
         params = [x, w, b]
 
         def build(tape: Tape) -> Tensor:
-            return tape.mse_loss(tape.conv2d(x, w, b, stride=stride, padding=pad), Tensor(t))
+            return tape.mse_loss(tape.conv2d(x, w, b), Tensor(t))
 
     elif op in ("batchnorm_train", "batchnorm_eval"):
         c = int(rng.integers(1, 4))
@@ -437,7 +432,7 @@ def check_loss_scaling(fd_draws: int = 100, dwa_epochs: int = 200) -> CheckResul
         for _ in range(fd_draws):
             kind = "regression" if rng.random() < 0.5 else "classification"
             ustate = UncertaintyState.create({1: kind})
-            rho = ustate.rho[1].data
+            rho = ustate.rho[1]
             rho[...] = rng.normal()
             loss_value = float(rng.uniform(0.01, 10.0))
             c = 0.5 if kind == "regression" else 1.0

@@ -9,7 +9,6 @@ import pytest
 
 from mtlopt.autodiff import BatchNormState, Tape, Tensor
 from mtlopt.errors import (
-    ConfigError,
     LabelError,
     NumericError,
     ShapeError,
@@ -31,36 +30,38 @@ def test_conv_zero_kernel_annihilates():
     tape = Tape()
     x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 5, 5)))
     w = Tensor(np.zeros((4, 3, 3, 3)))
-    out = tape.conv2d(x, w, padding=1)
+    out = tape.conv2d(x, w)
     np.testing.assert_array_equal(out.data, np.zeros((2, 4, 5, 5)))
 
 
 def test_conv_hand_cross_correlation():
-    # [[1,2],[3,4]] against an all-ones 2x2 kernel collapses to 1+2+3+4
+    # an all-ones 3x3 kernel sums each pixel's zero-padded neighbourhood;
+    # the centre one's neighbourhood is the whole 3x3 input
     tape = Tape()
-    x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-    w = Tensor(np.ones((1, 1, 2, 2)))
+    x = Tensor(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
+    w = Tensor(np.ones((1, 1, 3, 3)))
     out = tape.conv2d(x, w)
-    assert out.shape == (1, 1, 1, 1)
-    assert out.item() == 10.0
+    assert out.shape == (1, 1, 3, 3)
+    assert out.data[0, 0, 1, 1] == 45.0
+    assert out.data[0, 0, 0, 0] == 1.0 + 2.0 + 4.0 + 5.0
 
 
-def _reference_conv(x, w, b, stride, padding, grad_out):
-    """Direct cross-correlation and its gradients, one output pixel at a time."""
+def _reference_conv(x, w, b, grad_out):
+    """Direct same-size cross-correlation and its gradients, one output pixel
+    at a time."""
     n, _, h, wd = x.shape
     c_out, _, k, _ = w.shape
+    padding = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    h_out = (h + 2 * padding - k) // stride + 1
-    w_out = (wd + 2 * padding - k) // stride + 1
-    out = np.zeros((n, c_out, h_out, w_out))
+    out = np.zeros((n, c_out, h, wd))
     grad_xp = np.zeros_like(xp)
     grad_w = np.zeros_like(w)
     for m in range(n):
         for o in range(c_out):
-            for r in range(h_out):
-                for c in range(w_out):
-                    rows = slice(r * stride, r * stride + k)
-                    cols = slice(c * stride, c * stride + k)
+            for r in range(h):
+                for c in range(wd):
+                    rows = slice(r, r + k)
+                    cols = slice(c, c + k)
                     out[m, o, r, c] = np.sum(xp[m, :, rows, cols] * w[o]) + b[o]
                     if grad_out is not None:
                         g = grad_out[m, o, r, c]
@@ -70,23 +71,16 @@ def _reference_conv(x, w, b, stride, padding, grad_out):
     return out, grad_x, grad_w
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", [0, 1])
-def test_conv_matches_direct_reference(k, stride, padding):
-    rng = np.random.default_rng(100 * k + 10 * stride + padding)
-    h, w = k + 3, k + 4
-    while (h + 2 * padding - k) % stride:
-        h += 1
-    while (w + 2 * padding - k) % stride or w == h:
-        w += 1
-    x_val = rng.normal(size=(2, 3, h, w))
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv_matches_direct_reference(k):
+    rng = np.random.default_rng(100 * k)
+    x_val = rng.normal(size=(2, 3, k + 3, k + 4))
     w_val = rng.normal(size=(4, 3, k, k))
     b_val = rng.normal(size=4)
-    out_ref, _, _ = _reference_conv(x_val, w_val, b_val, stride, padding, None)
+    out_ref, _, _ = _reference_conv(x_val, w_val, b_val, None)
     target = rng.normal(size=out_ref.shape)
     grad_out = 2.0 * (out_ref - target) / out_ref.size  # d mse / d out
-    _, gx_ref, gw_ref = _reference_conv(x_val, w_val, b_val, stride, padding, grad_out)
+    _, gx_ref, gw_ref = _reference_conv(x_val, w_val, b_val, grad_out)
     gb_ref = grad_out.sum(axis=(0, 2, 3))
 
     def close(actual, expected):
@@ -99,7 +93,7 @@ def test_conv_matches_direct_reference(k, stride, padding):
         tape = Tape()
         x = x_val if constant_input else Tensor(x_val)
         wt, bt = Tensor(w_val), Tensor(b_val)
-        out = tape.conv2d(x, wt, bt, stride=stride, padding=padding)
+        out = tape.conv2d(x, wt, bt)
         tape.backward(tape.mse_loss(out, Tensor(target)))
         close(out.data, out_ref)
         close(wt.grad, gw_ref)
@@ -108,34 +102,32 @@ def test_conv_matches_direct_reference(k, stride, padding):
             close(x.grad, gx_ref)
 
 
-def _window_conv(x, w, b, stride, padding, grad_out):
-    """conv2d by the k*k-window im2col and per-window col2im scatter.
+def _window_conv(x, w, b, grad_out):
+    """Same-size conv2d by the k*k-window im2col and per-window col2im scatter.
 
     A reference copy of the kernel that the flat-shift backward replaced:
     the same products, summed in the same order.
     """
     n, c_in, h, wd = x.shape
     c_out, _, k, _ = w.shape
-    h_out = (h + 2 * padding - k) // stride + 1
-    w_out = (wd + 2 * padding - k) // stride + 1
+    padding = k // 2
     inner = np.s_[:, :, padding:padding + h, padding:padding + wd]
     xp = np.zeros((c_in, n, h + 2 * padding, wd + 2 * padding))
     xp[inner] = x.transpose(1, 0, 2, 3)
-    windows = [(i, j, np.s_[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride])
-               for i in range(k) for j in range(k)]
-    cols = np.empty((c_in, k, k, n, h_out, w_out))
+    windows = [(i, j, np.s_[:, :, i:i + h, j:j + wd]) for i in range(k) for j in range(k)]
+    cols = np.empty((c_in, k, k, n, h, wd))
     for i, j, window in windows:
         cols[:, i, j] = xp[window]
-    cols = cols.reshape(c_in * k * k, n * h_out * w_out)
+    cols = cols.reshape(c_in * k * k, n * h * wd)
     w2 = w.reshape(c_out, -1)
     out2 = w2 @ cols
     out2 += b[:, None]
-    out = out2.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
+    out = out2.reshape(c_out, n, h, wd).transpose(1, 0, 2, 3)
     if grad_out is None:
         return out
     g2 = grad_out.transpose(1, 0, 2, 3).reshape(c_out, -1)
     grad_w = (g2 @ cols.T).reshape(w.shape)
-    grad_cols = (w2.T @ g2).reshape(c_in, k, k, n, h_out, w_out)
+    grad_cols = (w2.T @ g2).reshape(c_in, k, k, n, h, wd)
     grad_xp = np.zeros_like(xp)
     for i, j, window in windows:
         grad_xp[window] += grad_cols[:, i, j]
@@ -155,28 +147,21 @@ def _with_signed_zeros(rng, arr, share=0.2):
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", [0, 1, 2])
-def test_conv_bits_match_window_scatter(k, stride, padding):
+def test_conv_bits_match_window_scatter(k):
     # The flat-shift col2im and the copy-free 1x1 path must give every bit,
     # signs of zero included, of the per-window kernel. Both multiply the
     # same matrices except the input-side product, whose shape differs; the
     # products here are small enough that the BLAS rounds their columns
     # alike (a one-column or a large product may round its edge columns
     # differently).
-    rng = np.random.default_rng(1000 + 100 * k + 10 * stride + padding)
-    h, w = k + 3, k + 5
-    while (h + 2 * padding - k) % stride:
-        h += 1
-    while (w + 2 * padding - k) % stride:
-        w += 1
-    x_val = _with_signed_zeros(rng, rng.normal(size=(3, 4, h, w)))
+    rng = np.random.default_rng(1000 + 100 * k)
+    x_val = _with_signed_zeros(rng, rng.normal(size=(3, 4, k + 3, k + 5)))
     w_val = _with_signed_zeros(rng, rng.normal(size=(5, 4, k, k)), share=0.1)
     b_val = rng.normal(size=5)
-    out_ref = _window_conv(x_val, w_val, b_val, stride, padding, None)
+    out_ref = _window_conv(x_val, w_val, b_val, None)
     target = _with_signed_zeros(rng, out_ref.copy(), share=0.3)  # zero gradients too
     grad_ref = (np.ones(()) * (2.0 / out_ref.size)) * (out_ref - target)  # mse's backward
-    _, gx_ref, gw_ref, gb_ref = _window_conv(x_val, w_val, b_val, stride, padding, grad_ref)
+    _, gx_ref, gw_ref, gb_ref = _window_conv(x_val, w_val, b_val, grad_ref)
 
     # channel-major memory, as the trunk's activations have it, and NCHW
     for x_in in (x_val, x_val.transpose(1, 0, 2, 3).copy().transpose(1, 0, 2, 3)):
@@ -184,7 +169,7 @@ def test_conv_bits_match_window_scatter(k, stride, padding):
             tape = Tape()
             x = x_in if constant_input else Tensor(x_in)
             wt, bt = Tensor(w_val), Tensor(b_val)
-            out = tape.conv2d(x, wt, bt, stride=stride, padding=padding)
+            out = tape.conv2d(x, wt, bt)
             _assert_same_bits(out.data, out_ref)
             tape.backward(tape.mse_loss(out, target))
             _assert_same_bits(wt.grad, gw_ref)
@@ -209,8 +194,8 @@ def test_conv_shape_errors():
     x = Tensor(np.zeros((1, 2, 4, 4)))
     with pytest.raises(ShapeError):
         tape.conv2d(x, Tensor(np.zeros((1, 3, 3, 3))))
-    with pytest.raises(ConfigError):
-        tape.conv2d(x, Tensor(np.zeros((1, 2, 3, 3))), stride=2)  # (4-3)/2 not integer
+    with pytest.raises(ShapeError):
+        tape.conv2d(x, Tensor(np.zeros((1, 2, 2, 2))))  # even kernel: no same-size padding
 
 
 def test_batchnorm_zero_variance_centres():
@@ -294,7 +279,7 @@ def test_mse_plain_target_is_a_constant():
     for make_target in (Tensor, np.asarray):
         tape, wt, pt = Tape(), Tensor(w), Tensor(p)
         tgt = make_target(target)
-        tape.backward(tape.mse_loss(tape.relu(tape.conv2d(x, wt, padding=1)), tgt))
+        tape.backward(tape.mse_loss(tape.relu(tape.conv2d(x, wt)), tgt))
         tape.backward(tape.mse_loss(pt, tgt))
         grads.append((pt.grad.tobytes(), wt.grad.tobytes()))
         if isinstance(tgt, Tensor):
@@ -420,7 +405,7 @@ def test_linearity_of_backward():
     def grads(coeff1, coeff2):
         tape = Tape()
         x, w = Tensor(x_val), Tensor(w_val)
-        out = tape.conv2d(x, w, padding=1)
+        out = tape.conv2d(x, w)
         l1 = tape.mse_loss(out, Tensor(t1))
         l2 = tape.mse_loss(out, Tensor(t2))
         tape.backward(tape.scale(l1, coeff1))
@@ -440,7 +425,7 @@ def test_determinism_bitwise():
         x = Tensor(rng.normal(size=(2, 3, 6, 6)))
         w = Tensor(rng.normal(size=(4, 3, 3, 3)))
         state = BatchNormState.fresh(4)
-        h = tape.conv2d(x, w, padding=1)
+        h = tape.conv2d(x, w)
         h = tape.task_batchnorm(h, {1: state}, task=1, mode="train")
         h = tape.relu(h)
         loss = tape.mse_loss(h, Tensor(rng.normal(size=h.shape)))
@@ -474,10 +459,10 @@ def test_gradcheck_conv_and_losses():
     x = Tensor(rng.normal(size=(2, 2, 5, 5)))
     w = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5)
     b = Tensor(rng.normal(size=3) * 0.1)
-    target = rng.normal(size=(2, 3, 3, 3))
+    target = rng.normal(size=(2, 3, 5, 5))
 
     def build(tape):
-        return tape.mse_loss(tape.conv2d(x, w, b, stride=2, padding=1), Tensor(target))
+        return tape.mse_loss(tape.conv2d(x, w, b), Tensor(target))
 
     _fd_check(build, [x, w, b])
 
@@ -515,7 +500,7 @@ def test_gradcheck_relu_and_scale():
 def _two_consumer_loss(tape, x, w, b):
     # the conv output feeds both relu and scale, so its gradient is adopted
     # from one rule and the other is added into it
-    h = tape.conv2d(x, w, b, padding=1)
+    h = tape.conv2d(x, w, b)
     return tape.mse_loss(tape.relu(h), tape.scale(h, 0.3))
 
 
@@ -564,7 +549,7 @@ def test_conv_backward_peak_stays_below_one_stacked_offset_product():
     x = Tensor(rng.normal(size=(n, c, h, h)))
     w = Tensor(rng.normal(size=(c, c, k, k)))
     tape = Tape()
-    loss = tape.mse_loss(tape.conv2d(x, w, padding=1), np.zeros((n, c, h, h)))
+    loss = tape.mse_loss(tape.conv2d(x, w), np.zeros((n, c, h, h)))
     stacked = c * k * k * n * (h + 2) * (h + 2) * 8
     tracemalloc.start()
     try:

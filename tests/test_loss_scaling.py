@@ -37,7 +37,7 @@ def test_uncertainty_sigma_one_identities():
 def _fd_rho_gradient(state, task, loss_value):
     """Central difference of the objective c*L*exp(-rho) + rho/2 (Kendall et al. 2018)."""
     c = 0.5 if state.kinds[task] == "regression" else 1.0
-    rho = state.rho[task].data
+    rho = state.rho[task]
 
     def value():
         return c * loss_value * math.exp(-float(rho)) + float(rho) / 2
@@ -47,7 +47,7 @@ def _fd_rho_gradient(state, task, loss_value):
 
 def test_uncertainty_gradient_matches_finite_difference():
     state = UncertaintyState.create({1: "regression"})
-    state.rho[1].data[...] = 0.3
+    state.rho[1][...] = 0.3
     analytic = np.array(state.rho_gradient({1: 2.0})[1])
     assert relative_error(analytic, _fd_rho_gradient(state, 1, 2.0)) < 1e-6
 
@@ -57,7 +57,7 @@ def test_uncertainty_gradient_random_draws():
     for _ in range(30):
         kind = rng.choice(["regression", "classification"])
         state = UncertaintyState.create({1: kind})
-        state.rho[1].data[...] = rng.normal()
+        state.rho[1][...] = rng.normal()
         loss_value = float(rng.uniform(0.01, 10))
         analytic = np.array(state.rho_gradient({1: loss_value})[1])
         assert relative_error(analytic, _fd_rho_gradient(state, 1, loss_value)) < 1e-6
@@ -65,18 +65,18 @@ def test_uncertainty_gradient_random_draws():
 
 def test_uncertainty_sgd_update_steps_along_rho_gradient():
     state = UncertaintyState.create({1: "regression", 2: "classification"})
-    state.rho[2].data[...] = -0.4
+    state.rho[2][...] = -0.4
     losses = {1: 3.0, 2: 0.25}
     grads = state.rho_gradient(losses)
     state.sgd_update(losses, lr=0.1)
-    assert float(state.rho[1].data) == 0.0 - 0.1 * grads[1]
-    assert float(state.rho[2].data) == -0.4 - 0.1 * grads[2]
+    assert float(state.rho[1]) == 0.0 - 0.1 * grads[1]
+    assert float(state.rho[2]) == -0.4 - 0.1 * grads[2]
 
 
 def test_uncertainty_loss_weight_matches_loss_derivative():
     state = UncertaintyState.create({1: "regression", 2: "classification"})
-    state.rho[1].data[...] = 0.7
-    state.rho[2].data[...] = -0.4
+    state.rho[1][...] = 0.7
+    state.rho[2][...] = -0.4
     assert state.loss_weight(1) == pytest.approx(0.5 * math.exp(-0.7))
     assert state.loss_weight(2) == pytest.approx(math.exp(0.4))
 

@@ -416,6 +416,20 @@ def test_delta_m_refuses_missing_baselines():
         run_experiment(config)
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('{"tasks": ', "JSONDecodeError"),
+    ('{"tasks": {"1": {"metric": "rmse", "baseline": 1.0}}}', "KeyError: 'lower_is_better'"),
+])
+def test_cli_rejects_malformed_baselines_file(tmp_path, capsys, text, reason):
+    path = tmp_path / "baselines.json"
+    path.write_text(text)
+    assert cli_main(["run", "--set", f"baselines={path}", "--set", "epochs=1",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: baselines file {path}: ") and reason in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # loss-scaling schemes end to end
 # ---------------------------------------------------------------------------
@@ -501,6 +515,15 @@ def test_cli_verify_subcommand(capsys):
     assert [line.split(" (")[0] for line in lines[:-1]] == [
         "criterion 1", "criterion 2", "criterion 6", "criterion 9"]
     assert lines[-1] == "verification: ALL PASSED"
+
+
+@pytest.mark.parametrize("criteria", ["11", "1,x"])
+def test_cli_verify_rejects_unknown_criteria(capsys, criteria):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", "--criteria", criteria])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "criterion numbers from 1 to 10" in captured.err and captured.out == ""
 
 
 def test_cli_set_overrides(tmp_path):
