@@ -71,9 +71,15 @@ def _reference_conv(x, w, b, grad_out):
     return out, grad_x, grad_w
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
+def _same_size_id(k):
+    # ids and seeds read [padding-stride-k], the same-size conv's padding
+    # k // 2 at stride 1, so each case keeps its data and name
+    return f"{k // 2}-1-{k}"
+
+
+@pytest.mark.parametrize("k", [1, 3, 5], ids=_same_size_id)
 def test_conv_matches_direct_reference(k):
-    rng = np.random.default_rng(100 * k)
+    rng = np.random.default_rng(100 * k + 10 + k // 2)
     x_val = rng.normal(size=(2, 3, k + 3, k + 4))
     w_val = rng.normal(size=(4, 3, k, k))
     b_val = rng.normal(size=4)
@@ -146,7 +152,7 @@ def _with_signed_zeros(rng, arr, share=0.2):
     return arr
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("k", [1, 3, 5], ids=_same_size_id)
 def test_conv_bits_match_window_scatter(k):
     # The flat-shift col2im and the copy-free 1x1 path must give every bit,
     # signs of zero included, of the per-window kernel. Both multiply the
@@ -154,7 +160,7 @@ def test_conv_bits_match_window_scatter(k):
     # products here are small enough that the BLAS rounds their columns
     # alike (a one-column or a large product may round its edge columns
     # differently).
-    rng = np.random.default_rng(1000 + 100 * k)
+    rng = np.random.default_rng(1000 + 100 * k + 10 + k // 2)
     x_val = _with_signed_zeros(rng, rng.normal(size=(3, 4, k + 3, k + 5)))
     w_val = _with_signed_zeros(rng, rng.normal(size=(5, 4, k, k)), share=0.1)
     b_val = rng.normal(size=5)
