@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -100,7 +101,10 @@ def _is_task_key(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # JSON and --set parse Infinity and NaN as floats; no setting takes them
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

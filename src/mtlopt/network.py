@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .autodiff import BatchNormState, Tape, Tensor
+from .autodiff import BatchNormState, Tape, Tensor, _row_sized_buffers
 from .errors import ConfigError, DataError, MtloptError, NumericError
 
 LOSS_KINDS = ("mse", "cross_entropy")
@@ -305,13 +305,14 @@ def per_task_gradients(model: Model, batch: Batch, task: int,
         raise DataError(f"batch has no target for task {task}")
     model.zero_grad()
     try:
-        tape = Tape()
-        pred = model.forward(batch.x, task, tape)
-        kind = model.spec.task(task).loss
-        loss = tape.compute_loss(pred, batch.targets[task], kind)
-        if not np.isfinite(loss.data):
-            raise NumericError(f"non-finite loss {loss.data!r}")
-        tape.backward(tape.scale(loss, loss_weight))
+        with _row_sized_buffers():
+            tape = Tape()
+            pred = model.forward(batch.x, task, tape)
+            kind = model.spec.task(task).loss
+            loss = tape.compute_loss(pred, batch.targets[task], kind)
+            if not np.isfinite(loss.data):
+                raise NumericError(f"non-finite loss {loss.data!r}")
+            tape.backward(tape.scale(loss, loss_weight))
     except MtloptError as exc:
         named = type(exc)(f"task {task}: {exc}")
         named.task = task

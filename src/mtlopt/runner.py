@@ -32,7 +32,7 @@ from .optimizers import (
 from .rng import substream
 from .strength import model_strength_snapshot, snapshot_records
 from .synthetic import SyntheticMtlDataset
-from .autodiff import Tape
+from .autodiff import Tape, _row_sized_buffers
 
 METRICS_FILE = "metrics.csv"
 RUN_LOG_FILE = "run_log.jsonl"
@@ -156,21 +156,24 @@ def evaluate_model(model: Model, dataset: SyntheticMtlDataset, num_batches: int,
     hits = {tid: 0.0 for tid in model.spec.task_ids}
     counts = {tid: 0 for tid in model.spec.task_ids}
     sq_err = {tid: 0.0 for tid in model.spec.task_ids}
-    for idx in range(num_batches):
-        batch = _remap(dataset.eval_batch(idx), target_map)
-        for tid in model.spec.task_ids:
-            tape = Tape()
-            pred = model.forward(batch.x, tid, tape, mode="eval")
-            kind = model.spec.task(tid).loss
-            target = batch.targets[tid]
-            loss_totals[tid] += tape.compute_loss(pred, target, kind).item()
-            if kind == "cross_entropy":
-                predicted = pred.data.argmax(axis=1)
-                hits[tid] += float((predicted == target).sum())
-                counts[tid] += target.size
-            else:
-                sq_err[tid] += float(((pred.data - target) ** 2).sum())
-                counts[tid] += np.asarray(target).size
+    # batches are built outside the row-sized buffers, which speed up only
+    # the model's per-channel math
+    batches = [_remap(dataset.eval_batch(idx), target_map) for idx in range(num_batches)]
+    with _row_sized_buffers():
+        for batch in batches:
+            for tid in model.spec.task_ids:
+                tape = Tape()
+                pred = model.forward(batch.x, tid, tape, mode="eval")
+                kind = model.spec.task(tid).loss
+                target = batch.targets[tid]
+                loss_totals[tid] += tape.compute_loss(pred, target, kind).item()
+                if kind == "cross_entropy":
+                    predicted = pred.data.argmax(axis=1)
+                    hits[tid] += float((predicted == target).sum())
+                    counts[tid] += target.size
+                else:
+                    sq_err[tid] += float(((pred.data - target) ** 2).sum())
+                    counts[tid] += np.asarray(target).size
     losses = {tid: total / num_batches for tid, total in loss_totals.items()}
     metrics = {}
     for tid in model.spec.task_ids:
@@ -200,6 +203,11 @@ def load_baseline_metric_spec(path: str) -> MetricSpec:
         # ValueError covers a file that is not JSON
         raise ConfigError(f"baselines file {path}: not the JSON the baseline subcommand "
                           f"writes ({type(exc).__name__}: {exc})") from exc
+    for tid, entry in per_task.items():
+        # any non-empty string is truthy, so "no" would flip the delta-m sign
+        if not isinstance(entry.lower_is_better, bool):
+            raise ConfigError(f"baselines file {path}: task {tid}: lower_is_better must be "
+                              f"true or false, got {entry.lower_is_better!r}")
     spec = MetricSpec(per_task)
     spec.validate()
     return spec

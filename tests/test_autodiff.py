@@ -445,6 +445,59 @@ def test_determinism_bitwise():
     assert np.array_equal(ga, gb)
 
 
+def _model_ops_pass(n, h, w):
+    """conv2d, train- and eval-mode batch norm, relu and both losses on a
+    channel-major input; every op output, input and parameter gradient and
+    running statistic, in order."""
+    rng = np.random.default_rng(n * h * w)
+    c, classes = 4, 3
+    x_val = rng.normal(size=(c, n, h, w)).transpose(1, 0, 2, 3)
+    w_trunk = rng.normal(size=(c, c, 3, 3))
+    heads = {"cross_entropy": (rng.normal(size=(classes, c, 1, 1)), rng.normal(size=classes),
+                               rng.integers(0, classes, size=(n, h, w))),
+             "mse": (rng.normal(size=(1, c, 1, 1)), rng.normal(size=1),
+                     rng.normal(size=(n, 1, h, w)))}
+    running = (rng.normal(size=c), rng.random(c) + 0.5)
+    arrays = []
+    for mode, kind in (("train", "cross_entropy"), ("eval", "mse")):
+        w_head, b_head, target = heads[kind]
+        state = BatchNormState.fresh(c)
+        if mode == "eval":
+            state.running_mean[...], state.running_var[...] = running
+        tape = Tape()
+        x, wt, wh, bh = Tensor(x_val), Tensor(w_trunk), Tensor(w_head), Tensor(b_head)
+        assert x.data.transpose(1, 0, 2, 3).flags.c_contiguous
+        outs = [tape.conv2d(x, wt)]
+        outs.append(tape.task_batchnorm(outs[-1], {1: state}, task=1, mode=mode))
+        outs.append(tape.relu(outs[-1]))
+        outs.append(tape.conv2d(outs[-1], wh, bh))
+        outs.append(tape.compute_loss(outs[-1], target, kind))
+        tape.backward(outs[-1])
+        arrays += [t.data for t in outs]
+        arrays += [t.grad for t in (x, wt, wh, bh, state.gamma, state.beta)]
+        arrays += [state.running_mean, state.running_var]
+    return arrays
+
+
+@pytest.mark.parametrize("n, h, w", [(16, 16, 16), (8, 12, 12)])
+def test_ops_bits_do_not_depend_on_the_ufunc_buffer(n, h, w):
+    # Model passes run with row-sized ufunc buffers (autodiff.ROW_BUFSIZE).
+    # That is only safe while the ops' bits do not depend on the buffer
+    # size: channel rows of 4,096 and 1,152 elements, both shorter than
+    # numpy's default 8192, the second not a multiple of 1024.
+    results = []
+    for size in (8192, 1024):
+        saved = np.setbufsize(size)
+        try:
+            results.append(_model_ops_pass(n, h, w))
+        finally:
+            np.setbufsize(saved)
+    default, row_sized = results
+    assert len(default) == len(row_sized) == 26
+    for a, b in zip(default, row_sized):
+        _assert_same_bits(b, a)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference spot checks (the full randomized sweep lives in the
 # acceptance suite; these cover each operator once per test run)

@@ -1,18 +1,22 @@
 import importlib
 import json
 import os
+import re
 import time
 
 import numpy as np
 import pytest
 
+from mtlopt.autodiff import ROW_BUFSIZE, Tape
 from mtlopt.cli import main as cli_main
 from mtlopt.config import ExperimentConfig, apply_dotted_overrides, default_model_dict
 from mtlopt.errors import ConfigError, NumericError, ShapeError
 from mtlopt import optimizers, runner
-from mtlopt.network import build_model, load_checkpoint
+from mtlopt.network import build_model, load_checkpoint, per_task_gradients
 from mtlopt.runner import (
     RunReport,
+    evaluate_model,
+    load_baseline_metric_spec,
     read_metrics,
     run_experiment,
     run_single_task_baselines,
@@ -124,6 +128,15 @@ def _trunk_layer_override(**fields):
     ({"model": []}, "config.model: must be an object"),
     # a repeated seed would train twice and count twice in the mean delta-m
     ({"seeds": [1, 1]}, "config.seeds"),
+    # JSON and --set parse Infinity and NaN; a run with them dies at its first step
+    (apply_dotted_overrides({}, ["lr=Infinity"]), "config.lr"),
+    ({"data": {"noise": float("inf")}}, "config.data.noise"),
+    ({"loss_scaling": {"scheme": "manual", "manual_ratios": [1.0, float("inf")]}},
+     "config.loss_scaling.manual_ratios"),
+    ({"loss_scaling": {"dwa_temperature": float("inf")}}, "config.loss_scaling.dwa_temperature"),
+    ({"update_rule": {"eps": float("inf")}}, "config.update_rule.eps"),
+    ({"data": {"depth_mix": [float("-inf"), 0.3]}}, "config.data.depth_mix"),
+    ({"data": {"depth_mix": [0.7, float("nan")]}}, "config.data.depth_mix"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -428,6 +441,49 @@ def test_cli_rejects_malformed_baselines_file(tmp_path, capsys, text, reason):
     err = capsys.readouterr().err
     assert err.startswith(f"error: baselines file {path}: ") and reason in err
     assert not (tmp_path / "out").exists()
+
+
+def test_baselines_lower_is_better_must_be_bool(tmp_path):
+    # "no" is truthy: taken as written, it would flip task 2's delta-m term
+    path = write_baselines({"tasks": {
+        "1": {"metric": "pixel_accuracy", "lower_is_better": False, "baseline": 0.5},
+        "2": {"metric": "rmse", "lower_is_better": "no", "baseline": 1.0}}}, str(tmp_path))
+    with pytest.raises(ConfigError, match=rf"^baselines file {re.escape(path)}: task 2: "
+                                          r"lower_is_better must be true or false, got 'no'$"):
+        load_baseline_metric_spec(path)
+
+
+@pytest.mark.parametrize("finite", [True, False], ids=["pass", "raises"])
+def test_model_passes_restore_the_callers_ufunc_buffer(monkeypatch, finite):
+    # training and eval passes run with row-sized ufunc buffers and give the
+    # caller's size back, also when they raise
+    config = fast_config()
+    model = build_model(config.model, seed=1)
+    if not finite:
+        model.named_parameters()["trunk.0.weight"].data[...] = np.nan
+    dataset = training_dataset(config, 1)
+    seen = []
+    conv2d = Tape.conv2d
+
+    def recording(self, *args, **kwargs):
+        seen.append(np.getbufsize())
+        return conv2d(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "conv2d", recording)
+    passes = (lambda: per_task_gradients(model, dataset.batch(0), task=1),
+              lambda: evaluate_model(model, dataset, 1))
+    saved = np.setbufsize(4096)
+    try:
+        for run_pass in passes:
+            if finite:
+                run_pass()
+            else:
+                with pytest.raises(NumericError, match="conv2d: produced non-finite values"):
+                    run_pass()
+            assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(saved)
+    assert len(seen) >= 2 and set(seen) == {ROW_BUFSIZE}
 
 
 # ---------------------------------------------------------------------------
