@@ -44,7 +44,7 @@ from .quadratics import (
 from .runner import RunReport, run_experiment, run_single_task_baselines, write_report
 from .strength import (
     StrengthReport,
-    build_channel_groups,
+    channel_owners,
     layer_strength_report,
     model_strength_snapshot,
     normalized_strength,

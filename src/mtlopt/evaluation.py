@@ -7,7 +7,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .strength import StrengthReport
 
 
 @dataclass(frozen=True)
@@ -25,8 +24,16 @@ class MetricSpec:
 
     def validate(self) -> None:
         for tid, m in self.per_task.items():
-            if not np.isfinite(m.baseline):
-                raise ConfigError(f"task {tid}: baseline must be finite")
+            if not isinstance(m.name, str):
+                raise ConfigError(f"task {tid}: metric must be a string, got {m.name!r}")
+            # any non-empty string is truthy, so "no" would flip the delta-m sign
+            if not isinstance(m.lower_is_better, bool):
+                raise ConfigError(f"task {tid}: lower_is_better must be true or false, "
+                                  f"got {m.lower_is_better!r}")
+            if isinstance(m.baseline, bool) or not isinstance(m.baseline, (int, float)) \
+                    or not np.isfinite(m.baseline):
+                raise ConfigError(f"task {tid}: baseline must be a finite number, "
+                                  f"got {m.baseline!r}")
             if m.baseline == 0.0:
                 raise ConfigError(f"task {tid}: baseline of 0 makes the ratio undefined")
 
@@ -73,8 +80,7 @@ def loss_trend_correlation(curves: Mapping[int, Sequence[float]]) -> np.ndarray:
     return out
 
 
-def priority_share(report: StrengthReport) -> dict[int, float]:
-    """Fraction of the layer's output channels owned by each task."""
-    report.validate()
-    n = report.num_channels
-    return {tid: len(chans) / n for tid, chans in report.groups.items()}
+def priority_share(owners: np.ndarray, task_ids: Sequence[int]) -> dict[int, float]:
+    """Fraction of a layer's output channels owned by each task, from the
+    layer's (C,) vector of owner task ids."""
+    return {tid: int(np.count_nonzero(owners == tid)) / owners.size for tid in task_ids}

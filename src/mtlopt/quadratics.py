@@ -192,49 +192,44 @@ def priority_update_check(problem: QuadraticProblem, theta: np.ndarray,
                                 loss_priority <= loss_sum + tol)
 
 
-def model_priority_oracle(model, batch, layer_index: int, channel: int,
-                          weights: dict[int, float], eta: float) -> int:
-    """Priority owner of one conv out-channel by direct loss evaluation.
+def model_priority_oracle(model, batch, layer_index: int,
+                          weights: dict[int, float], eta: float) -> np.ndarray:
+    """(C,) priority owner of each out-channel of one trunk conv by direct
+    loss evaluation.
 
-    Each candidate task's (unweighted) gradient steps just that channel's
-    kernel slice; the task whose step leaves the smallest weighted total
-    loss wins, ties to the lowest task id. Brute force by construction;
-    independent of the strength-based grouping.
+    For each channel, each task's (unweighted) gradient steps just that
+    channel's kernel slice; the task whose step leaves the smallest weighted
+    total loss wins, ties to the lowest task id. Brute force by construction;
+    independent of the strength-based owners. Every parameter and running
+    statistic is restored.
     """
     from .autodiff import Tape
     from .network import per_task_gradients
 
-    layer = model.trunk[layer_index]
-    name = f"trunk.{layer_index}.weight"
-    grads = {}
-    for tid in model.spec.task_ids:
-        _, shared, _ = per_task_gradients(model, batch, tid, loss_weight=1.0)
-        grads[tid] = shared[name][channel].copy()
+    weight = model.trunk[layer_index].weight.data
+    task_ids = model.spec.task_ids
+    # train-mode passes move every batch-norm layer's running statistics
+    saved_buffers = {key: buf.copy() for key, buf in model.named_buffers().items()}
+    grads = {tid: per_task_gradients(model, batch, tid)[1][f"trunk.{layer_index}.weight"]
+             for tid in task_ids}
 
-    def total_loss() -> float:
-        total = 0.0
-        for tid in model.spec.task_ids:
-            tape = Tape()
-            pred = model.forward(batch.x, tid, tape, mode="train")
-            loss = tape.compute_loss(pred, batch.targets[tid], model.spec.task(tid).loss)
-            total += weights[tid] * loss.item()
-        return total
+    def task_loss(tid: int) -> float:
+        tape = Tape()
+        pred = model.forward(batch.x, tid, tape, mode="train")
+        return tape.compute_loss(pred, batch.targets[tid], model.spec.task(tid).loss).item()
 
-    saved = layer.weight.data[channel].copy()
-    saved_stats = [(st.running_mean.copy(), st.running_var.copy())
-                   for st in layer.bn.values()] if layer.bn else []
-    best_task, best_loss = None, np.inf
-    for tid in model.spec.task_ids:
-        layer.weight.data[channel] = saved - eta * grads[tid]
-        loss = total_loss()
-        if loss < best_loss - 1e-15:
-            best_task, best_loss = tid, loss
-        layer.weight.data[channel] = saved
-        if layer.bn:
-            for st, (rm, rv) in zip(layer.bn.values(), saved_stats):
-                st.running_mean[...] = rm
-                st.running_var[...] = rv
-    return best_task
+    owners = np.empty(weight.shape[0], dtype=np.asarray(task_ids).dtype)
+    for channel, saved in enumerate(weight.copy()):
+        best_loss = np.inf
+        for tid in task_ids:
+            weight[channel] = saved - eta * grads[tid][channel]
+            loss = sum(weights[t] * task_loss(t) for t in task_ids)
+            if loss < best_loss - 1e-15:
+                owners[channel], best_loss = tid, loss
+        weight[channel] = saved
+    for key, buf in model.named_buffers().items():
+        buf[...] = saved_buffers[key]
+    return owners
 
 
 # ---------------------------------------------------------------------------

@@ -196,20 +196,16 @@ def load_baseline_metric_spec(path: str) -> MetricSpec:
     try:
         with open(path) as fh:
             data = json.load(fh)
-        per_task = {int(tid): TaskMetricSpec(entry["metric"], entry["lower_is_better"],
-                                             float(entry["baseline"]))
-                    for tid, entry in data["tasks"].items()}
+        spec = MetricSpec({int(tid): TaskMetricSpec(entry["metric"], entry["lower_is_better"],
+                                                    entry["baseline"])
+                           for tid, entry in data["tasks"].items()})
+        spec.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"baselines file {path}: {exc}") from exc
     except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
         # ValueError covers a file that is not JSON
         raise ConfigError(f"baselines file {path}: not the JSON the baseline subcommand "
                           f"writes ({type(exc).__name__}: {exc})") from exc
-    for tid, entry in per_task.items():
-        # any non-empty string is truthy, so "no" would flip the delta-m sign
-        if not isinstance(entry.lower_is_better, bool):
-            raise ConfigError(f"baselines file {path}: task {tid}: lower_is_better must be "
-                              f"true or false, got {entry.lower_is_better!r}")
-    spec = MetricSpec(per_task)
-    spec.validate()
     return spec
 
 
@@ -267,6 +263,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
             stage, step = "strength snapshot", None
             snapshot = model_strength_snapshot(model)
             result.strength_rows.extend(snapshot_records(seed, epoch, snapshot))
+            owners = {layer: report.owners for layer, report in snapshot.items()}
 
             phase = None
             drawn_p = None
@@ -285,7 +282,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
             for step in range(config.steps_per_epoch):
                 batch = _remap(dataset.batch(epoch * config.steps_per_epoch + step), target_map)
                 weights = provider.step_weights()
-                step_result = optimizer.step(batch, weights, phase=phase, snapshot=snapshot)
+                step_result = optimizer.step(batch, weights, phase=phase, owners=owners)
                 provider.after_step(step_result.losses)
                 for tid, value in step_result.losses.items():
                     loss_totals[tid] += value
@@ -302,7 +299,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
 
             stage = "evaluation"
             evals, metrics = evaluate_model(model, dataset, config.eval_batches, target_map)
-            shares = _mean_priority_shares(snapshot, task_ids)
+            shares = _mean_priority_shares(owners, task_ids)
             dm = delta_m(metrics, metric_spec) if metric_spec is not None else None
             result.rows.append(EpochRow(seed, config.method, epoch, epoch_mean, evals,
                                         metrics, epoch_weights, shares, dm))
@@ -330,14 +327,11 @@ def _run_seed(config: ExperimentConfig, seed: int,
     return result
 
 
-def _mean_priority_shares(snapshot, task_ids) -> dict[int, float]:
-    if not snapshot:
-        return {tid: 0.0 for tid in task_ids}
-    shares = {tid: 0.0 for tid in task_ids}
-    for report in snapshot.values():
-        for tid, value in priority_share(report).items():
-            shares[tid] += value
-    return {tid: value / len(snapshot) for tid, value in shares.items()}
+def _mean_priority_shares(owners: Mapping[str, np.ndarray], task_ids) -> dict[int, float]:
+    """Each task's owned fraction of a layer's channels, averaged over the layers."""
+    shares = [priority_share(layer_owners, task_ids) for layer_owners in owners.values()]
+    return {tid: sum(s[tid] for s in shares) / len(shares) if shares else 0.0
+            for tid in task_ids}
 
 
 def _check_step_invariants(result: SeedResult, optimizer: MtlOptimizer, step_result,

@@ -1,10 +1,10 @@
-"""Connection strengths, per-task normalization, and channel groups.
+"""Connection strengths, per-task normalization, and channel owners.
 
 A conv kernel's strength toward an output channel is its mean squared
 weight; coupling with the task-specific batch-norm scale gives a per-task,
 per-channel score. Normalizing each task's scores across the layer's
 output channels makes them comparable between tasks; the argmax per
-channel assigns the channel to its top-priority task's group.
+channel makes its top-priority task the channel's owner.
 
 Everything here is a pure function over immutable snapshots; safe to
 evaluate concurrently across layers.
@@ -44,25 +44,21 @@ def normalized_strength(raw: np.ndarray) -> np.ndarray:
     return np.divide(raw, sums, out=np.full_like(raw, 1.0 / raw.shape[1]), where=sums > 0)
 
 
-def build_channel_groups(norm: np.ndarray, task_ids: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """Assign each channel to the task with the largest normalized strength;
-    exact ties go to the lowest task index."""
-    owners = np.argmax(norm, axis=0)  # argmax returns the first (lowest) maximum
-    groups: dict[int, tuple[int, ...]] = {tid: () for tid in task_ids}
-    for tid_row, tid in enumerate(task_ids):
-        groups[tid] = tuple(int(p) for p in np.flatnonzero(owners == tid_row))
-    return groups
+def channel_owners(norm: np.ndarray, task_ids: tuple[int, ...]) -> np.ndarray:
+    """(C,) owner task id of each channel: the task with the largest
+    normalized strength; exact ties go to the lowest task index."""
+    return np.asarray(task_ids)[np.argmax(norm, axis=0)]  # argmax takes the first maximum
 
 
 @dataclass
 class StrengthReport:
-    """Per-layer strength tables and the derived channel groups."""
+    """Per-layer strength tables and the derived channel owners."""
 
     layer: str
     task_ids: tuple[int, ...]
     raw: np.ndarray   # (K, C) per-task raw strengths
     norm: np.ndarray  # (K, C) per-task normalized strengths
-    groups: dict[int, tuple[int, ...]]
+    owners: np.ndarray  # (C,) owner task id per channel
 
     @property
     def num_channels(self) -> int:
@@ -71,14 +67,10 @@ class StrengthReport:
     def validate(self) -> None:
         if not np.allclose(self.norm.sum(axis=1), 1.0, atol=1e-9):
             raise StateError(f"{self.layer}: normalized rows do not sum to 1")
-        members = sorted(p for chans in self.groups.values() for p in chans)
-        if members != list(range(self.num_channels)):
-            raise StateError(f"{self.layer}: channel groups do not partition the channels")
-        for tid, chans in self.groups.items():
-            row = self.task_ids.index(tid)
-            for p in chans:
-                if np.any(self.norm[:, p] > self.norm[row, p]):
-                    raise StateError(f"{self.layer}: channel {p} not owned by its argmax task")
+        owned = np.where(np.asarray(self.task_ids)[:, None] == self.owners, self.norm, -np.inf)
+        bad = np.flatnonzero(owned.max(axis=0) < self.norm.max(axis=0))
+        if bad.size:
+            raise StateError(f"{self.layer}: channel {bad[0]} not owned by its argmax task")
 
     def to_record(self) -> dict:
         return {
@@ -86,7 +78,8 @@ class StrengthReport:
             "tasks": list(self.task_ids),
             "norm": {str(tid): [float(v) for v in self.norm[r]]
                      for r, tid in enumerate(self.task_ids)},
-            "groups": {str(tid): list(chans) for tid, chans in self.groups.items()},
+            "groups": {str(tid): np.flatnonzero(self.owners == tid).tolist()
+                       for tid in self.task_ids},
         }
 
 
@@ -97,8 +90,7 @@ def layer_strength_report(layer_name: str, weight: Tensor | np.ndarray,
     w = weight.data if isinstance(weight, Tensor) else np.asarray(weight)
     raw = _channel_strength_rows(w, bn_states, task_ids, eps)
     norm = normalized_strength(raw)
-    report = StrengthReport(layer_name, task_ids, raw, norm,
-                            build_channel_groups(norm, task_ids))
+    report = StrengthReport(layer_name, task_ids, raw, norm, channel_owners(norm, task_ids))
     report.validate()
     return report
 

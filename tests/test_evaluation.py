@@ -9,7 +9,6 @@ from mtlopt.evaluation import (
     loss_trend_correlation,
     priority_share,
 )
-from mtlopt.strength import StrengthReport
 
 
 def spec(entries):
@@ -89,26 +88,12 @@ def test_correlation_needs_three_epochs():
         loss_trend_correlation({1: [1.0, 2.0], 2: [2.0, 1.0]})
 
 
-def _report(groups, channels):
-    k = len(groups)
-    norm = np.zeros((k, channels))
-    for row, (tid, chans) in enumerate(sorted(groups.items())):
-        for c in chans:
-            norm[row, c] = 1.0
-    # fill non-owned entries with small values, renormalize rows
-    norm = norm + 0.01
-    norm /= norm.sum(axis=1, keepdims=True)
-    return StrengthReport("layer", tuple(sorted(groups)), norm.copy(), norm, groups)
-
-
 def test_priority_share_counts():
-    report = _report({1: (0, 1, 2), 2: (3,)}, channels=4)
-    assert priority_share(report) == {1: 0.75, 2: 0.25}
+    assert priority_share(np.array([1, 1, 1, 2]), (1, 2)) == {1: 0.75, 2: 0.25}
 
 
 def test_priority_share_single_task():
-    report = _report({1: (0, 1)}, channels=2)
-    assert priority_share(report) == {1: 1.0}
+    assert priority_share(np.array([1, 1]), (1,)) == {1: 1.0}
 
 
 def test_priority_share_sums_to_one():
@@ -116,7 +101,6 @@ def test_priority_share_sums_to_one():
     for _ in range(50):
         channels = int(rng.integers(1, 12))
         owners = rng.integers(1, 4, size=channels)
-        groups = {tid: tuple(int(c) for c in np.flatnonzero(owners == tid))
-                  for tid in (1, 2, 3)}
-        shares = priority_share(_report(groups, channels))
+        shares = priority_share(owners, (1, 2, 3))
         assert abs(sum(shares.values()) - 1.0) < 1e-12
+        assert shares == {tid: int((owners == tid).sum()) / channels for tid in (1, 2, 3)}

@@ -24,6 +24,11 @@ from mtlopt.optimizers import (
 from mtlopt.strength import model_strength_snapshot
 
 
+def snapshot_owners(model):
+    """The layer -> owner vector map that training derives from the snapshot."""
+    return {layer: report.owners for layer, report in model_strength_snapshot(model).items()}
+
+
 # ---------------------------------------------------------------------------
 # phase selection
 # ---------------------------------------------------------------------------
@@ -245,9 +250,10 @@ def test_phase1_equals_gd_on_independent_coordinates():
 # phase 2
 # ---------------------------------------------------------------------------
 
-def brute_force_phase2(model, batch, weights, snapshot, task_order, lr):
+def brute_force_phase2(model, batch, weights, owners, task_order, lr):
     """Recompute Algorithm 1's phase-2 update and its per-layer conflict and
-    projection counts with explicit loops."""
+    projection counts with explicit loops, for the owner task id of each
+    channel in ``owners`` (layer -> owner vector)."""
     grads, owns = {}, {}
     for tid in task_order:
         _, gs, own = per_task_gradients(model, batch, tid, loss_weight=weights[tid])
@@ -256,10 +262,11 @@ def brute_force_phase2(model, batch, weights, snapshot, task_order, lr):
     expected, conflicts, projections = {}, {}, {}
     for name, tensor in part.shared.items():
         layer = name.rsplit(".", 1)[0]
-        if name.endswith(".weight") and layer in snapshot:
+        if name.endswith(".weight") and layer in owners:
             combined = np.zeros_like(tensor.data)
             conflicts[layer] = projections[layer] = 0
-            for owner, channels in snapshot[layer].groups.items():
+            for owner in task_order:
+                channels = [c for c, o in enumerate(owners[layer]) if o == owner]
                 if not channels:
                     continue
                 blocks = {t: np.concatenate([grads[t][name][c].ravel() for c in channels])
@@ -294,32 +301,39 @@ def test_phase2_matches_brute_force_oracle():
     weights = {1: 0.6, 2: 0.4, 3: 0.5}
     for num_tasks in (2, 3):
         order = tuple(range(1, num_tasks + 1))
-        saw_projection = False
+        saw_projection = dict.fromkeys(("strength", "last task", "permuted"), False)
         for seed in range(6):
-            model = build_model(conv_task_spec(num_tasks), seed=seed)
-            batch = conv_batch(seed + 100, num_tasks=num_tasks)
-            snapshot = model_strength_snapshot(model)
-            reference = copy.deepcopy(model)
-            expected, conflicts, projections = brute_force_phase2(
-                reference, batch, weights, snapshot, order, lr=0.05)
+            strength = snapshot_owners(build_model(conv_task_spec(num_tasks), seed=seed))
+            rng = np.random.default_rng(seed)
+            sources = {
+                "strength": strength,
+                "last task": {layer: np.full_like(o, num_tasks) for layer, o in strength.items()},
+                # the strength owners shuffled over the channels, group sizes kept
+                "permuted": {layer: rng.permutation(o) for layer, o in strength.items()},
+            }
+            for source, owners in sources.items():
+                model = build_model(conv_task_spec(num_tasks), seed=seed)
+                batch = conv_batch(seed + 100, num_tasks=num_tasks)
+                reference = copy.deepcopy(model)
+                expected, conflicts, projections = brute_force_phase2(
+                    reference, batch, weights, owners, order, lr=0.05)
 
-            opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
-            result = opt.phase2_step(batch, weights, snapshot)
-            assert (result.conflicts, result.projections) == (conflicts, projections)
-            saw_projection |= sum(result.projections.values()) > 0
-            for name, p in model.named_parameters().items():
-                np.testing.assert_allclose(p.data, expected[name], rtol=1e-10, atol=1e-14,
-                                           err_msg=f"{num_tasks} tasks: {name}")
+                opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
+                result = opt.phase2_step(batch, weights, owners)
+                assert (result.conflicts, result.projections) == (conflicts, projections)
+                saw_projection[source] |= sum(result.projections.values()) > 0
+                for name, p in model.named_parameters().items():
+                    np.testing.assert_allclose(p.data, expected[name], rtol=1e-10, atol=1e-14,
+                                               err_msg=f"{num_tasks} tasks, {source}: {name}")
         # the fixture family must actually exercise projections
-        assert saw_projection, num_tasks
+        assert all(saw_projection.values()), (num_tasks, saw_projection)
 
 
 def test_phase2_post_projection_non_conflict():
     for seed in range(4):
         model = build_model(conv_task_spec(), seed=seed)
         opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
-        result = opt.phase2_step(conv_batch(seed), {1: 0.7, 2: 0.3},
-                                 model_strength_snapshot(model))
+        result = opt.phase2_step(conv_batch(seed), {1: 0.7, 2: 0.3}, snapshot_owners(model))
         assert result.projected
         for p in result.projected:
             assert float(p.result @ p.reference) >= -1e-12
@@ -339,8 +353,8 @@ def test_phase2_without_conflicts_equals_gd():
     # the two heads must match for the task gradients to align exactly
     a.heads[2][0].weight.data[...] = a.heads[1][0].weight.data
     b = copy.deepcopy(a)
-    snapshot = model_strength_snapshot(a)
-    ra = MtlOptimizer(a, OptimizerConfig(lr=0.05)).phase2_step(batch, {1: 0.5, 2: 0.5}, snapshot)
+    owners = snapshot_owners(a)
+    ra = MtlOptimizer(a, OptimizerConfig(lr=0.05)).phase2_step(batch, {1: 0.5, 2: 0.5}, owners)
     MtlOptimizer(b, OptimizerConfig(method="gd", lr=0.05)).gd_step(batch, {1: 0.5, 2: 0.5})
     assert sum(ra.projections.values()) == 0
     part = partition_parameters(a)
@@ -355,8 +369,7 @@ def test_phase2_zero_reference_guard_passthrough():
     opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
     # weight 0 for task 1 zeroes its gradients; groups owned by task 1 must
     # leave task 2's block gradients untouched
-    result = opt.phase2_step(conv_batch(55), {1: 0.0, 2: 1.0},
-                             model_strength_snapshot(model))
+    result = opt.phase2_step(conv_batch(55), {1: 0.0, 2: 1.0}, snapshot_owners(model))
     assert sum(result.projections.values()) == 0
     assert any(p.reference_task == 1 for p in result.projected)
     for p in result.projected:
@@ -373,12 +386,20 @@ def test_phase2_stale_snapshot_rejected():
     other = build_model(ModelSpec(
         trunk=(ConvSpec(2, 7), ConvSpec(7, 7)), heads={},
         tasks=(TaskSpec(1, "mse"), TaskSpec(2, "mse"))), seed=3)
-    snapshot = model_strength_snapshot(other)
+    owners = snapshot_owners(model)
+    cases = {
+        "stale snapshot": snapshot_owners(other),
+        # the bad layer comes after a valid one, so a late check would write trunk.0
+        "wrong length": {**owners, "trunk.1": owners["trunk.1"][:3]},
+        "unknown task id": {**owners, "trunk.1": np.array([1, 2, 3, 1])},
+    }
     opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
-    batch = conv_batch(1)
-    batch.targets[1] = batch.targets[1]
-    with pytest.raises(StateError):
-        opt.phase2_step(batch, {1: 0.5, 2: 0.5}, snapshot)
+    before = {name: p.data.copy() for name, p in model.named_parameters().items()}
+    for case, bad in cases.items():
+        with pytest.raises(StateError):
+            opt.phase2_step(conv_batch(1), {1: 0.5, 2: 0.5}, bad)
+        for name, p in model.named_parameters().items():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=f"{case}: {name}")
 
 
 # ---------------------------------------------------------------------------

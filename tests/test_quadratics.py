@@ -1,7 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
+from mtlopt.autodiff import Tape
 from mtlopt.errors import ConfigError
+from mtlopt.network import Batch, ConvSpec, ModelSpec, TaskSpec, build_model, per_task_gradients
 from mtlopt.quadratics import (
     QuadraticProblem,
     compute_lipschitz,
@@ -9,6 +13,7 @@ from mtlopt.quadratics import (
     fit_decay_exponent,
     make_conflicting_quadratic,
     make_quadratic_problem,
+    model_priority_oracle,
     oracle_priority_partition,
     priority_update_check,
 )
@@ -166,6 +171,59 @@ def test_fast_owner_partition_matches_bruteforce_closed_form():
         fast = _priority_owners(shared_grads, w, eta, col_curv)
         brute = oracle_priority_partition(problem, theta, w, eta)
         np.testing.assert_array_equal(fast, brute)
+
+
+def _two_task_conv_model(seed):
+    spec = ModelSpec(
+        trunk=(ConvSpec(2, 4, kernel_size=3), ConvSpec(4, 4, kernel_size=3)),
+        heads={1: (ConvSpec(4, 3, kernel_size=1),), 2: (ConvSpec(4, 1, kernel_size=1),)},
+        tasks=(TaskSpec(1, "cross_entropy"), TaskSpec(2, "mse")))
+    rng = np.random.default_rng(seed)
+    batch = Batch(x=rng.normal(size=(2, 2, 5, 5)),
+                  targets={1: rng.integers(0, 3, size=(2, 5, 5)),
+                           2: rng.normal(size=(2, 1, 5, 5))})
+    return build_model(spec, seed=seed), batch
+
+
+def _weighted_loss(model, batch, weights):
+    total = 0.0
+    for tid in model.spec.task_ids:
+        tape = Tape()
+        pred = model.forward(batch.x, tid, tape, mode="train")
+        total += weights[tid] * tape.compute_loss(
+            pred, batch.targets[tid], model.spec.task(tid).loss).item()
+    return total
+
+
+def test_model_oracle_restores_the_model_and_matches_per_channel_brute_force():
+    weights, eta = {1: 0.6, 2: 0.4}, 1e-3
+    seen = set()
+    for seed in range(3):
+        model, batch = _two_task_conv_model(seed)
+        # move the running statistics off their initial values first
+        _weighted_loss(model, batch, weights)
+        for layer_index in (0, 1):
+            before = copy.deepcopy(model)
+            owners = model_priority_oracle(model, batch, layer_index, weights, eta)
+            for name, p in before.named_parameters().items():
+                assert np.array_equal(model.named_parameters()[name].data, p.data), name
+            for name, buf in before.named_buffers().items():
+                assert np.array_equal(model.named_buffers()[name], buf), name
+
+            # each channel and task on a fresh copy of the model
+            name = f"trunk.{layer_index}.weight"
+            expected = []
+            for channel in range(owners.size):
+                losses = []
+                for tid in (1, 2):
+                    probe = copy.deepcopy(before)
+                    _, shared, _ = per_task_gradients(copy.deepcopy(before), batch, tid)
+                    probe.trunk[layer_index].weight.data[channel] -= eta * shared[name][channel]
+                    losses.append(_weighted_loss(probe, batch, weights))
+                expected.append(1 + int(np.argmin(losses)))
+            np.testing.assert_array_equal(owners, expected, err_msg=f"seed {seed} {name}")
+            seen.update(owners.tolist())
+    assert seen == {1, 2}  # the fixtures must give both tasks some channels
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,17 @@ def test_delta_m_refuses_missing_baselines():
     # "no" is truthy: taken as written, it would flip the task's delta-m term
     ('{"tasks": {"2": {"metric": "rmse", "lower_is_better": "no", "baseline": 1.0}}}',
      "task 2: lower_is_better must be true or false, got 'no'"),
+    # float() would read true as 1.0 and "2" as 2.0
+    ('{"tasks": {"2": {"metric": "rmse", "lower_is_better": true, "baseline": true}}}',
+     "task 2: baseline must be a finite number, got True"),
+    ('{"tasks": {"2": {"metric": "rmse", "lower_is_better": true, "baseline": "2"}}}',
+     "task 2: baseline must be a finite number, got '2'"),
+    ('{"tasks": {"2": {"metric": "rmse", "lower_is_better": true, "baseline": NaN}}}',
+     "task 2: baseline must be a finite number, got nan"),
+    ('{"tasks": {"2": {"metric": 5, "lower_is_better": true, "baseline": 1.0}}}',
+     "task 2: metric must be a string, got 5"),
+    ('{"tasks": {"2": {"metric": "rmse", "lower_is_better": true, "baseline": 0}}}',
+     "task 2: baseline of 0 makes the ratio undefined"),
 ])
 def test_cli_rejects_malformed_baselines_file(tmp_path, capsys, text, reason):
     path = tmp_path / "baselines.json"

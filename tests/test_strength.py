@@ -5,7 +5,8 @@ from mtlopt.autodiff import BatchNormState
 from mtlopt.errors import StateError
 from mtlopt.network import ConvSpec, ModelSpec, TaskSpec, build_model
 from mtlopt.strength import (
-    build_channel_groups,
+    StrengthReport,
+    channel_owners,
     layer_strength_report,
     model_strength_snapshot,
     normalized_strength,
@@ -84,20 +85,25 @@ def test_normalized_strength_zero_row_guard():
 
 def test_channel_groups_argmax():
     norm = np.array([[0.7, 0.3], [0.2, 0.8]])  # rows tasks, columns channels
-    groups = build_channel_groups(norm, (1, 2))
-    assert groups == {1: (0,), 2: (1,)}
+    np.testing.assert_array_equal(channel_owners(norm, (1, 2)), [1, 2])
 
 
 def test_channel_groups_tie_goes_low():
     norm = np.array([[0.5, 0.4], [0.5, 0.6]])
-    groups = build_channel_groups(norm, (1, 2))
-    assert groups == {1: (0,), 2: (1,)}
+    np.testing.assert_array_equal(channel_owners(norm, (1, 2)), [1, 2])
 
 
 def test_channel_groups_empty_group_legal():
     norm = np.array([[0.6, 0.6], [0.4, 0.4]])
-    groups = build_channel_groups(norm, (1, 2))
-    assert groups == {1: (0, 1), 2: ()}
+    np.testing.assert_array_equal(channel_owners(norm, (1, 2)), [1, 1])
+
+
+def test_validate_rejects_an_owner_that_is_not_the_argmax():
+    norm = np.array([[0.7, 0.3], [0.2, 0.8]])
+    StrengthReport("trunk.0", (1, 2), norm, norm, np.array([1, 2])).validate()
+    for owners in ([2, 2], [1, 1], [1, 3]):
+        with pytest.raises(StateError, match="not owned by its argmax task"):
+            StrengthReport("trunk.0", (1, 2), norm, norm, np.array(owners)).validate()
 
 
 def _random_raw(rng, tasks=3, channels=6):
@@ -115,12 +121,13 @@ def test_argmax_invariance_under_row_scaling():
     rng = np.random.default_rng(8)
     for _ in range(200):
         raw = _random_raw(rng)
-        groups = build_channel_groups(normalized_strength(raw), (1, 2, 3))
+        owners = channel_owners(normalized_strength(raw), (1, 2, 3))
         row = int(rng.integers(0, 3))
         c = float(rng.uniform(0.01, 100.0))
         scaled = raw.copy()
         scaled[row] *= c
-        assert build_channel_groups(normalized_strength(scaled), (1, 2, 3)) == groups
+        np.testing.assert_array_equal(
+            channel_owners(normalized_strength(scaled), (1, 2, 3)), owners)
 
 
 def test_monotone_response_to_gamma():
@@ -135,11 +142,11 @@ def test_monotone_response_to_gamma():
             layer.bn[tid].running_var[...] = rng.uniform(0.1, 2.0, size=6)
         report = layer_strength_report("trunk.0", layer.weight, layer.bn, (1, 2))
         for tid in (1, 2):
-            for p in report.groups[tid]:
+            for p in np.flatnonzero(report.owners == tid):
                 saved = layer.bn[tid].gamma.data[p]
                 layer.bn[tid].gamma.data[p] = saved * float(rng.uniform(1.0, 10.0))
                 after = layer_strength_report("trunk.0", layer.weight, layer.bn, (1, 2))
-                assert p in after.groups[tid]
+                assert after.owners[p] == tid
                 layer.bn[tid].gamma.data[p] = saved
 
 
@@ -151,11 +158,15 @@ def test_snapshot_partition_and_export():
     assert set(snapshot) == {"trunk.0", "trunk.1"}
     for report in snapshot.values():
         report.validate()
-        members = sorted(p for chans in report.groups.values() for p in chans)
-        assert members == list(range(report.num_channels))
+        assert report.owners.shape == (report.num_channels,)
+        assert set(report.owners.tolist()) <= {1, 2}
 
     records = snapshot_records(seed=17, epoch=3, snapshot=snapshot)
     assert [rec["layer"] for rec in records] == ["trunk.0", "trunk.1"]
     assert all(rec["epoch"] == 3 and rec["seed"] == 17 for rec in records)
     assert all(rec.keys() == {"seed", "epoch", "layer", "tasks", "norm", "groups"}
                for rec in records)
+    # the records keep the per-task channel lists, in ascending channel order
+    for rec, report in zip(records, snapshot.values()):
+        assert rec["groups"] == {str(tid): [p for p in range(report.num_channels)
+                                            if report.owners[p] == tid] for tid in (1, 2)}
