@@ -190,7 +190,8 @@ def _remap(batch: Batch, target_map: Mapping[int, int] | None) -> Batch:
     return Batch(batch.x, {new: batch.targets[old] for old, new in target_map.items()})
 
 
-def load_baseline_metric_spec(path: str) -> MetricSpec:
+def load_baseline_metric_spec(path: str, task_ids) -> MetricSpec:
+    """The baselines file at ``path``, which must cover exactly ``task_ids``."""
     if not os.path.exists(path):
         raise ConfigError(f"baselines file not found: {path} (run the baseline subcommand)")
     try:
@@ -200,6 +201,11 @@ def load_baseline_metric_spec(path: str) -> MetricSpec:
                                                     entry["baseline"])
                            for tid, entry in data["tasks"].items()})
         spec.validate()
+        missing = sorted(set(task_ids) - set(spec.per_task))
+        extra = sorted(set(spec.per_task) - set(task_ids))
+        if missing or extra:
+            raise ConfigError(f"does not cover the configured tasks: missing {missing}, "
+                              f"extra {extra}")
     except ConfigError as exc:
         raise ConfigError(f"baselines file {path}: {exc}") from exc
     except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
@@ -360,10 +366,7 @@ def run_experiment(config: ExperimentConfig,
     """Train every seed; deterministic per (config, seed)."""
     metric_spec = None
     if config.baselines_path:
-        metric_spec = load_baseline_metric_spec(config.baselines_path)
-        if set(metric_spec.per_task) != set(config.model.task_ids):
-            raise ConfigError("baselines file does not cover the configured tasks")
-
+        metric_spec = load_baseline_metric_spec(config.baselines_path, config.model.task_ids)
     results = [_run_seed(config, seed, metric_spec, target_map) for seed in config.seeds]
     return RunReport(config.to_dict(), results)
 

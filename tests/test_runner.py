@@ -10,10 +10,11 @@ from mtlopt.autodiff import ROW_BUFSIZE, Tape
 from mtlopt.cli import main as cli_main
 from mtlopt.config import ExperimentConfig, apply_dotted_overrides, default_model_dict
 from mtlopt.errors import ConfigError, NumericError, ShapeError
-from mtlopt import optimizers, runner
+from mtlopt import optimizers, runner, verification
 from mtlopt.network import build_model, load_checkpoint, per_task_gradients
 from mtlopt.runner import (
     RunReport,
+    SeedResult,
     evaluate_model,
     read_metrics,
     run_experiment,
@@ -308,6 +309,70 @@ def test_runs_train_on_the_training_dataset(monkeypatch):
     assert made[0][1].seed != training_dataset(config, 6).seed
 
 
+def _model_bytes(model):
+    arrays = {name: p.data for name, p in model.named_parameters().items()}
+    arrays.update(model.named_buffers())
+    return {name: arr.tobytes() for name, arr in arrays.items()}
+
+
+@pytest.mark.parametrize("with_baselines", [False, True], ids=["plain", "baselines"])
+def test_a_seed_trains_the_same_alone_and_after_another(tmp_path, with_baselines):
+    # verification reads each seed's model out of one multi-seed report, so a
+    # seed must not depend on the seeds trained before it
+    overrides = {"epochs": 3, "method": "ours"}
+    if with_baselines:
+        overrides["baselines"] = write_baselines({"tasks": {
+            "1": {"metric": "pixel_accuracy", "lower_is_better": False, "baseline": 0.5},
+            "2": {"metric": "rmse", "lower_is_better": True, "baseline": 1.0}}}, str(tmp_path))
+    pair = run_experiment(fast_config(seeds=[1, 2], **overrides)).seed_results[1]
+    alone = run_experiment(fast_config(seeds=[2], **overrides)).seed_results[0]
+    assert pair.seed == alone.seed == 2 and not pair.error
+    assert _model_bytes(pair.model) == _model_bytes(alone.model)
+    assert repr(pair.rows) == repr(alone.rows)
+    assert all(row.delta_m is not None for row in pair.rows) == with_baselines
+    for key in ("log_rows", "strength_rows"):
+        assert json.dumps(getattr(pair, key)) == json.dumps(getattr(alone, key)), key
+
+
+def test_priority_audit_reads_trained_models_and_trains_nothing(monkeypatch):
+    report = run_experiment(fast_config(epochs=2, seeds=[1, 2], method="ours"))
+    before = [_model_bytes(r.model) for r in report.seed_results]
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("the priority audit must not train")
+
+    monkeypatch.setattr(runner, "_run_seed", no_training)
+    monkeypatch.setattr(verification, "run_experiment", no_training)
+    agreement = verification.measure_priority_agreement(report)
+    assert 0.0 <= agreement <= 1.0
+    assert verification.measure_priority_agreement(report) == agreement
+    assert [_model_bytes(r.model) for r in report.seed_results] == before
+
+
+_SEED_2_ERROR = "seed 2, epoch 3, step 1: NumericError: task 2: mse_loss: non-finite values"
+_SEED_2_VIOLATION = "epoch 0 step 1: trunk.0.weight written 2x, expected 1"
+
+
+@pytest.mark.parametrize("kind", ["error", "violation"])
+@pytest.mark.parametrize("criterion", [7, 8])
+def test_criteria_7_and_8_name_the_failed_seed(monkeypatch, kind, criterion):
+    bad = SeedResult(seed=2)
+    if kind == "error":
+        bad.error = _SEED_2_ERROR
+    else:
+        bad.violations = [_SEED_2_VIOLATION, "epoch 0 step 2: a later violation"]
+    monkeypatch.setattr(verification, "run_experiment",
+                        lambda config: RunReport(config.to_dict(), [SeedResult(seed=1), bad]))
+    monkeypatch.setattr(verification, "run_single_task_baselines", lambda config: {"tasks": {}})
+    if criterion == 7:
+        result, method = verification.check_phase1_alignment(seeds=(1, 2)), "phase1"
+    else:
+        result, method = verification.check_end_to_end(seeds=(1, 2)), "ours"
+    where = _SEED_2_ERROR if kind == "error" else f"seed 2, {_SEED_2_VIOLATION}"
+    assert not result.passed
+    assert result.detail == f"{method} run failed at {where}"
+
+
 def test_checkpoint_saved_and_loadable(tmp_path):
     config = fast_config(epochs=1, save_checkpoints=True, out_dir=str(tmp_path))
     run_experiment(config)
@@ -444,6 +509,10 @@ def test_delta_m_refuses_missing_baselines():
      "task 2: metric must be a string, got 5"),
     ('{"tasks": {"2": {"metric": "rmse", "lower_is_better": true, "baseline": 0}}}',
      "task 2: baseline of 0 makes the ratio undefined"),
+    ('{"tasks": {}}', "does not cover the configured tasks: missing [1, 2], extra []"),
+    (json.dumps({"tasks": {str(tid): {"metric": "rmse", "lower_is_better": True, "baseline": 1.0}
+                           for tid in (1, 2, 3)}}),
+     "does not cover the configured tasks: missing [], extra [3]"),
 ])
 def test_cli_rejects_malformed_baselines_file(tmp_path, capsys, text, reason):
     path = tmp_path / "baselines.json"
