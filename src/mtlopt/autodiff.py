@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -171,7 +172,20 @@ class _Node:
 
 
 def _assert_finite(op: str, arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
+    """Raise ``NumericError`` if ``arr`` holds a NaN or an infinity.
+
+    A finite sum of squares proves every element finite: a NaN or an
+    infinity makes its square, and so the sum, non-finite. One BLAS dot
+    over ``ravel("K")``, a view for every op output and leaf gradient of
+    the model whatever its axis order, costs about half an ``isfinite``
+    pass on the shapes trained here. A non-finite sum decides nothing, as
+    finite values above ~1.3e154 overflow their squares, so the elementwise
+    check then rules. Such values make ``np.dot`` warn ``overflow
+    encountered in dot``; an ``errstate`` around it would cost as much as
+    the dot saves.
+    """
+    flat = arr.ravel("K")
+    if not math.isfinite(np.dot(flat, flat)) and not np.isfinite(arr).all():
         raise NumericError(f"{op}: produced non-finite values")
 
 
@@ -232,8 +246,8 @@ class Tape:
         if bias is not None and bias.shape != (c_out,):
             raise ShapeError(f"conv2d: bias must have shape ({c_out},), got {bias.shape}")
 
-        # channel-major (C, N, H, W) layout keeps every slice copy contiguous
-        # on the destination side and makes the column matrix a free reshape
+        # channel-major (C, N, H, W) layout puts each column-matrix row's
+        # pixels in output order and makes a 1x1 conv's matrix a free reshape
         pad = k // 2
         hp, wp = h + 2 * pad, w + 2 * pad
         inner = np.s_[:, :, pad:pad + h, pad:pad + w]
@@ -243,11 +257,12 @@ class Tape:
         else:
             xp = np.zeros((c_in, n, hp, wp))
             xp[inner] = xc
-            cols = np.empty((c_in, k, k, n, h, w))
-            for i in range(k):
-                for j in range(k):
-                    cols[:, i, j] = xp[:, :, i:i + h, j:j + w]
-            cols = cols.reshape(c_in * k * k, n * h * w)
+            # every (i, j) window of the padded input as one strided view;
+            # the reshape copies it once into the column matrix
+            s_c, s_n, s_h, s_w = xp.strides
+            windows = np.ndarray((c_in, k, k, n, h, w), xp.dtype, xp, 0,
+                                 (s_c, s_h, s_w, s_n, s_h, s_w))
+            cols = windows.reshape(c_in * k * k, n * h * w)
         w2 = weight.data.reshape(c_out, -1)
         out2 = w2 @ cols
         if bias is not None:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mtlopt.autodiff import BatchNormState, Tape, Tensor
+from mtlopt.autodiff import BatchNormState, Tape, Tensor, _assert_finite
 from mtlopt.errors import (
     LabelError,
     NumericError,
@@ -182,6 +182,30 @@ def test_conv_bits_match_window_scatter(k):
             _assert_same_bits(bt.grad, gb_ref)
             if not constant_input:
                 _assert_same_bits(x.grad, gx_ref)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("k", [3, 5])
+def test_conv_columns_match_slice_loop(k, batch):
+    # conv2d builds its column matrix as one strided view of the padded
+    # input; the output and weight gradient must keep every bit of the
+    # reference, which copies the columns one kernel offset at a time
+    rng = np.random.default_rng(2000 + 10 * k + batch)
+    for size in range(1, k + 3):
+        x_val = rng.normal(size=(batch, 2, size, size))
+        w_val, b_val = rng.normal(size=(4, 2, k, k)), rng.normal(size=4)
+        out_ref = _window_conv(x_val, w_val, b_val, None)
+        target = rng.normal(size=out_ref.shape)
+        grad_ref = (np.ones(()) * (2.0 / out_ref.size)) * (out_ref - target)  # mse's backward
+        _, _, gw_ref, _ = _window_conv(x_val, w_val, b_val, grad_ref)
+        # NCHW, and channel-major memory as the trunk's activations have it
+        for x_in in (x_val, x_val.transpose(1, 0, 2, 3).copy().transpose(1, 0, 2, 3)):
+            tape = Tape()
+            wt = Tensor(w_val)
+            out = tape.conv2d(x_in, wt, Tensor(b_val))
+            _assert_same_bits(out.data, out_ref)
+            tape.backward(tape.mse_loss(out, target))
+            _assert_same_bits(wt.grad, gw_ref)
 
 
 def test_relu_bits_match_select():
@@ -398,6 +422,34 @@ def test_nonfinite_backward_raises(through_intermediate):
     op = "relu" if through_intermediate else "scale"
     with pytest.raises(NumericError, match=rf"backward\({op}\)"), np.errstate(over="ignore"):
         tape.backward(loss)
+
+
+_FINITE_CHECK_LAYOUTS = {
+    "C order": lambda v: v,
+    "channel-major view": lambda v: v.transpose(1, 0, 2, 3).copy().transpose(1, 0, 2, 3),
+    "strided slice": lambda v: v[:, 1::2, ::-2],
+}
+
+
+@pytest.mark.parametrize("layout", list(_FINITE_CHECK_LAYOUTS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_finite_check_finds_every_nonfinite_value(layout, bad):
+    for where in ("first", "middle", "last"):
+        arr = _FINITE_CHECK_LAYOUTS[layout](np.random.default_rng(23).normal(size=(3, 4, 5, 6)))
+        _assert_finite("op", arr)
+        index = {"first": 0, "middle": arr.size // 2, "last": arr.size - 1}[where]
+        arr[np.unravel_index(index, arr.shape)] = bad
+        with pytest.raises(NumericError, match="op: produced non-finite values"):
+            _assert_finite("op", arr)
+
+
+def test_finite_check_decides_when_squares_overflow():
+    # the sum of squares overflows, so the elementwise check decides
+    for arr in (np.full((2, 3), 1e200), np.array(-1e200), np.array([0.5, 1e155, -2.0])):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            _assert_finite("op", arr)
+    with pytest.raises(NumericError), np.errstate(over="ignore"):
+        _assert_finite("op", np.array([1e200, 1.0, np.inf]))
 
 
 def test_linearity_of_backward():

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,22 +174,27 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
 def test_benchmark_call_counts_match_closed_form(monkeypatch, tmp_path):
     # the traced benchmark requires every call count to equal its closed
     # form (one project_gradient per non-owner per group, one zero_grad per
-    # task pass, ...); a change that breaks one should fail here
+    # task pass, ...), identical evaluate_model calls to agree, and every
+    # report fingerprint to hold across its untraced and traced passes; a
+    # change that breaks one should fail here, on every workload
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
     layers = importlib.import_module("layers")
     workloads = importlib.import_module("workloads")
     Clock = importlib.import_module("clock").Clock
-    tracer = importlib.import_module("tracer").Tracer()
-    inputs = workloads.make_inputs(workloads.smoke_workload(workloads.WORKLOADS["desk-default"]), 1)
-    outcome = workloads.Outcome()
-    with Clock() as clock:
-        time.sleep(0.06)  # past the clock's first calibration tick, which measure needs
-        rounds = layers.run_pass(inputs, outcome, str(tmp_path), {}, clock, tracer)
-    counts = {name: len(spans) for name, spans in tracer.total_s.items()}
-    expected = layers.expected_calls(inputs, rounds)
-    assert {name: counts.get(name, 0) for name in expected} == expected
-    assert counts["optimizers.project_gradient"] > 0
-    assert outcome.failed == 0, outcome.failures
+    Tracer = importlib.import_module("tracer").Tracer
+    for name, workload in workloads.WORKLOADS.items():
+        inputs = workloads.make_inputs(workloads.smoke_workload(workload), 1)
+        outcome, fingerprints, tracer = workloads.Outcome(), {}, Tracer()
+        with Clock() as clock:
+            time.sleep(0.06)  # past the clock's first calibration tick, which measure needs
+            layers.run_pass(inputs, outcome, str(tmp_path), fingerprints, clock, None)
+            rounds = layers.run_pass(inputs, outcome, str(tmp_path), fingerprints, clock, tracer)
+        counts = {span: len(spans) for span, spans in tracer.total_s.items()}
+        expected = layers.expected_calls(inputs, rounds)
+        assert {span: counts.get(span, 0) for span in expected} == expected, name
+        assert counts["optimizers.project_gradient"] > 0, name
+        assert len(fingerprints) == len(workloads.METHODS) * layers.pass_seeds(inputs), name
+        assert outcome.failed == 0, (name, outcome.failures)
 
 
 def test_headless_task_reads_the_trunk_channels():
@@ -371,6 +377,32 @@ def test_criteria_7_and_8_name_the_failed_seed(monkeypatch, kind, criterion):
     where = _SEED_2_ERROR if kind == "error" else f"seed 2, {_SEED_2_VIOLATION}"
     assert not result.passed
     assert result.detail == f"{method} run failed at {where}"
+
+
+@pytest.mark.parametrize("gaps, passed", [
+    ((0.1, 0.2), True),
+    ((0.1, -0.2), False),
+    ((0.1, 0.2, -0.1, 0.3, 0.4), True),
+    ((0.1, -0.2, -0.1, 0.3, 0.4), False),
+])
+def test_criterion_7_needs_four_fifths_of_its_seeds(monkeypatch, gaps, passed):
+    # each phase-1 model's cosine is its seed's gap, and each gd model's 0
+    def fake_run(config):
+        variant = "gd" if config.phase_override is None else "phase1"
+        return RunReport(config.to_dict(), [SeedResult(seed=s, model=(variant, s))
+                                            for s in config.seeds])
+
+    monkeypatch.setattr(verification, "run_experiment", fake_run)
+    monkeypatch.setattr(verification, "training_dataset",
+                        lambda config, seed: SimpleNamespace(batch=lambda step: None))
+    monkeypatch.setattr(verification, "mean_pairwise_gradient_cosine",
+                        lambda model, probes: gaps[model[1] - 1] if model[0] == "phase1" else 0.0)
+    seeds = tuple(range(1, len(gaps) + 1))
+    result = verification.check_phase1_alignment(seeds=seeds)
+    wins, need = sum(g > 0 for g in gaps), {2: 2, 5: 4}[len(seeds)]
+    assert result.passed == passed
+    assert result.detail == (f"phase-1 cosine beats GD in {wins}/{len(seeds)} seeds "
+                             f"(gaps {list(gaps)}, need >= {need}/{len(seeds)})")
 
 
 def test_checkpoint_saved_and_loadable(tmp_path):
