@@ -5,7 +5,11 @@ array. An op output holds a gradient array only while a backward pass
 that needs it runs, so eval-only forwards allocate none. Operations are
 recorded on an explicit Tape; ``Tape.backward`` replays the recorded nodes
 in reverse order and accumulates exact leaf gradients with ``+=``. Zeroing
-gradients between backward passes is the caller's responsibility.
+gradients between backward passes is the caller's responsibility. A
+forward-only pass runs on ``Tape(record=False)``, which checks and returns
+every output like a recording tape but keeps no node, so an op's
+intermediates are freed when it returns and its output when the caller
+drops it.
 
 The operator set is exactly what training runs: conv2d, task-specific
 batch norm, relu, mse / softmax cross-entropy, and ``scale``, which
@@ -190,9 +194,17 @@ def _assert_finite(op: str, arr: np.ndarray) -> None:
 
 
 class Tape:
-    """Append-only record of operations; replayed in reverse by backward()."""
+    """Append-only record of operations; replayed in reverse by backward().
 
-    def __init__(self):
+    With ``record=False`` the tape runs and checks every op but records
+    none, for passes that never run backward: each op's backward rule, and
+    the arrays only it holds, are freed when the op returns, no output
+    outlives the caller's reference to it, and ``backward`` raises
+    ``TapeError``.
+    """
+
+    def __init__(self, record: bool = True):
+        self.record = record
         self._nodes: list[_Node] = []
         self._producer: dict[int, int] = {}  # id(output tensor) -> node index
 
@@ -200,8 +212,9 @@ class Tape:
                 backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
         _assert_finite(op, out_data)
         out = Tensor._wrap(out_data)
-        self._producer[id(out)] = len(self._nodes)
-        self._nodes.append(_Node(op, tuple(inputs), out, backward))
+        if self.record:
+            self._producer[id(out)] = len(self._nodes)
+            self._nodes.append(_Node(op, tuple(inputs), out, backward))
         return out
 
     # ------------------------------------------------------------------
@@ -255,14 +268,26 @@ class Tape:
         if k == 1:
             cols = xc.reshape(c_in, -1)
         else:
-            xp = np.zeros((c_in, n, hp, wp))
-            xp[inner] = xc
-            # every (i, j) window of the padded input as one strided view;
-            # the reshape copies it once into the column matrix
-            s_c, s_n, s_h, s_w = xp.strides
-            windows = np.ndarray((c_in, k, k, n, h, w), xp.dtype, xp, 0,
-                                 (s_c, s_h, s_w, s_n, s_h, s_w))
-            cols = windows.reshape(c_in * k * k, n * h * w)
+            # each channel-image as one flat row of H*W pixels between
+            # pad*W + pad zeros, so that offset (i, j)'s window of every
+            # pixel is the row shifted by i*W + j: every plane of the view
+            # below is copied in runs of H*W elements, not of W
+            hw, margin = h * w, pad * w + pad
+            flat = np.zeros((c_in, n, hw + 2 * margin))
+            flat[:, :, margin:margin + hw].reshape(c_in, n, h, w)[...] = xc
+            s_c, s_n, s_p = flat.strides
+            windows = np.ndarray((c_in, k, k, n, hw), flat.dtype, flat, 0,
+                                 (s_c, w * s_p, s_p, s_n, s_p))
+            # copy() and not reshape: with one channel-image and W == k the
+            # (i, j) axes merge, and reshape would return a view of flat
+            cols = windows.copy().reshape(c_in * k * k, n * hw)
+            # a horizontal shift by d wraps into a neighbouring row at the
+            # first or the last d image columns (every column if d >= W);
+            # those entries are the zero padding of a padded grid
+            grid = cols.reshape(c_in, k, k, n, h, w)
+            for d in range(1, pad + 1):
+                grid[:, :, pad - d, :, :, :d] = 0.0
+                grid[:, :, pad + d, :, :, max(w - d, 0):] = 0.0
         w2 = weight.data.reshape(c_out, -1)
         out2 = w2 @ cols
         if bias is not None:
@@ -478,6 +503,8 @@ class Tape:
         equal inputs, and a leaf's ``+=`` into zeros turns -0.0 into +0.0,
         so leaf gradients keep every bit.
         """
+        if not self.record:
+            raise TapeError("backward: this tape records nothing (record=False)")
         if loss.size != 1:
             raise TapeError(f"backward: loss must be scalar, got shape {loss.shape}")
         start = self._producer.get(id(loss))

@@ -214,7 +214,7 @@ def model_priority_oracle(model, batch, layer_index: int,
              for tid in task_ids}
 
     def task_loss(tid: int) -> float:
-        tape = Tape()
+        tape = Tape(record=False)
         pred = model.forward(batch.x, tid, tape, mode="train")
         return tape.compute_loss(pred, batch.targets[tid], model.spec.task(tid).loss).item()
 

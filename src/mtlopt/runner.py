@@ -159,10 +159,11 @@ def evaluate_model(model: Model, dataset: SyntheticMtlDataset, num_batches: int,
     # batches are built outside the row-sized buffers, which speed up only
     # the model's per-channel math
     batches = [_remap(dataset.eval_batch(idx), target_map) for idx in range(num_batches)]
+    # forward-only: one tape that records nothing serves every pass
+    tape = Tape(record=False)
     with _row_sized_buffers():
         for batch in batches:
             for tid in model.spec.task_ids:
-                tape = Tape()
                 pred = model.forward(batch.x, tid, tape, mode="eval")
                 kind = model.spec.task(tid).loss
                 target = batch.targets[tid]

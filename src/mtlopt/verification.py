@@ -143,7 +143,7 @@ def _gradcheck_case(rng: np.random.Generator, op: str) -> float:
     worst = 0.0
     for param in params:
         analytic = param.grad.copy()
-        numeric = central_difference(lambda: build(Tape()).item(), param.data)
+        numeric = central_difference(lambda: build(Tape(record=False)).item(), param.data)
         worst = max(worst, relative_error(analytic, numeric))
     return worst
 

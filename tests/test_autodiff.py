@@ -3,6 +3,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -185,15 +186,19 @@ def test_conv_bits_match_window_scatter(k):
 
 
 @pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("k", [3, 5, 7])
 def test_conv_columns_match_slice_loop(k, batch):
-    # conv2d builds its column matrix as one strided view of the padded
-    # input; the output and weight gradient must keep every bit of the
-    # reference, which copies the columns one kernel offset at a time
+    # conv2d builds its column matrix as one flat-shift view of the input;
+    # the output and weight gradient must keep every bit of the reference,
+    # which copies the columns one kernel offset at a time. Images of width
+    # 1 and 2 shift rows by more than their width (pad > W for k >= 5), and
+    # one channel of width k lets the view's kernel axes merge.
     rng = np.random.default_rng(2000 + 10 * k + batch)
-    for size in range(1, k + 3):
-        x_val = rng.normal(size=(batch, 2, size, size))
-        w_val, b_val = rng.normal(size=(4, 2, k, k)), rng.normal(size=4)
+    shapes = [(2, size, size) for size in range(1, k + 3)]
+    shapes += [(2, k + 2, 1), (2, 3, 2), (2, 1, 2), (1, k + 1, k)]
+    for channels, height, width in shapes:
+        x_val = rng.normal(size=(batch, channels, height, width))
+        w_val, b_val = rng.normal(size=(4, channels, k, k)), rng.normal(size=4)
         out_ref = _window_conv(x_val, w_val, b_val, None)
         target = rng.normal(size=out_ref.shape)
         grad_ref = (np.ones(()) * (2.0 / out_ref.size)) * (out_ref - target)  # mse's backward
@@ -403,6 +408,28 @@ def test_backward_contract_errors():
     loss = Tape().scale(Tensor(1.0), 1.0)
     with pytest.raises(TapeError):
         tape.backward(loss)  # produced on a different tape
+
+
+def test_non_recording_tape_frees_each_op_with_its_inputs():
+    # a forward-only tape keeps no node, so an intermediate output lives
+    # only as long as the caller holds it; a recording tape keeps it
+    for record in (False, True):
+        tape = Tape(record=record)
+        hidden = tape.relu(Tensor(np.arange(-2.0, 2.0)))
+        alive = weakref.ref(hidden.data)
+        loss = tape.mse_loss(tape.relu(hidden), np.zeros(4))
+        del hidden  # no collector run: the last reference frees it at once
+        assert (alive() is not None) == record
+        assert loss.item() == 0.25
+
+
+def test_non_recording_tape_checks_outputs_and_refuses_backward():
+    tape = Tape(record=False)
+    loss = tape.mse_loss(Tensor(np.ones(3)), np.zeros(3))
+    with pytest.raises(TapeError, match="record=False"):
+        tape.backward(loss)
+    with pytest.raises(NumericError), np.errstate(over="ignore"):
+        tape.scale(Tensor(1e300), 1e10)
 
 
 def test_nonfinite_forward_raises():

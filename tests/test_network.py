@@ -181,6 +181,25 @@ def test_batchnorm_routing_isolation():
     assert np.array_equal(out_before, out_after)
 
 
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_non_recording_forward_matches_recording_bits(mode):
+    # the same forward, once on each kind of tape, from the same state:
+    # outputs, losses and the running statistics it moves keep every bit
+    batch = make_batch(4)
+    results = []
+    for record in (True, False):
+        model = build_model(two_task_spec(), seed=17)
+        rng = np.random.default_rng(5)  # running statistics away from (0, 1)
+        for buf in model.named_buffers().values():
+            buf[...] = rng.uniform(0.5, 1.5, size=buf.shape)
+        tape = Tape(record=record)
+        out = model.forward(batch.x, task=1, tape=tape, mode=mode)
+        loss = tape.compute_loss(out, batch.targets[1], "cross_entropy")
+        buffers = [b.tobytes() for b in model.named_buffers().values()]
+        results.append((out.data.tobytes(), loss.data.tobytes(), buffers))
+    assert results[0] == results[1]
+
+
 def test_gradient_snapshot_independence():
     model = build_model(two_task_spec(), seed=13)
     model.zero_grad()
