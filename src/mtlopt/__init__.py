@@ -10,7 +10,13 @@ from .autodiff import BatchNormState, Tape, Tensor
 from .config import ExperimentConfig
 from .errors import MtloptError
 from .evaluation import MetricSpec, TaskMetricSpec, delta_m, loss_trend_correlation, priority_share
-from .loss_scaling import DwaState, UncertaintyState, dwa_weights, static_weights
+from .loss_scaling import (
+    DynamicWeightAverage,
+    FixedWeights,
+    LossWeighting,
+    UncertaintyWeights,
+    make_loss_weighting,
+)
 from .network import (
     Batch,
     ConvSpec,

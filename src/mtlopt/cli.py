@@ -129,11 +129,15 @@ def cmd_report(args) -> int:
                 curve = {t: [r[f"train_loss_{t}"] for r in rows
                              if r["method"] == method and r["seed"] == seed]
                          for t in task_ids}
-                mats.append(loss_trend_correlation(curve))
+                # a seed that failed before its third epoch has too short a curve
+                if len(curve[task_ids[0]]) >= 3:
+                    mats.append(loss_trend_correlation(curve))
+            skipped = len(seeds) - len(mats)
+            note = f" ({skipped} seed(s) with fewer than 3 epochs left out)" if skipped else ""
             mean_corr = np.mean(mats, axis=0)
             offdiag = [f"tasks {task_ids[i]}-{task_ids[j]}: {mean_corr[i, j]:+.3f}"
                        for i in range(len(task_ids)) for j in range(i + 1, len(task_ids))]
-            print(f"  {method}: " + "  ".join(offdiag))
+            print(f"  {method}: " + "  ".join(offdiag) + note)
     return 0
 
 

@@ -247,8 +247,10 @@ class ExperimentConfig:
         _require(isinstance(mix, (list, tuple)) and len(mix) == 2
                  and all(_is_number(v) for v in mix), "data.depth_mix", "must be two numbers")
         data = SyntheticConfig(**{**data, "depth_mix": tuple(mix)})
-        _require(data.channels == model.trunk[0].in_channels if model.trunk else True,
-                 "data.channels", "must match the first trunk layer's input channels")
+        # the first trunk layer reads the images; without a trunk, each head's first layer does
+        readers = [model.trunk[0]] if model.trunk else [h[0] for h in model.heads.values() if h]
+        _require(all(layer.in_channels == data.channels for layer in readers), "data.channels",
+                 "must match the input channels of every layer that reads the images")
         _require(k <= 2, "model.tasks", f"the synthetic data has 2 targets, got {k} tasks")
         for task in model.tasks:
             layers = model.heads.get(task.id) or model.trunk

@@ -1,14 +1,14 @@
-"""Task-weighting schemes: equal, manual ratios, homoscedastic uncertainty,
-and Dynamic Weight Average.
+"""Task-weighting schemes: equal, manual ratios, homoscedastic uncertainty
+(Kendall et al. 2018) and Dynamic Weight Average (Liu et al. 2019).
 
-The uncertainty scheme learns one log-variance scalar per task by plain SGD
-on the closed-form gradient of its objective. DWA rescales weights from the
-ratio of the last two epoch-mean losses; its weights always sum to the
-number of tasks.
+Every scheme has one interface. ``weights()`` gives the task weights for
+the next step, ``after_step`` hears each step's raw per-task losses and
+``after_epoch`` each epoch's mean per-task losses. Equal and manual weights
+never move; uncertainty moves only after a step and DWA only after an
+epoch. ``make_loss_weighting`` builds any of them and runs every check once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -17,96 +17,106 @@ from .errors import ConfigError
 
 SCHEMES = ("equal", "manual", "uncertainty", "dwa")
 
-TASK_KIND_REGRESSION = "regression"
-TASK_KIND_CLASSIFICATION = "classification"
+# the uncertainty objective's factor c on each loss kind's term
+_UNCERTAINTY_COEFFICIENT = {"mse": 0.5, "cross_entropy": 1.0}
 
 
-def static_weights(mode: str, K: int, ratios: Sequence[float] | None = None) -> np.ndarray:
-    """Equal weights 1/K, or manual ratios passed through verbatim."""
-    if K < 1:
-        raise ConfigError("static_weights: K must be >= 1")
-    if mode == "equal":
-        return np.full(K, 1.0 / K)
-    if mode == "manual":
-        if ratios is None or len(ratios) != K:
-            raise ConfigError(f"manual weighting needs {K} ratios")
-        ratios = np.asarray(ratios, dtype=np.float64)
-        if np.any(ratios < 0):
-            raise ConfigError("manual ratios must be nonnegative")
-        return ratios.copy()
-    raise ConfigError(f"unknown static weighting mode {mode!r}")
+class LossWeighting:
+    """The interface of every scheme; its hooks do nothing by default."""
+
+    def weights(self) -> dict[int, float]:
+        raise NotImplementedError
+
+    def after_step(self, raw_losses: Mapping[int, float]) -> None:
+        pass
+
+    def after_epoch(self, epoch_mean_losses: Mapping[int, float]) -> None:
+        pass
 
 
-@dataclass
-class UncertaintyState:
+class FixedWeights(LossWeighting):
+    """A weight table that no hook moves: equal weights 1/K, or manual
+    ratios passed through verbatim."""
+
+    def __init__(self, weights: Mapping[int, float]):
+        self._weights = dict(weights)
+
+    def weights(self) -> dict[int, float]:
+        return dict(self._weights)
+
+
+class DynamicWeightAverage(FixedWeights):
+    """Weights K * softmax(ratio / T) with ratio = L(t-1) / L(t-2), the last
+    two epoch-mean losses; they always sum to K.
+
+    The table is all ones until two epochs have ended, and only the end of
+    an epoch replaces it; a zero denominator falls back to ratio 1 for that
+    task.
+    """
+
+    def __init__(self, task_ids: Sequence[int], temperature: float):
+        if temperature <= 0:
+            raise ConfigError("dwa: temperature must be positive")
+        super().__init__({tid: 1.0 for tid in sorted(task_ids)})
+        self.temperature = temperature
+        self._previous: list[float] | None = None
+
+    def after_epoch(self, epoch_mean_losses: Mapping[int, float]) -> None:
+        task_ids = list(self._weights)
+        latest = [epoch_mean_losses[tid] for tid in task_ids]
+        if self._previous is not None:
+            ratios = np.ones(len(task_ids))
+            for i, (last, before) in enumerate(zip(latest, self._previous)):
+                if before != 0.0:
+                    ratios[i] = last / before
+            z = np.exp(ratios / self.temperature - (ratios / self.temperature).max())
+            self._weights = dict(zip(task_ids, (len(task_ids) * z / z.sum()).tolist()))
+        self._previous = latest
+
+
+class UncertaintyWeights(LossWeighting):
     """Per-task log-variance parameters rho = log(sigma^2), each a 0-d float64
-    array updated in place.
+    array updated in place by plain SGD on the closed-form gradient of the
+    objective  sum_i  c_i * L_i * exp(-rho_i) + rho_i / 2.
 
     Parameterizing through rho keeps sigma^2 = exp(rho) positive without
-    constraints. Regression losses scale by 1/(2 sigma^2), classification
-    losses by 1/sigma^2; both add log(sigma) = rho/2.
+    constraints. An mse loss scales by c = 1/2, a cross-entropy loss by 1.
     """
 
-    rho: dict[int, np.ndarray]
-    kinds: dict[int, str]
+    def __init__(self, loss_kinds: Mapping[int, str], lr: float):
+        self.coefficient = {tid: _UNCERTAINTY_COEFFICIENT[kind]
+                            for tid, kind in loss_kinds.items()}
+        self.rho = {tid: np.zeros(()) for tid in loss_kinds}
+        self.lr = lr
 
-    @classmethod
-    def create(cls, kinds: Mapping[int, str]) -> "UncertaintyState":
-        for tid, kind in kinds.items():
-            if kind not in (TASK_KIND_REGRESSION, TASK_KIND_CLASSIFICATION):
-                raise ConfigError(f"task {tid}: unknown kind {kind!r}")
-        return cls(rho={tid: np.zeros(()) for tid in kinds}, kinds=dict(kinds))
-
-    def coefficient(self, task: int) -> float:
-        return 0.5 if self.kinds[task] == TASK_KIND_REGRESSION else 1.0
-
-    def loss_weight(self, task: int) -> float:
-        """The effective multiplier on the raw task loss, c / sigma^2."""
-        return self.coefficient(task) * float(np.exp(-self.rho[task]))
+    def weights(self) -> dict[int, float]:
+        """The effective multiplier on each raw task loss, c / sigma^2."""
+        return {tid: c * float(np.exp(-self.rho[tid])) for tid, c in self.coefficient.items()}
 
     def rho_gradient(self, raw_losses: Mapping[int, float]) -> dict[int, float]:
-        """d/d(rho) of the objective  sum_i  c_i * L_i * exp(-rho_i) + rho_i / 2."""
-        return {tid: -self.coefficient(tid) * raw_losses[tid] * float(np.exp(-rho)) + 0.5
-                for tid, rho in self.rho.items()}
+        """d/d(rho) of the objective at the current rho."""
+        return {tid: -c * raw_losses[tid] * float(np.exp(-self.rho[tid])) + 0.5
+                for tid, c in self.coefficient.items()}
 
-    def sgd_update(self, raw_losses: Mapping[int, float], lr: float) -> None:
-        """One plain-SGD step on each rho."""
+    def after_step(self, raw_losses: Mapping[int, float]) -> None:
         for tid, grad in self.rho_gradient(raw_losses).items():
-            self.rho[tid] -= lr * grad
+            self.rho[tid] -= self.lr * grad
 
 
-@dataclass
-class DwaState:
-    """Last two epoch-mean losses per task plus the softmax temperature."""
-
-    temperature: float = 2.0
-    history: list[dict[int, float]] = field(default_factory=list)
-
-    def update(self, epoch_mean_losses: Mapping[int, float]) -> None:
-        self.history.append(dict(epoch_mean_losses))
-        if len(self.history) > 2:
-            del self.history[0]
-
-
-def dwa_weights(state: DwaState, K: int) -> np.ndarray:
-    """Weights K * softmax(ratio / T) with ratio = L(t-1) / L(t-2).
-
-    The first two epochs (incomplete history) emit equal weights (all
-    ones); a zero denominator falls back to ratio 1 for that task.
-    """
-    if K < 1:
-        raise ConfigError("dwa_weights: K must be >= 1")
-    if state.temperature <= 0:
-        raise ConfigError("dwa_weights: temperature must be positive")
-    if len(state.history) < 2:
-        return np.ones(K)
-    prev1, prev2 = state.history[-1], state.history[-2]
-    task_ids = sorted(prev1)
-    if len(task_ids) != K:
-        raise ConfigError(f"dwa_weights: history covers {len(task_ids)} tasks, expected {K}")
-    ratios = np.ones(K)
-    for i, tid in enumerate(task_ids):
-        if prev2[tid] != 0.0:
-            ratios[i] = prev1[tid] / prev2[tid]
-    z = np.exp(ratios / state.temperature - (ratios / state.temperature).max())
-    return K * z / z.sum()
+def make_loss_weighting(scheme: str, loss_kinds: Mapping[int, str],
+                        manual_ratios: Sequence[float] | None, dwa_temperature: float,
+                        lr: float) -> LossWeighting:
+    """The scheme for tasks whose loss kinds ("mse" or "cross_entropy") are
+    given in task-id order; ``lr`` is the uncertainty scheme's step size."""
+    task_ids = list(loss_kinds)
+    if scheme == "equal":
+        return FixedWeights({tid: 1.0 / len(task_ids) for tid in task_ids})
+    if scheme == "manual":
+        if manual_ratios is None or len(manual_ratios) != len(task_ids):
+            raise ConfigError(f"manual weighting needs {len(task_ids)} ratios")
+        return FixedWeights({tid: float(r) for tid, r in zip(task_ids, manual_ratios)})
+    if scheme == "dwa":
+        return DynamicWeightAverage(task_ids, dwa_temperature)
+    if scheme == "uncertainty":
+        return UncertaintyWeights(loss_kinds, lr)
+    raise ConfigError(f"unknown loss-weighting scheme {scheme!r}; one of {SCHEMES}")

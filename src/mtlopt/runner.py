@@ -20,7 +20,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import ConfigError, MtloptError
 from .evaluation import MetricSpec, TaskMetricSpec, delta_m, priority_share
-from .loss_scaling import DwaState, UncertaintyState, dwa_weights, static_weights
+from .loss_scaling import make_loss_weighting
 from .network import Batch, Model, build_model, per_task_gradients, save_checkpoint
 from .optimizers import (
     METHOD_OURS,
@@ -87,51 +87,6 @@ class RunReport:
         values = [r.rows[-1].delta_m for r in self.seed_results
                   if not r.error and r.rows and r.rows[-1].delta_m is not None]
         return float(np.mean(values)) if values else None
-
-
-# ---------------------------------------------------------------------------
-# weighting schemes inside the loop
-# ---------------------------------------------------------------------------
-
-class _WeightProvider:
-    """Per-epoch / per-step task weights for the configured scheme."""
-
-    def __init__(self, config: ExperimentConfig):
-        self.scheme = config.scheme
-        self.task_ids = config.model.task_ids
-        k = len(self.task_ids)
-        if self.scheme == "equal":
-            self._static = static_weights("equal", k)
-        elif self.scheme == "manual":
-            self._static = static_weights("manual", k, config.manual_ratios)
-        elif self.scheme == "dwa":
-            self.dwa = DwaState(temperature=config.dwa_temperature)
-        else:
-            kinds = {t.id: ("regression" if t.loss == "mse" else "classification")
-                     for t in config.model.tasks}
-            self.uncertainty = UncertaintyState.create(kinds)
-        self._lr = config.lr
-
-    def epoch_weights(self) -> dict[int, float]:
-        if self.scheme in ("equal", "manual"):
-            return {tid: float(w) for tid, w in zip(self.task_ids, self._static)}
-        if self.scheme == "dwa":
-            w = dwa_weights(self.dwa, len(self.task_ids))
-            return {tid: float(v) for tid, v in zip(self.task_ids, w)}
-        return {tid: self.uncertainty.loss_weight(tid) for tid in self.task_ids}
-
-    def step_weights(self) -> dict[int, float]:
-        if self.scheme == "uncertainty":
-            return {tid: self.uncertainty.loss_weight(tid) for tid in self.task_ids}
-        return self.epoch_weights()
-
-    def after_step(self, raw_losses: Mapping[int, float]) -> None:
-        if self.scheme == "uncertainty":
-            self.uncertainty.sgd_update(raw_losses, self._lr)
-
-    def after_epoch(self, epoch_mean_losses: Mapping[int, float]) -> None:
-        if self.scheme == "dwa":
-            self.dwa.update(epoch_mean_losses)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +213,9 @@ def _run_seed(config: ExperimentConfig, seed: int,
         init_seed = int(substream(seed, "init").integers(0, 2 ** 63))
         model = build_model(spec, seed=init_seed)
         dataset = training_dataset(config, seed)
-        provider = _WeightProvider(config)
+        weighting = make_loss_weighting(
+            config.scheme, {t.id: t.loss for t in spec.tasks}, config.manual_ratios,
+            config.dwa_temperature, config.lr)
         rule = config.update_rule
         optimizer = MtlOptimizer(model, OptimizerConfig(
             method=config.method, lr=config.lr, update_rule=rule["kind"],
@@ -281,16 +238,16 @@ def _run_seed(config: ExperimentConfig, seed: int,
                     draw = schedule.draw(epoch)
                     phase, drawn_p = draw.phase, draw.p
 
-            epoch_weights = provider.epoch_weights()
+            epoch_weights = weighting.weights()
             loss_totals = {tid: 0.0 for tid in task_ids}
             conflicts: dict[str, int] = {}
             projections: dict[str, int] = {}
             stage = "step"
             for step in range(config.steps_per_epoch):
                 batch = _remap(dataset.batch(epoch * config.steps_per_epoch + step), target_map)
-                weights = provider.step_weights()
-                step_result = optimizer.step(batch, weights, phase=phase, owners=owners)
-                provider.after_step(step_result.losses)
+                step_result = optimizer.step(batch, weighting.weights(), phase=phase,
+                                             owners=owners)
+                weighting.after_step(step_result.losses)
                 for tid, value in step_result.losses.items():
                     loss_totals[tid] += value
                 for name, n in step_result.conflicts.items():
@@ -302,7 +259,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
             stage, step = "loss weighting", None
             epoch_mean = {tid: total / config.steps_per_epoch
                           for tid, total in loss_totals.items()}
-            provider.after_epoch(epoch_mean)
+            weighting.after_epoch(epoch_mean)
 
             stage = "evaluation"
             evals, metrics = evaluate_model(model, dataset, config.eval_batches, target_map)

@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import BatchNormState, Tape, Tensor
 from .config import ExperimentConfig
 from .gradcheck import central_difference, relative_error
-from .loss_scaling import DwaState, UncertaintyState, dwa_weights, static_weights
+from .loss_scaling import make_loss_weighting
 from .network import Batch, ConvSpec, ModelSpec, TaskSpec, build_model
 from .optimizers import PHASE1, MtlOptimizer, OptimizerConfig, PhaseSchedule, project_gradient
 from .quadratics import (
@@ -440,38 +440,39 @@ def check_end_to_end(seeds=(1, 2, 3, 4, 5)) -> CheckResult:
 
 def check_loss_scaling(fd_draws: int = 100, dwa_epochs: int = 200) -> CheckResult:
     def run():
-        ratios = static_weights("manual", 4, (1.0, 1.0, 10.0, 50.0))
-        if not np.array_equal(ratios, np.array([1.0, 1.0, 10.0, 50.0])):
+        kinds = {1: "cross_entropy", 2: "mse", 3: "mse", 4: "mse"}
+        ratios = make_loss_weighting("manual", kinds, (1.0, 1.0, 10.0, 50.0), 2.0, 0.1)
+        if list(ratios.weights().values()) != [1.0, 1.0, 10.0, 50.0]:
             return False, "manual ratios not passed through verbatim"
 
-        state = DwaState()
+        dwa = make_loss_weighting("dwa", {1: "mse", 2: "mse", 3: "mse"}, None, 2.0, 0.1)
         rng = substream(909, "dwa-epochs")
         for _ in range(dwa_epochs):
-            state.update({tid: float(rng.uniform(0.01, 5.0)) for tid in (1, 2, 3)})
-            w = dwa_weights(state, 3)
-            if abs(w.sum() - 3.0) > 1e-9:
-                return False, f"dwa weights sum {w.sum()!r} != K"
-        constant = DwaState()
-        constant.update({1: 0.7, 2: 1.9})
-        constant.update({1: 0.7, 2: 1.9})
-        if np.abs(dwa_weights(constant, 2) - 1.0).max() > 1e-12:
+            dwa.after_epoch({tid: float(rng.uniform(0.01, 5.0)) for tid in (1, 2, 3)})
+            total = sum(dwa.weights().values())
+            if abs(total - 3.0) > 1e-9:
+                return False, f"dwa weights sum {total!r} != K"
+        constant = make_loss_weighting("dwa", {1: "mse", 2: "mse"}, None, 2.0, 0.1)
+        constant.after_epoch({1: 0.7, 2: 1.9})
+        constant.after_epoch({1: 0.7, 2: 1.9})
+        if max(abs(w - 1.0) for w in constant.weights().values()) > 1e-12:
             return False, "dwa under constant losses is not the all-ones vector"
 
         rng = substream(910, "uncertainty-fd")
         worst = 0.0
         for _ in range(fd_draws):
-            kind = "regression" if rng.random() < 0.5 else "classification"
-            ustate = UncertaintyState.create({1: kind})
-            rho = ustate.rho[1]
+            kind = "mse" if rng.random() < 0.5 else "cross_entropy"
+            uncertainty = make_loss_weighting("uncertainty", {1: kind}, None, 2.0, 0.1)
+            rho = uncertainty.rho[1]
             rho[...] = rng.normal()
             loss_value = float(rng.uniform(0.01, 10.0))
-            c = 0.5 if kind == "regression" else 1.0
+            c = 0.5 if kind == "mse" else 1.0
 
             def value():
                 # Kendall et al. 2018: c * L / sigma^2 + log(sigma), rho = log(sigma^2)
                 return c * loss_value * math.exp(-float(rho)) + float(rho) / 2
 
-            analytic = np.array(ustate.rho_gradient({1: loss_value})[1])
+            analytic = np.array(uncertainty.rho_gradient({1: loss_value})[1])
             worst = max(worst, relative_error(analytic, central_difference(value, rho)))
         if worst >= 1e-6:
             return False, f"uncertainty gradient rel err {worst:.2e} >= 1e-6"

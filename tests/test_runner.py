@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import time
 from types import SimpleNamespace
 
@@ -9,8 +10,14 @@ import pytest
 
 from mtlopt.autodiff import ROW_BUFSIZE, Tape
 from mtlopt.cli import main as cli_main
-from mtlopt.config import ExperimentConfig, apply_dotted_overrides, default_model_dict
+from mtlopt.config import (
+    ExperimentConfig,
+    apply_dotted_overrides,
+    default_config_dict,
+    default_model_dict,
+)
 from mtlopt.errors import ConfigError, NumericError, ShapeError
+from mtlopt.loss_scaling import DynamicWeightAverage
 from mtlopt import optimizers, runner, verification
 from mtlopt.network import build_model, load_checkpoint, per_task_gradients
 from mtlopt.runner import (
@@ -46,6 +53,22 @@ def test_empty_config_is_valid_and_runnable():
     # a one-epoch override of the defaults actually trains
     report = run_experiment(fast_config(epochs=1))
     assert not report.failed and not report.violations
+
+
+def test_readme_configuration_table_lists_every_default():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        table = fh.read().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    documented = {key for line in table.splitlines() if line.startswith("| `")
+                  for key in re.findall(r"`([^`]+)`", line.split("|")[1])}
+
+    def leaves(node, prefix=""):
+        for key, value in node.items():
+            if isinstance(value, dict) and key != "model":
+                yield from leaves(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    assert sorted(set(leaves(default_config_dict())) - documented) == []
 
 
 def test_unknown_field_rejected_with_path():
@@ -137,6 +160,11 @@ def _trunk_layer_override(**fields):
     ({"update_rule": {"eps": float("inf")}}, "config.update_rule.eps"),
     ({"data": {"depth_mix": [float("-inf"), 0.3]}}, "config.data.depth_mix"),
     ({"data": {"depth_mix": [0.7, float("nan")]}}, "config.data.depth_mix"),
+    # without a trunk, each head's first layer reads the images
+    (_model_override(trunk=[],
+                     heads={"1": [{"in_channels": 5, "out_channels": 4, "kernel_size": 1}],
+                            "2": [{"in_channels": 5, "out_channels": 1, "kernel_size": 1}]}),
+     "config.data.channels"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -429,7 +457,7 @@ def test_baselines_and_delta_m(tmp_path):
     assert all(row.delta_m is not None for row in report.seed_results[0].rows)
 
 
-def test_failed_seed_keeps_its_finished_epochs(tmp_path, monkeypatch):
+def test_failed_seed_keeps_its_finished_epochs(tmp_path, monkeypatch, capsys):
     # seed 1 fails at epoch 2, step 1; seed 2 trains to the end
     real_step = runner.MtlOptimizer.step
     calls = {"n": 0}
@@ -466,13 +494,17 @@ def test_failed_seed_keeps_its_finished_epochs(tmp_path, monkeypatch):
                                          "error_type": "NumericError"}}
     for key in ("per_seed_final_eval", "per_seed_final_metric", "per_seed_final_delta_m"):
         assert set(summary[key]) == {"2"}
+    # the failed seed's two epochs are too few for the trend correlation
+    capsys.readouterr()
+    assert cli_main(["report", "--dir", str(out)]) == 0
+    assert "(1 seed(s) with fewer than 3 epochs left out)" in capsys.readouterr().out
 
 
 def test_failed_loss_weighting_is_labelled(monkeypatch):
     def failing_update(self, epoch_mean_losses):
         raise NumericError("dwa: non-finite epoch loss")
 
-    monkeypatch.setattr(runner.DwaState, "update", failing_update)
+    monkeypatch.setattr(DynamicWeightAverage, "after_epoch", failing_update)
     report = run_experiment(fast_config(epochs=2, loss_scaling={"scheme": "dwa"}))
     failed = report.seed_results[0]
     assert failed.error == ("seed 1, epoch 0, loss weighting: "
