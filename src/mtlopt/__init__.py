@@ -22,6 +22,7 @@ from .network import (
     ConvSpec,
     Model,
     ModelSpec,
+    ParameterLayout,
     ParameterPartition,
     TaskSpec,
     build_model,

@@ -133,9 +133,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape})"
 

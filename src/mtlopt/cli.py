@@ -12,6 +12,7 @@ from .config import ExperimentConfig, apply_dotted_overrides
 from .errors import ConfigError, MtloptError
 from .runner import (
     METRICS_FILE,
+    SUMMARY_FILE,
     read_metrics,
     run_experiment,
     run_single_task_baselines,
@@ -107,7 +108,16 @@ def cmd_report(args) -> int:
     methods = sorted({r["method"] for r in final})
     task_cols = sorted(c for c in rows[0] if c.startswith("metric_"))
     task_ids = sorted(int(c.split("_")[-1]) for c in task_cols)
-    print(f"final epoch {last_epoch}, {len(final)} seeds x methods")
+    # summary.json names the seeds that stopped, also those that left no row
+    summary_path = os.path.join(args.dir, SUMMARY_FILE)
+    summary = {}
+    if os.path.exists(summary_path):
+        with open(summary_path) as fh:
+            summary = json.load(fh)
+    errors, failures = summary.get("errors", {}), summary.get("failures", {})
+    seeds = {r["seed"] for r in rows} | {int(seed) for seed in errors}
+    print(f"final epoch {last_epoch}, mean over {len({r['seed'] for r in final})} "
+          f"of {len(seeds)} seed(s)")
     for method in methods:
         subset = [r for r in final if r["method"] == method]
         parts = []
@@ -119,6 +129,12 @@ def cmd_report(args) -> int:
         shares = [f"share_{t}={np.mean([r[f'share_{t}'] for r in subset]):.3f}"
                   for t in task_ids]
         print(f"  {method}: " + "  ".join(parts + shares))
+    if errors:
+        print("stopped seeds:")
+    for seed in sorted(errors, key=int):
+        failure = failures.get(seed, {})
+        epoch = "" if failure.get("epoch") is None else f"epoch {failure['epoch']}, "
+        print(f"  seed {seed} at {epoch}stage {failure.get('stage')}: {errors[seed]}")
 
     if last_epoch >= 2:
         print("training-loss trend correlation (mean over seeds):")

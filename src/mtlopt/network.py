@@ -4,11 +4,14 @@ The trunk is a stack of conv layers, each (by default) followed by one
 batch-norm state per task and a relu. Heads are per-task conv stacks.
 Parameters split into a shared set (trunk conv weights, plus the biases of
 trunk layers without batch norm) and one set per task (that task's
-batch-norm scales/shifts plus its head).
+batch-norm scales/shifts plus its head). The model keeps every parameter's
+values in one flat vector and their gradients in another, one block per
+set; a parameter's ``.data`` and ``.grad`` are views into them.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Mapping
 
@@ -18,6 +21,7 @@ from .autodiff import BatchNormState, Tape, Tensor, _row_sized_buffers
 from .errors import ConfigError, DataError, MtloptError
 
 LOSS_KINDS = ("mse", "cross_entropy")
+SHARED = "shared"  # the shared block's key; a task's own block is keyed by its id
 
 
 @dataclass(frozen=True)
@@ -170,13 +174,88 @@ class ConvLayer:
             if spec.batch_norm else {})
 
 
+class ParameterLayout:
+    """Where each parameter lives in a model's two flat vectors.
+
+    The shared block comes first, at offset 0, its parameters in
+    sorted-name order; then each task's own block in task-id order, holding
+    that task's batch-norm scales and shifts and then its head, in model
+    order. ``members`` lists each block's names, ``blocks`` and ``slices``
+    give each block's and each name's place in the flat vectors.
+    """
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]],
+                 members: Mapping[str | int, Iterable[str]]):
+        self.shapes = dict(shapes)
+        self.members = {key: tuple(names) for key, names in members.items()}
+        self.slices: dict[str, slice] = {}
+        self.blocks: dict[str | int, slice] = {}
+        offset = 0
+        for key, names in self.members.items():
+            start = offset
+            for name in names:
+                size = math.prod(self.shapes[name])
+                self.slices[name] = slice(offset, offset + size)
+                offset += size
+            self.blocks[key] = slice(start, offset)
+        self.size = offset
+
+    def views(self, values: np.ndarray, key: str | int | None = None) -> dict[str, np.ndarray]:
+        """Name -> shaped view into ``values``, a vector laid out like the
+        whole model, or with ``key`` like that one block (as the blocks
+        ``per_task_gradients`` returns)."""
+        names = self.slices if key is None else self.members[key]
+        base = 0 if key is None else self.blocks[key].start
+        return {n: values[self.slices[n].start - base:self.slices[n].stop - base]
+                .reshape(self.shapes[n]) for n in names}
+
+
+def _block_of(name: str) -> str | int:
+    """The block of a parameter name: trunk batch norm belongs to its task,
+    the rest of the trunk is shared, a head belongs to its task."""
+    parts = name.split(".")
+    if parts[0] == "trunk":
+        return int(parts[3]) if parts[2] == "bn" else SHARED
+    return int(parts[1])
+
+
 class Model:
-    """A built shared-trunk multi-head network. Use build_model() to create one."""
+    """A built shared-trunk multi-head network. Use build_model() to create one.
+
+    ``flat_data`` and ``flat_grad`` hold every parameter's values and
+    gradients, laid out by ``layout``; each parameter tensor's ``.data`` and
+    ``.grad`` are views into them.
+    """
 
     def __init__(self, spec: ModelSpec, trunk: list[ConvLayer], heads: dict[int, list[ConvLayer]]):
         self.spec = spec
         self.trunk = trunk
         self.heads = heads
+        self._flatten()
+
+    def _flatten(self) -> None:
+        """Copy every parameter's values and gradient into fresh flat vectors
+        and point its ``.data`` and ``.grad`` at its views."""
+        params = self.named_parameters()
+        members: dict[str | int, list[str]] = {SHARED: []}
+        members.update((tid, []) for tid in self.spec.task_ids)
+        for name in params:
+            members[_block_of(name)].append(name)
+        members[SHARED].sort()
+        self.layout = ParameterLayout({n: p.shape for n, p in params.items()}, members)
+        self.flat_data = np.empty(self.layout.size)
+        self.flat_grad = np.empty(self.layout.size)
+        data, grad = self.layout.views(self.flat_data), self.layout.views(self.flat_grad)
+        for name, p in params.items():
+            data[name][...] = p.data
+            grad[name][...] = p.grad
+            p.data, p.grad = data[name], grad[name]
+
+    def __setstate__(self, state: dict) -> None:
+        # a deep copy or an unpickled model holds each parameter's arrays
+        # apart, no longer views into its flat vectors
+        self.__dict__.update(state)
+        self._flatten()
 
     # -- parameter bookkeeping ------------------------------------------
 
@@ -204,8 +283,7 @@ class Model:
         return bufs
 
     def zero_grad(self) -> None:
-        for p in self.named_parameters().values():
-            p.zero_grad()
+        self.flat_grad.fill(0.0)
 
     # -- forward ---------------------------------------------------------
 
@@ -255,49 +333,31 @@ def build_model(spec: ModelSpec, seed: int) -> Model:
 
 @dataclass
 class ParameterPartition:
-    """Disjoint split of the model's parameters into shared and per-task sets."""
+    """The model's parameter tensors by block: the shared set and each task's set."""
 
     shared: dict[str, Tensor]
     per_task: dict[int, dict[str, Tensor]]
 
-    def validate(self, model: Model) -> None:
-        names = [set(self.shared)] + [set(v) for v in self.per_task.values()]
-        total = sum(len(s) for s in names)
-        union = set().union(*names)
-        if total != len(union):
-            raise ConfigError("parameter partition has overlapping sets")
-        if union != set(model.named_parameters()):
-            raise ConfigError("parameter partition does not cover the model")
-
 
 def partition_parameters(model: Model) -> ParameterPartition:
-    """Split parameters: trunk conv weights and biases are shared; each task
-    owns its batch-norm scales/shifts and its head."""
-    shared: dict[str, Tensor] = {}
-    per_task: dict[int, dict[str, Tensor]] = {tid: {} for tid in model.spec.task_ids}
-    for name, p in model.named_parameters().items():
-        parts = name.split(".")
-        if parts[0] == "trunk" and parts[2] == "bn":
-            per_task[int(parts[3])][name] = p
-        elif parts[0] == "trunk":
-            shared[name] = p
-        else:
-            per_task[int(parts[1])][name] = p
-    part = ParameterPartition(shared, per_task)
-    part.validate(model)
-    return part
+    """Split parameters by the model's layout blocks: trunk conv weights and
+    biases are shared; each task owns its batch-norm scales/shifts and its head."""
+    params = model.named_parameters()
+    members = model.layout.members
+    return ParameterPartition({n: params[n] for n in members[SHARED]},
+                              {tid: {n: params[n] for n in members[tid]}
+                               for tid in model.spec.task_ids})
 
 
 def per_task_gradients(model: Model, batch: Batch, task: int,
-                       loss_weight: float = 1.0,
-                       partition: "ParameterPartition | None" = None,
-                       ) -> tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]:
+                       loss_weight: float = 1.0) -> tuple[float, np.ndarray, np.ndarray]:
     """Forward/backward one task; return (raw loss, shared grads, own grads).
 
     Backpropagates loss_weight * L_task. The returned loss value is the raw
-    (unweighted) loss. The model's gradients are zeroed first; gradient
-    snapshots are copies, so later passes or parameter updates cannot alias
-    them.
+    (unweighted) loss. The model's gradients are zeroed first. The two
+    gradients are flat copies of the shared block and of the task's own
+    block of ``model.flat_grad``, so later passes or parameter updates
+    cannot alias them; ``model.layout.views(grads, key)`` names their parts.
     An error in the forward or backward pass is re-raised as the same type
     with the task named in its message and in its ``task`` attribute.
     """
@@ -315,11 +375,8 @@ def per_task_gradients(model: Model, batch: Batch, task: int,
         named = type(exc)(f"task {task}: {exc}")
         named.task = task
         raise named from exc
-    if partition is None:
-        partition = partition_parameters(model)
-    shared = {n: p.grad.copy() for n, p in partition.shared.items()}
-    own = {n: p.grad.copy() for n, p in partition.per_task[task].items()}
-    return loss.item(), shared, own
+    blocks = model.layout.blocks
+    return loss.item(), model.flat_grad[blocks[SHARED]].copy(), model.flat_grad[blocks[task]].copy()
 
 
 # ---------------------------------------------------------------------------

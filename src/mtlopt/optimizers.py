@@ -18,13 +18,14 @@ every shared parameter with the other task as the reference, GD none.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError
-from .network import Batch, Model, partition_parameters, per_task_gradients
+from .network import SHARED, Batch, Model, per_task_gradients
 
 PHASE1 = "phase1"
 PHASE2 = "phase2"
@@ -142,22 +143,24 @@ class _SgdRule:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def apply(self, name: str, data: np.ndarray, grad: np.ndarray) -> None:
+    def apply(self, key: str | int, block: slice, data: np.ndarray, grad: np.ndarray) -> None:
         data -= self.lr * grad
 
 
 class _AdamRule:
-    def __init__(self, lr: float, beta1: float, beta2: float, eps: float):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        self._t: dict[str, int] = {}
+    """Adam over flat moment vectors laid out like the model's parameters,
+    with one step count per block."""
 
-    def apply(self, name: str, data: np.ndarray, grad: np.ndarray) -> None:
-        m = self._m.setdefault(name, np.zeros_like(data))
-        v = self._v.setdefault(name, np.zeros_like(data))
-        t = self._t.get(name, 0) + 1
-        self._t[name] = t
+    def __init__(self, size: int, lr: float, beta1: float, beta2: float, eps: float):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._t: dict[str | int, int] = {}
+
+    def apply(self, key: str | int, block: slice, data: np.ndarray, grad: np.ndarray) -> None:
+        m, v = self._m[block], self._v[block]
+        t = self._t.get(key, 0) + 1
+        self._t[key] = t
         m *= self.beta1
         m += (1 - self.beta1) * grad
         v *= self.beta2
@@ -184,7 +187,9 @@ class MtlOptimizer:
     """Applies multi-task update steps to one model.
 
     Owns the update-rule state (Adam moments) and a per-step write counter
-    used to verify the update-count accounting.
+    used to verify the update-count accounting. Every update writes one
+    whole block of the model's flat parameter vector: the shared block, or
+    one task's own block.
     """
 
     def __init__(self, model: Model, config: OptimizerConfig):
@@ -192,26 +197,32 @@ class MtlOptimizer:
         self.model = model
         self.config = config
         self.task_order = config.task_order or model.spec.task_ids
-        self.partition = partition_parameters(model)
-        # the joint steps lay the shared gradients out flat in sorted-name order
-        self._names = sorted(self.partition.shared)
-        sizes = [self.partition.shared[n].size for n in self._names]
-        self._offsets = dict(zip(self._names, np.cumsum([0] + sizes[:-1]).tolist()))
-        self._flat_size = sum(sizes)
+        self.layout = model.layout
         if config.update_rule == "adam":
-            self._rule = _AdamRule(config.lr, config.adam_beta1, config.adam_beta2, config.adam_eps)
+            self._rule = _AdamRule(self.layout.size, config.lr, config.adam_beta1,
+                                   config.adam_beta2, config.adam_eps)
         else:
             self._rule = _SgdRule(config.lr)
-        self.last_step_writes: dict[str, int] = {}
+        self._writes = dict.fromkeys(self.layout.blocks, 0)
+        # phase 2's owner groups and the owners they were built from
+        self._owner_groups: list[Group] = []
+        self._groups_owners: dict[str, np.ndarray] | None = None
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _begin_step(self) -> None:
-        self.last_step_writes = {name: 0 for name in self.model.named_parameters()}
+    @property
+    def last_step_writes(self) -> dict[str, int]:
+        """Writes of each parameter in the last step: those of its block."""
+        return {name: self._writes[key]
+                for key, names in self.layout.members.items() for name in names}
 
-    def _apply(self, name: str, tensor, grad: np.ndarray) -> None:
-        self._rule.apply(name, tensor.data, grad)
-        self.last_step_writes[name] += 1
+    def _begin_step(self) -> None:
+        self._writes = dict.fromkeys(self.layout.blocks, 0)
+
+    def _apply(self, key: str | int, grad: np.ndarray) -> None:
+        block = self.layout.blocks[key]
+        self._rule.apply(key, block, self.model.flat_data[block], grad)
+        self._writes[key] += 1
 
     def _weights_by_task(self, weights: Mapping[int, float]) -> dict[int, float]:
         return {tid: float(weights[tid]) for tid in self.model.spec.task_ids}
@@ -225,18 +236,15 @@ class MtlOptimizer:
         w = self._weights_by_task(weights)
         losses: dict[int, float] = {}
         for tid in self.task_order:
-            loss, shared, own = per_task_gradients(
-                self.model, batch, tid, loss_weight=w[tid], partition=self.partition)
-            losses[tid] = loss
-            for name, grad in shared.items():
-                self._apply(name, self.partition.shared[name], grad)
-            for name, grad in own.items():
-                self._apply(name, self.partition.per_task[tid][name], grad)
+            losses[tid], shared, own = per_task_gradients(self.model, batch, tid,
+                                                          loss_weight=w[tid])
+            self._apply(SHARED, shared)
+            self._apply(tid, own)
         return StepResult(losses)
 
     def _joint_step(self, batch: Batch, weights: Mapping[int, float],
                     groups: Sequence[Group]) -> StepResult:
-        """All task gradients at the same parameters, one write per parameter.
+        """All task gradients at the same parameters, one write per block.
 
         Every shared coordinate gets the sum of the task gradients in task
         order. Each group then resums its coordinates, with each task's block
@@ -249,13 +257,11 @@ class MtlOptimizer:
         w = self._weights_by_task(weights)
         result = StepResult({})
         flats: dict[int, np.ndarray] = {}
-        own: dict[int, dict[str, np.ndarray]] = {}
+        own: dict[int, np.ndarray] = {}
         for tid in self.task_order:
-            result.losses[tid], shared, own[tid] = per_task_gradients(
-                self.model, batch, tid, loss_weight=w[tid], partition=self.partition)
-            # the empty head keeps a model without shared parameters valid
-            flats[tid] = np.concatenate([np.empty(0)] + [shared[n].reshape(-1) for n in self._names])
-        total = np.zeros(self._flat_size)
+            result.losses[tid], flats[tid], own[tid] = per_task_gradients(
+                self.model, batch, tid, loss_weight=w[tid])
+        total = np.zeros_like(flats[self.task_order[0]])
         for tid in self.task_order:
             total += flats[tid]
         for layer, idx, references in groups:
@@ -275,13 +281,9 @@ class MtlOptimizer:
             total[idx] = part
             result.conflicts[layer] = result.conflicts.get(layer, 0) + conflicts
             result.projections[layer] = result.projections.get(layer, 0) + projections
-        for name in self._names:
-            tensor = self.partition.shared[name]
-            offset = self._offsets[name]
-            self._apply(name, tensor, total[offset:offset + tensor.size].reshape(tensor.shape))
+        self._apply(SHARED, total)
         for tid in self.task_order:
-            for name, grad in own[tid].items():
-                self._apply(name, self.partition.per_task[tid][name], grad)
+            self._apply(tid, own[tid])
         return result
 
     def gd_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
@@ -293,32 +295,44 @@ class MtlOptimizer:
         """Priority-preserving step: ``owners`` maps a layer to the owner
         task id of each of its output channels. In the channels of one owner,
         every task's gradient is projected against the owner's when the two
-        conflict. Layers without owners are summed."""
+        conflict. Layers without owners are summed. The groups are rebuilt
+        only when some layer's owners differ from the last step's."""
+        last = self._groups_owners
+        if last is None or last.keys() != owners.keys() or not all(
+                np.array_equal(owners[layer], last[layer]) for layer in owners):
+            self._owner_groups = self._build_owner_groups(owners)
+            self._groups_owners = {layer: np.array(o) for layer, o in owners.items()}
+        return self._joint_step(batch, weights, self._owner_groups)
+
+    def _build_owner_groups(self, owners: Mapping[str, np.ndarray]) -> list[Group]:
+        """One group per owner of each layer's channels, in model order,
+        with the owner as every task's reference."""
         task_ids = self.model.spec.task_ids
         groups: list[Group] = []
-        for name in self.partition.shared:
+        for name in self.model.named_parameters():
             layer = name.rsplit(".", 1)[0]
-            if layer not in owners:
+            if layer not in owners or name not in self.layout.members[SHARED]:
                 continue
             layer_owners = np.asarray(owners[layer])
-            tensor = self.partition.shared[name]
-            if layer_owners.shape != tensor.shape[:1]:
+            shape = self.layout.shapes[name]
+            if layer_owners.shape != shape[:1]:
                 raise StateError(f"{layer}: {layer_owners.size} owners, weight has "
-                                 f"{tensor.shape[0]} channels (stale snapshot)")
-            width = tensor.size // tensor.shape[0]
+                                 f"{shape[0]} channels (stale snapshot)")
+            start = self.layout.slices[name].start - self.layout.blocks[SHARED].start
+            width = math.prod(shape[1:])
             owned = 0
             for owner in task_ids:
                 channels = np.flatnonzero(layer_owners == owner)
                 owned += channels.size
                 if channels.size:
-                    rows = self._offsets[name] + width * channels
+                    rows = start + width * channels
                     idx = (rows[:, None] + np.arange(width)).reshape(-1)
                     groups.append((layer, idx, dict.fromkeys(self.task_order, owner)))
             # counted, not np.setdiff1d: that cost ~40 us a layer per step and ~1 MB peak RSS
             if owned != layer_owners.size:
                 unknown = np.setdiff1d(layer_owners, task_ids)[0]
                 raise StateError(f"{layer}: owner {unknown} is not a task id")
-        return self._joint_step(batch, weights, groups)
+        return groups
 
     def pcgrad_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
         """PCGrad over one group that holds every shared parameter: each
@@ -327,7 +341,9 @@ class MtlOptimizer:
         order = self.task_order
         groups: list[Group] = []
         if len(order) == 2:
-            groups.append(("shared", np.arange(self._flat_size), dict(zip(order, order[::-1]))))
+            shared = self.layout.blocks[SHARED]
+            groups.append(("shared", np.arange(shared.stop - shared.start),
+                           dict(zip(order, order[::-1]))))
         return self._joint_step(batch, weights, groups)
 
     def step(self, batch: Batch, weights: Mapping[int, float], phase: str | None = None,

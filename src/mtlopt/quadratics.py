@@ -204,14 +204,14 @@ def model_priority_oracle(model, batch, layer_index: int,
     statistic is restored.
     """
     from .autodiff import Tape
-    from .network import per_task_gradients
+    from .network import SHARED, per_task_gradients
 
     weight = model.trunk[layer_index].weight.data
     task_ids = model.spec.task_ids
     # train-mode passes move every batch-norm layer's running statistics
     saved_buffers = {key: buf.copy() for key, buf in model.named_buffers().items()}
-    grads = {tid: per_task_gradients(model, batch, tid)[1][f"trunk.{layer_index}.weight"]
-             for tid in task_ids}
+    grads = {tid: model.layout.views(per_task_gradients(model, batch, tid)[1], SHARED)[
+        f"trunk.{layer_index}.weight"] for tid in task_ids}
 
     def task_loss(tid: int) -> float:
         tape = Tape(record=False)

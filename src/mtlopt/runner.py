@@ -21,7 +21,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, MtloptError
 from .evaluation import MetricSpec, TaskMetricSpec, delta_m, priority_share
 from .loss_scaling import make_loss_weighting
-from .network import Batch, Model, build_model, per_task_gradients, save_checkpoint
+from .network import SHARED, Batch, Model, build_model, per_task_gradients, save_checkpoint
 from .optimizers import (
     METHOD_OURS,
     PHASE1,
@@ -178,8 +178,7 @@ def mean_pairwise_gradient_cosine(model: Model, batches: list[Batch]) -> float:
     for batch in batches:
         flats = {}
         for tid in task_ids:
-            _, shared, _ = per_task_gradients(model, batch, tid, loss_weight=1.0)
-            flats[tid] = np.concatenate([shared[n].reshape(-1) for n in sorted(shared)])
+            _, flats[tid], _ = per_task_gradients(model, batch, tid, loss_weight=1.0)
         for i, a in enumerate(task_ids):
             for b in task_ids[i + 1:]:
                 na, nb = np.linalg.norm(flats[a]), np.linalg.norm(flats[b])
@@ -301,17 +300,13 @@ def _mean_priority_shares(owners: Mapping[str, np.ndarray], task_ids) -> dict[in
 def _check_step_invariants(result: SeedResult, optimizer: MtlOptimizer, step_result,
                            phase, k: int, epoch: int, step: int) -> None:
     writes = optimizer.last_step_writes
-    shared_expected = k if phase == PHASE1 else 1
-    for name in optimizer.partition.shared:
-        if writes[name] != shared_expected:
-            result.violations.append(
-                f"epoch {epoch} step {step}: {name} written {writes[name]}x, "
-                f"expected {shared_expected}")
-    for tid, params in optimizer.partition.per_task.items():
-        for name in params:
-            if writes[name] != 1:
+    for block, names in optimizer.layout.members.items():
+        expected = k if block == SHARED and phase == PHASE1 else 1
+        for name in names:
+            if writes[name] != expected:
                 result.violations.append(
-                    f"epoch {epoch} step {step}: {name} written {writes[name]}x, expected 1")
+                    f"epoch {epoch} step {step}: {name} written {writes[name]}x, "
+                    f"expected {expected}")
     for p in step_result.projected:
         if float(p.result @ p.reference) < -1e-12:
             result.violations.append(

@@ -79,13 +79,14 @@ class SyntheticMtlDataset:
         n, h, w = cfg.batch_size, cfg.height, cfg.width
         rng = substream(self.seed, f"synthetic-{tag}")
         # per image: (cx, cy, width, amp) for the z1 bumps then the z2 bumps,
-        # then the pixel noise of every channel; uniform(lo, hi) would draw
-        # the same doubles and return lo + (hi - lo) * u
+        # then the pixel noise of every channel, each drawn straight into the
+        # batch arrays; uniform(lo, hi) would draw the same doubles and
+        # return lo + (hi - lo) * u, normal(0, 1) the same standard normals
         draws = np.empty((n, 2, cfg.bumps, 4))
         noise = np.empty((n, cfg.channels, h, w))
         for i in range(n):
-            draws[i] = rng.random((2, cfg.bumps, 4))
-            noise[i] = rng.normal(size=(cfg.channels, h, w))
+            rng.random(out=draws[i])
+            rng.standard_normal(out=noise[i])
         cx, cy = draws[..., 0], draws[..., 1]
         amp = 0.5 + (1.5 - 0.5) * draws[..., 3]
         # a Python float ** is libm pow, which can differ from x*x in the last bit

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from mtlopt.autodiff import Tape
 from mtlopt.errors import ConfigError, DataError
 from mtlopt.network import (
+    SHARED,
     Batch,
     ConvSpec,
     ModelSpec,
@@ -112,9 +114,9 @@ def test_partition_bookkeeping_randomized():
         spec = ModelSpec(trunk=trunk, heads=heads,
                          tasks=tuple(TaskSpec(i, "mse") for i in range(1, k + 1)))
         model = build_model(spec, seed=int(rng.integers(0, 2**32)))
-        part = partition_parameters(model)  # validates disjointness + coverage
-        total = len(part.shared) + sum(len(v) for v in part.per_task.values())
-        assert total == len(model.named_parameters())
+        part = partition_parameters(model)
+        names = list(part.shared) + [n for v in part.per_task.values() for n in v]
+        assert sorted(names) == sorted(model.named_parameters())  # disjoint, covering
 
 
 def test_scalar_shared_gradients_and_conflict():
@@ -130,9 +132,9 @@ def test_scalar_shared_gradients_and_conflict():
 
     # L1 = (theta-1)^2, L2 = (theta+1)^2 at theta=0
     assert l1 == 1.0 and l2 == 1.0
-    assert g1["trunk.0.weight"].item() == -2.0
-    assert g2["trunk.0.weight"].item() == 2.0
-    assert own1 == {} and own2 == {}
+    assert model.layout.views(g1, SHARED)["trunk.0.weight"].item() == -2.0
+    assert model.layout.views(g2, SHARED)["trunk.0.weight"].item() == 2.0
+    assert own1.size == 0 and own2.size == 0
 
 
 def test_zero_loss_weight_annihilates_gradients():
@@ -140,8 +142,8 @@ def test_zero_loss_weight_annihilates_gradients():
     batch = make_batch(9)
     model.zero_grad()
     _, shared, own = per_task_gradients(model, batch, task=2, loss_weight=0.0)
-    assert all(np.all(g == 0) for g in shared.values())
-    assert all(np.all(g == 0) for g in own.values())
+    assert shared.size and not shared.any()
+    assert own.size and not own.any()
 
 
 def make_batch(seed, n=2, c=3, h=6, w=6, classes=4):
@@ -204,12 +206,11 @@ def test_gradient_snapshot_independence():
     model = build_model(two_task_spec(), seed=13)
     model.zero_grad()
     _, shared, _ = per_task_gradients(model, make_batch(4), task=1)
-    frozen = {n: g.copy() for n, g in shared.items()}
+    frozen = shared.copy()
     for p in model.named_parameters().values():
         p.data[...] = 0.0
         p.grad[...] = 123.0
-    for n in frozen:
-        assert np.array_equal(shared[n], frozen[n])
+    assert np.array_equal(shared, frozen)
 
 
 def test_weighted_sum_consistency():
@@ -217,15 +218,12 @@ def test_weighted_sum_consistency():
     batch = make_batch(6)
     weights = {1: 0.3, 2: 0.7}
 
-    summed = None
+    summed = 0.0
     for tid in (1, 2):
         model.zero_grad()
         _, gs, _ = per_task_gradients(model, batch, task=tid, loss_weight=weights[tid])
-        if summed is None:
-            summed = {n: g.copy() for n, g in gs.items()}
-        else:
-            for n, g in gs.items():
-                summed[n] += g
+        summed = summed + gs
+    summed = model.layout.views(summed, SHARED)
 
     # one tape, one backward per weighted task loss, accumulating into .grad
     model.zero_grad()
@@ -251,6 +249,56 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for (n, b), (m, c) in zip(sorted(model.named_buffers().items()),
                               sorted(restored.named_buffers().items())):
         assert n == m and np.array_equal(b, c)
+
+
+def test_flat_layout_views_blocks_and_checkpoint(tmp_path):
+    # a trunk layer without batch norm has a bias, which sorts before its weight
+    spec = two_task_spec(trunk=(ConvSpec(3, 8, batch_norm=False), ConvSpec(8, 16)))
+    model = build_model(spec, seed=35)
+    layout = model.layout
+
+    # every parameter's .data and .grad is a view into the two flat vectors,
+    # also in a deep copy
+    for m in (model, copy.deepcopy(model)):
+        for name, p in m.named_parameters().items():
+            assert p.data.base is m.flat_data and p.grad.base is m.flat_grad, name
+            np.testing.assert_array_equal(p.data.reshape(-1), m.flat_data[layout.slices[name]])
+    model.flat_grad[:] = np.arange(layout.size)
+    for name, p in model.named_parameters().items():
+        np.testing.assert_array_equal(p.grad.reshape(-1), np.arange(layout.size)[layout.slices[name]])
+
+    # the shared block in sorted-name order, then each task's block: its
+    # batch-norm scales and shifts, then its head
+    assert layout.members == {
+        SHARED: ("trunk.0.bias", "trunk.0.weight", "trunk.1.weight"),
+        1: ("trunk.1.bn.1.gamma", "trunk.1.bn.1.beta", "head.1.0.weight", "head.1.0.bias"),
+        2: ("trunk.1.bn.2.gamma", "trunk.1.bn.2.beta", "head.2.0.weight", "head.2.0.bias"),
+    }
+    offset = 0
+    for key, names in layout.members.items():
+        assert layout.blocks[key].start == offset, key
+        for name in names:
+            assert layout.slices[name].start == offset, name
+            offset = layout.slices[name].stop
+        assert layout.blocks[key].stop == offset, key
+    assert offset == layout.size == model.flat_data.size == model.flat_grad.size
+
+    # per_task_gradients' blocks hold the named leaf gradients bit for bit
+    params = model.named_parameters()
+    for tid in (1, 2):
+        _, shared, own = per_task_gradients(model, make_batch(8), task=tid)
+        for key, block in ((SHARED, shared), (tid, own)):
+            assert block.size == layout.blocks[key].stop - layout.blocks[key].start
+            for name, grad in layout.views(block, key).items():
+                assert grad.tobytes() == params[name].grad.tobytes(), name
+
+    # a checkpoint round-trips through the views
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(model, path)
+    restored = load_checkpoint(path)
+    assert restored.flat_data.tobytes() == model.flat_data.tobytes()
+    for name, p in restored.named_parameters().items():
+        assert p.data.base is restored.flat_data and p.grad.base is restored.flat_grad, name
 
 
 def test_checkpoint_with_unknown_layer_field_fails(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from mtlopt.errors import ConfigError, ShapeError, StateError
 from mtlopt.network import (
+    SHARED,
     Batch,
     ConvSpec,
     ModelSpec,
@@ -257,7 +258,7 @@ def brute_force_phase2(model, batch, weights, owners, task_order, lr):
     grads, owns = {}, {}
     for tid in task_order:
         _, gs, own = per_task_gradients(model, batch, tid, loss_weight=weights[tid])
-        grads[tid], owns[tid] = gs, own
+        grads[tid], owns[tid] = model.layout.views(gs, SHARED), model.layout.views(own, tid)
     part = partition_parameters(model)
     expected, conflicts, projections = {}, {}, {}
     for name, tensor in part.shared.items():
@@ -402,6 +403,40 @@ def test_phase2_stale_snapshot_rejected():
             np.testing.assert_array_equal(p.data, before[name], err_msg=f"{case}: {name}")
 
 
+def test_phase2_builds_owner_groups_once_per_snapshot(monkeypatch):
+    model = build_model(conv_task_spec(), seed=7)
+    opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
+    builds = []
+    build = MtlOptimizer._build_owner_groups
+
+    def counting(self, owners):
+        builds.append({layer: np.array(o) for layer, o in owners.items()})
+        return build(self, owners)
+
+    monkeypatch.setattr(MtlOptimizer, "_build_owner_groups", counting)
+    owners = snapshot_owners(model)
+    weights = {1: 0.5, 2: 0.5}
+    opt.phase2_step(conv_batch(1), weights, owners)
+    # equal owners in fresh arrays reuse the groups
+    opt.phase2_step(conv_batch(2), weights, {layer: o.copy() for layer, o in owners.items()})
+    assert len(builds) == 1
+    # one changed channel rebuilds them, and a stale snapshot still raises
+    changed = {**owners, "trunk.1": owners["trunk.1"].copy()}
+    changed["trunk.1"][0] = 3 - changed["trunk.1"][0]
+    opt.phase2_step(conv_batch(3), weights, changed)
+    assert len(builds) == 2
+    with pytest.raises(StateError):
+        opt.phase2_step(conv_batch(4), weights, {**owners, "trunk.1": owners["trunk.1"][:3]})
+    # the groups kept from the changed owners act as freshly built ones
+    fresh = MtlOptimizer(copy.deepcopy(model), OptimizerConfig(lr=0.05))
+    again = opt.phase2_step(conv_batch(5), weights, changed)
+    assert len(builds) == 3
+    expected = fresh.phase2_step(conv_batch(5), weights, changed)
+    assert (again.conflicts, again.projections) == (expected.conflicts, expected.projections)
+    assert sum(again.projections.values()) > 0
+    assert model.flat_data.tobytes() == fresh.model.flat_data.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # pcgrad baseline
 # ---------------------------------------------------------------------------
@@ -421,7 +456,7 @@ def test_pcgrad_matches_manual_projection_sum():
     grads = {}
     for tid in (1, 2):
         _, gs, _ = per_task_gradients(reference, conv_batch(8), tid, loss_weight=weights[tid])
-        grads[tid] = gs
+        grads[tid] = reference.layout.views(gs, SHARED)
     names = sorted(grads[1])
     g1, g2 = (np.concatenate([grads[tid][n].reshape(-1) for n in names]) for tid in (1, 2))
     total = project_gradient(g1, g2) + project_gradient(g2, g1)

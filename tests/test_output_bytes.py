@@ -1,7 +1,8 @@
 """Pin the bytes of the deterministic output files for a small run matrix.
 
-Every method under every loss-scaling scheme, plus adam with uncertainty,
-runs 3 epochs of 3 steps on the default shapes. One more run puts a
+Every method under every loss-scaling scheme, plus adam under ours with
+uncertainty weights and under gd with equal weights, runs 3 epochs of 3
+steps on the default shapes. One more run puts a
 16-channel trunk of two 3x3 convs on batch 5 of 13x13 images: 845 output
 pixels, not a multiple of 8, so the conv products have BLAS edge columns.
 The sha256 of each run's metrics.csv, run_log.jsonl and strength.jsonl must
@@ -57,6 +58,9 @@ def _run_matrix() -> dict[str, dict]:
                                      "update_rule": {"kind": "adam", "beta1": 0.9,
                                                      "beta2": 0.999, "eps": 1e-8},
                                      "lr": 0.01}
+    runs["gd-equal-adam"] = {"method": "gd", "loss_scaling": SCHEMES["equal"],
+                             "update_rule": runs["ours-uncertainty-adam"]["update_rule"],
+                             "lr": 0.01}
     runs["ours-equal-wide-odd"] = {"method": "ours", "model": WIDE_ODD_MODEL,
                                    "data": {"batch_size": 5, "height": 13, "width": 13}}
     return runs

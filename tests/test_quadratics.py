@@ -5,7 +5,15 @@ import pytest
 
 from mtlopt.autodiff import Tape
 from mtlopt.errors import ConfigError
-from mtlopt.network import Batch, ConvSpec, ModelSpec, TaskSpec, build_model, per_task_gradients
+from mtlopt.network import (
+    SHARED,
+    Batch,
+    ConvSpec,
+    ModelSpec,
+    TaskSpec,
+    build_model,
+    per_task_gradients,
+)
 from mtlopt.quadratics import (
     QuadraticProblem,
     compute_lipschitz,
@@ -218,7 +226,8 @@ def test_model_oracle_restores_the_model_and_matches_per_channel_brute_force():
                 for tid in (1, 2):
                     probe = copy.deepcopy(before)
                     _, shared, _ = per_task_gradients(copy.deepcopy(before), batch, tid)
-                    probe.trunk[layer_index].weight.data[channel] -= eta * shared[name][channel]
+                    grad = before.layout.views(shared, SHARED)[name]
+                    probe.trunk[layer_index].weight.data[channel] -= eta * grad[channel]
                     losses.append(_weighted_loss(probe, batch, weights))
                 expected.append(1 + int(np.argmin(losses)))
             np.testing.assert_array_equal(owners, expected, err_msg=f"seed {seed} {name}")

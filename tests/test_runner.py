@@ -457,8 +457,9 @@ def test_baselines_and_delta_m(tmp_path):
     assert all(row.delta_m is not None for row in report.seed_results[0].rows)
 
 
-def test_failed_seed_keeps_its_finished_epochs(tmp_path, monkeypatch, capsys):
-    # seed 1 fails at epoch 2, step 1; seed 2 trains to the end
+def _seed_1_fails_at_epoch_2(tmp_path, monkeypatch) -> RunReport:
+    """A 3-epoch run of seeds 1 and 2 in which seed 1 fails at epoch 2, step
+    1, and seed 2 trains to the end."""
     real_step = runner.MtlOptimizer.step
     calls = {"n": 0}
 
@@ -472,7 +473,11 @@ def test_failed_seed_keeps_its_finished_epochs(tmp_path, monkeypatch, capsys):
     path = write_baselines({"tasks": {
         "1": {"metric": "pixel_accuracy", "lower_is_better": False, "baseline": 0.5},
         "2": {"metric": "rmse", "lower_is_better": True, "baseline": 1.0}}}, str(tmp_path))
-    report = run_experiment(fast_config(epochs=3, seeds=[1, 2], baselines=path))
+    return run_experiment(fast_config(epochs=3, seeds=[1, 2], baselines=path))
+
+
+def test_failed_seed_keeps_its_finished_epochs(tmp_path, monkeypatch, capsys):
+    report = _seed_1_fails_at_epoch_2(tmp_path, monkeypatch)
     failed, finished = report.seed_results
     assert failed.error == ("seed 1, epoch 2, step 1: "
                             "NumericError: mse_loss: produced non-finite values")
@@ -498,6 +503,19 @@ def test_failed_seed_keeps_its_finished_epochs(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert cli_main(["report", "--dir", str(out)]) == 0
     assert "(1 seed(s) with fewer than 3 epochs left out)" in capsys.readouterr().out
+
+
+def test_report_names_the_stopped_seeds(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "report"
+    write_report(_seed_1_fails_at_epoch_2(tmp_path, monkeypatch), str(out))
+    capsys.readouterr()
+    assert cli_main(["report", "--dir", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "final epoch 2, mean over 1 of 2 seed(s)"
+    stopped = lines.index("stopped seeds:")
+    assert lines[stopped + 1] == ("  seed 1 at epoch 2, stage step: seed 1, epoch 2, step 1: "
+                                  "NumericError: mse_loss: produced non-finite values")
+    assert not any("seed 2" in line for line in lines)
 
 
 def test_failed_loss_weighting_is_labelled(monkeypatch):
