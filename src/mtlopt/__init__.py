@@ -23,13 +23,9 @@ from .network import (
     Model,
     ModelSpec,
     ParameterLayout,
-    ParameterPartition,
     TaskSpec,
     build_model,
-    load_checkpoint,
-    partition_parameters,
     per_task_gradients,
-    save_checkpoint,
 )
 from .optimizers import (
     PHASE1,

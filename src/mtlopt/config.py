@@ -55,7 +55,6 @@ def default_config_dict() -> dict:
         "seeds": [1],
         "out_dir": "runs/experiment",
         "eval_batches": 4,
-        "save_checkpoints": False,
         "baselines": None,
         "data": {
             "batch_size": 8,
@@ -168,10 +167,6 @@ class ExperimentConfig:
         return self.raw["eval_batches"]
 
     @property
-    def save_checkpoints(self) -> bool:
-        return self.raw["save_checkpoints"]
-
-    @property
     def baselines_path(self):
         return self.raw["baselines"]
 
@@ -205,8 +200,6 @@ class ExperimentConfig:
                  "seeds", "must be a nonempty list of distinct integers")
         _require(_is_int(raw["eval_batches"]) and raw["eval_batches"] >= 1,
                  "eval_batches", "must be a positive integer")
-        _require(isinstance(raw["save_checkpoints"], bool),
-                 "save_checkpoints", "must be a boolean")
         _require(raw["baselines"] is None or isinstance(raw["baselines"], str),
                  "baselines", "must be null or a path string")
 

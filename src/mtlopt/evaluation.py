@@ -68,15 +68,10 @@ def loss_trend_correlation(curves: Mapping[int, Sequence[float]]) -> np.ndarray:
         raise ConfigError("loss_trend_correlation needs >= 3 epochs per task")
     if len({len(s) for s in series}) != 1:
         raise ConfigError("loss curves must have equal length")
-    deltas = [np.diff(s) for s in series]
-    k = len(task_ids)
-    out = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            di = deltas[i] - deltas[i].mean()
-            dj = deltas[j] - deltas[j].mean()
-            denom = np.sqrt((di * di).sum() * (dj * dj).sum())
-            out[i, j] = out[j, i] = float((di * dj).sum() / denom) if denom > 0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.atleast_2d(np.corrcoef(np.diff(series, axis=1)))
+    out = np.nan_to_num(out, nan=0.0)
+    np.fill_diagonal(out, 1.0)
     return out
 
 

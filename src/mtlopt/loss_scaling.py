@@ -59,16 +59,14 @@ class DynamicWeightAverage(FixedWeights):
             raise ConfigError("dwa: temperature must be positive")
         super().__init__({tid: 1.0 for tid in sorted(task_ids)})
         self.temperature = temperature
-        self._previous: list[float] | None = None
+        self._previous: np.ndarray | None = None
 
     def after_epoch(self, epoch_mean_losses: Mapping[int, float]) -> None:
         task_ids = list(self._weights)
-        latest = [epoch_mean_losses[tid] for tid in task_ids]
+        latest = np.array([epoch_mean_losses[tid] for tid in task_ids], dtype=np.float64)
         if self._previous is not None:
-            ratios = np.ones(len(task_ids))
-            for i, (last, before) in enumerate(zip(latest, self._previous)):
-                if before != 0.0:
-                    ratios[i] = last / before
+            ratios = np.divide(latest, self._previous, out=np.ones(len(task_ids)),
+                               where=self._previous != 0.0)
             z = np.exp(ratios / self.temperature - (ratios / self.temperature).max())
             self._weights = dict(zip(task_ids, (len(task_ids) * z / z.sum()).tolist()))
         self._previous = latest

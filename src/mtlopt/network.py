@@ -10,10 +10,9 @@ set; a parameter's ``.data`` and ``.grad`` are views into them.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -129,13 +128,6 @@ class ModelSpec:
                         f"channels but receives {hprev}")
                 hprev = layer.out_channels
 
-    def to_dict(self) -> dict:
-        return {
-            "trunk": [vars(c).copy() for c in self.trunk],
-            "heads": {str(tid): [vars(c).copy() for c in head] for tid, head in self.heads.items()},
-            "tasks": [vars(t).copy() for t in self.tasks],
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
         for key in d:
@@ -210,15 +202,6 @@ class ParameterLayout:
                 .reshape(self.shapes[n]) for n in names}
 
 
-def _block_of(name: str) -> str | int:
-    """The block of a parameter name: trunk batch norm belongs to its task,
-    the rest of the trunk is shared, a head belongs to its task."""
-    parts = name.split(".")
-    if parts[0] == "trunk":
-        return int(parts[3]) if parts[2] == "bn" else SHARED
-    return int(parts[1])
-
-
 class Model:
     """A built shared-trunk multi-head network. Use build_model() to create one.
 
@@ -236,11 +219,12 @@ class Model:
     def _flatten(self) -> None:
         """Copy every parameter's values and gradient into fresh flat vectors
         and point its ``.data`` and ``.grad`` at its views."""
-        params = self.named_parameters()
+        params: dict[str, Tensor] = {}
         members: dict[str | int, list[str]] = {SHARED: []}
         members.update((tid, []) for tid in self.spec.task_ids)
-        for name in params:
-            members[_block_of(name)].append(name)
+        for block, name, p in self._walk_parameters():
+            params[name] = p
+            members[block].append(name)
         members[SHARED].sort()
         self.layout = ParameterLayout({n: p.shape for n, p in params.items()}, members)
         self.flat_data = np.empty(self.layout.size)
@@ -259,20 +243,24 @@ class Model:
 
     # -- parameter bookkeeping ------------------------------------------
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
+    def _walk_parameters(self) -> Iterator[tuple[str | int, str, Tensor]]:
+        """(block, name, tensor) of every parameter in model order: a trunk
+        layer's weight and bias are shared, its batch-norm scales and shifts
+        belong to their task, and a head belongs to its task."""
         for i, layer in enumerate(self.trunk):
-            params[f"trunk.{i}.weight"] = layer.weight
+            yield SHARED, f"trunk.{i}.weight", layer.weight
             if layer.bias is not None:
-                params[f"trunk.{i}.bias"] = layer.bias
+                yield SHARED, f"trunk.{i}.bias", layer.bias
             for tid, st in layer.bn.items():
-                params[f"trunk.{i}.bn.{tid}.gamma"] = st.gamma
-                params[f"trunk.{i}.bn.{tid}.beta"] = st.beta
+                yield tid, f"trunk.{i}.bn.{tid}.gamma", st.gamma
+                yield tid, f"trunk.{i}.bn.{tid}.beta", st.beta
         for tid, head in self.heads.items():
             for i, layer in enumerate(head):
-                params[f"head.{tid}.{i}.weight"] = layer.weight
-                params[f"head.{tid}.{i}.bias"] = layer.bias
-        return params
+                yield tid, f"head.{tid}.{i}.weight", layer.weight
+                yield tid, f"head.{tid}.{i}.bias", layer.bias
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {name: p for _, name, p in self._walk_parameters()}
 
     def named_buffers(self) -> dict[str, np.ndarray]:
         bufs: dict[str, np.ndarray] = {}
@@ -331,24 +319,6 @@ def build_model(spec: ModelSpec, seed: int) -> Model:
     return Model(spec, trunk, heads)
 
 
-@dataclass
-class ParameterPartition:
-    """The model's parameter tensors by block: the shared set and each task's set."""
-
-    shared: dict[str, Tensor]
-    per_task: dict[int, dict[str, Tensor]]
-
-
-def partition_parameters(model: Model) -> ParameterPartition:
-    """Split parameters by the model's layout blocks: trunk conv weights and
-    biases are shared; each task owns its batch-norm scales/shifts and its head."""
-    params = model.named_parameters()
-    members = model.layout.members
-    return ParameterPartition({n: params[n] for n in members[SHARED]},
-                              {tid: {n: params[n] for n in members[tid]}
-                               for tid in model.spec.task_ids})
-
-
 def per_task_gradients(model: Model, batch: Batch, task: int,
                        loss_weight: float = 1.0) -> tuple[float, np.ndarray, np.ndarray]:
     """Forward/backward one task; return (raw loss, shared grads, own grads).
@@ -378,42 +348,3 @@ def per_task_gradients(model: Model, batch: Batch, task: int,
     blocks = model.layout.blocks
     return loss.item(), model.flat_grad[blocks[SHARED]].copy(), model.flat_grad[blocks[task]].copy()
 
-
-# ---------------------------------------------------------------------------
-# checkpointing
-# ---------------------------------------------------------------------------
-
-def _state_arrays(model: Model) -> dict[str, np.ndarray]:
-    arrays = {f"param:{n}": p.data for n, p in model.named_parameters().items()}
-    arrays.update({f"buffer:{n}": b for n, b in model.named_buffers().items()})
-    return arrays
-
-
-def _load_state(model: Model, arrays: Mapping[str, np.ndarray]) -> Model:
-    """Copy ``_state_arrays`` entries into model; other keys are ignored."""
-    params = model.named_parameters()
-    buffers = model.named_buffers()
-    for key, value in arrays.items():
-        kind, _, name = key.partition(":")
-        if kind == "param":
-            params[name].data[...] = value
-        elif kind == "buffer":
-            buffers[name][...] = value
-    return model
-
-
-def save_checkpoint(model: Model, path: str) -> None:
-    """Dump spec plus every parameter and running-stat array; bit-exact."""
-    arrays = _state_arrays(model)
-    arrays["spec_json"] = np.frombuffer(
-        json.dumps(model.spec.to_dict(), sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_checkpoint(path: str) -> Model:
-    with np.load(path) as data:
-        spec = ModelSpec.from_dict(json.loads(bytes(data["spec_json"]).decode("utf-8")))
-        model = _load_state(build_model(spec, seed=0), data)
-    model.zero_grad()
-    return model

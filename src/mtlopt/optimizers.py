@@ -186,10 +186,10 @@ Group = tuple[str, np.ndarray, Mapping[int, int]]
 class MtlOptimizer:
     """Applies multi-task update steps to one model.
 
-    Owns the update-rule state (Adam moments) and a per-step write counter
-    used to verify the update-count accounting. Every update writes one
-    whole block of the model's flat parameter vector: the shared block, or
-    one task's own block.
+    Owns the update-rule state (Adam moments) and ``last_step_writes``, the
+    number of writes of each block in the last step, used to verify the
+    update-count accounting. Every update writes one whole block of the
+    model's flat parameter vector: the shared block, or one task's own block.
     """
 
     def __init__(self, model: Model, config: OptimizerConfig):
@@ -203,26 +203,20 @@ class MtlOptimizer:
                                    config.adam_beta2, config.adam_eps)
         else:
             self._rule = _SgdRule(config.lr)
-        self._writes = dict.fromkeys(self.layout.blocks, 0)
+        self.last_step_writes = dict.fromkeys(self.layout.blocks, 0)
         # phase 2's owner groups and the owners they were built from
         self._owner_groups: list[Group] = []
         self._groups_owners: dict[str, np.ndarray] | None = None
 
     # -- bookkeeping ------------------------------------------------------
 
-    @property
-    def last_step_writes(self) -> dict[str, int]:
-        """Writes of each parameter in the last step: those of its block."""
-        return {name: self._writes[key]
-                for key, names in self.layout.members.items() for name in names}
-
     def _begin_step(self) -> None:
-        self._writes = dict.fromkeys(self.layout.blocks, 0)
+        self.last_step_writes = dict.fromkeys(self.layout.blocks, 0)
 
     def _apply(self, key: str | int, grad: np.ndarray) -> None:
         block = self.layout.blocks[key]
         self._rule.apply(key, block, self.model.flat_data[block], grad)
-        self._writes[key] += 1
+        self.last_step_writes[key] += 1
 
     def _weights_by_task(self, weights: Mapping[int, float]) -> dict[int, float]:
         return {tid: float(weights[tid]) for tid in self.model.spec.task_ids}
@@ -295,8 +289,9 @@ class MtlOptimizer:
         """Priority-preserving step: ``owners`` maps a layer to the owner
         task id of each of its output channels. In the channels of one owner,
         every task's gradient is projected against the owner's when the two
-        conflict. Layers without owners are summed. The groups are rebuilt
-        only when some layer's owners differ from the last step's."""
+        conflict. Layers without owners are summed; a key that names no
+        shared conv weight is a StateError before any write. The groups are
+        rebuilt only when some layer's owners differ from the last step's."""
         last = self._groups_owners
         if last is None or last.keys() != owners.keys() or not all(
                 np.array_equal(owners[layer], last[layer]) for layer in owners):
@@ -305,20 +300,21 @@ class MtlOptimizer:
         return self._joint_step(batch, weights, self._owner_groups)
 
     def _build_owner_groups(self, owners: Mapping[str, np.ndarray]) -> list[Group]:
-        """One group per owner of each layer's channels, in model order,
-        with the owner as every task's reference."""
+        """One group per owner of each layer's channels, in the order of
+        ``owners``, with the owner as every task's reference."""
         task_ids = self.model.spec.task_ids
+        layout = self.layout
         groups: list[Group] = []
-        for name in self.model.named_parameters():
-            layer = name.rsplit(".", 1)[0]
-            if layer not in owners or name not in self.layout.members[SHARED]:
-                continue
-            layer_owners = np.asarray(owners[layer])
-            shape = self.layout.shapes[name]
+        for layer, layer_owners in owners.items():
+            name = f"{layer}.weight"
+            if name not in layout.members[SHARED]:
+                raise StateError(f"{layer}: owners name no shared conv weight")
+            layer_owners = np.asarray(layer_owners)
+            shape = layout.shapes[name]
             if layer_owners.shape != shape[:1]:
                 raise StateError(f"{layer}: {layer_owners.size} owners, weight has "
                                  f"{shape[0]} channels (stale snapshot)")
-            start = self.layout.slices[name].start - self.layout.blocks[SHARED].start
+            start = layout.slices[name].start - layout.blocks[SHARED].start
             width = math.prod(shape[1:])
             owned = 0
             for owner in task_ids:

@@ -76,8 +76,7 @@ def _conditioned_matrix(rng: np.random.Generator, rows: int, cols: int,
     u, _ = np.linalg.qr(rng.normal(size=(rows, rows)))
     v, _ = np.linalg.qr(rng.normal(size=(cols, cols)))
     s = np.zeros((rows, cols))
-    for i in range(min(rows, cols)):
-        s[i, i] = rng.uniform(smin, smax)
+    np.fill_diagonal(s, rng.uniform(smin, smax, size=min(rows, cols)))
     return u @ s @ v.T
 
 

@@ -21,7 +21,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, MtloptError
 from .evaluation import MetricSpec, TaskMetricSpec, delta_m, priority_share
 from .loss_scaling import make_loss_weighting
-from .network import SHARED, Batch, Model, build_model, per_task_gradients, save_checkpoint
+from .network import SHARED, Batch, Model, build_model, per_task_gradients
 from .optimizers import (
     METHOD_OURS,
     PHASE1,
@@ -284,9 +284,6 @@ def _run_seed(config: ExperimentConfig, seed: int,
     result.final_eval = result.rows[-1].eval_loss
     result.final_metric = result.rows[-1].metric
     result.model = model
-    if config.save_checkpoints:
-        os.makedirs(config.out_dir, exist_ok=True)
-        save_checkpoint(model, os.path.join(config.out_dir, f"model_seed{seed}.npz"))
     return result
 
 
@@ -299,14 +296,13 @@ def _mean_priority_shares(owners: Mapping[str, np.ndarray], task_ids) -> dict[in
 
 def _check_step_invariants(result: SeedResult, optimizer: MtlOptimizer, step_result,
                            phase, k: int, epoch: int, step: int) -> None:
-    writes = optimizer.last_step_writes
-    for block, names in optimizer.layout.members.items():
+    members = optimizer.layout.members
+    for block, writes in optimizer.last_step_writes.items():
         expected = k if block == SHARED and phase == PHASE1 else 1
-        for name in names:
-            if writes[name] != expected:
-                result.violations.append(
-                    f"epoch {epoch} step {step}: {name} written {writes[name]}x, "
-                    f"expected {expected}")
+        if writes != expected:
+            result.violations.append(
+                f"epoch {epoch} step {step}: block {block} ({', '.join(members[block])}) "
+                f"written {writes}x, expected {expected}")
     for p in step_result.projected:
         if float(p.result @ p.reference) < -1e-12:
             result.violations.append(
@@ -345,7 +341,6 @@ def single_task_config(config: ExperimentConfig, task_id: int) -> ExperimentConf
     overrides["loss_scaling"] = {"scheme": "equal", "manual_ratios": None,
                                  "dwa_temperature": 2.0}
     overrides["baselines"] = None
-    overrides["save_checkpoints"] = False
     return ExperimentConfig.from_dict(overrides)
 
 

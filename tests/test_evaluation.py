@@ -83,6 +83,32 @@ def test_correlation_matrix_properties():
     assert np.linalg.eigvalsh(m).min() > -1e-10
 
 
+def _pairwise_correlation(curves):
+    """Reference: Pearson correlation of the loss deltas, one pair at a time."""
+    deltas = [np.diff(np.asarray(curves[tid], dtype=np.float64)) for tid in sorted(curves)]
+    out = np.eye(len(deltas))
+    for i, di in enumerate(deltas):
+        for j, dj in enumerate(deltas[:i]):
+            di_c, dj_c = di - di.mean(), dj - dj.mean()
+            denom = np.sqrt((di_c * di_c).sum() * (dj_c * dj_c).sum())
+            out[i, j] = out[j, i] = (di_c * dj_c).sum() / denom if denom > 0 else 0.0
+    return out
+
+
+def test_correlation_matches_pairwise_loop():
+    # one task, zero-variance deltas and constant curves included
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(3, 9))
+        curves = {tid: rng.normal(size=n).cumsum() for tid in range(1, k + 1)}
+        if rng.random() < 0.3:
+            curves[1] = np.arange(n, dtype=np.float64)
+        if rng.random() < 0.3:
+            curves[k] = np.full(n, rng.normal())
+        np.testing.assert_allclose(loss_trend_correlation(curves), _pairwise_correlation(curves),
+                                   rtol=0, atol=64 * np.finfo(np.float64).eps)
+
+
 def test_correlation_needs_three_epochs():
     with pytest.raises(ConfigError):
         loss_trend_correlation({1: [1.0, 2.0], 2: [2.0, 1.0]})

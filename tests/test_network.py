@@ -1,5 +1,4 @@
 import copy
-import json
 
 import numpy as np
 import pytest
@@ -13,10 +12,7 @@ from mtlopt.network import (
     ModelSpec,
     TaskSpec,
     build_model,
-    load_checkpoint,
-    partition_parameters,
     per_task_gradients,
-    save_checkpoint,
 )
 
 
@@ -63,8 +59,7 @@ def test_build_single_task_degeneracy():
     spec = ModelSpec(trunk=(ConvSpec(3, 4),), heads={1: (ConvSpec(4, 2, kernel_size=1),)},
                      tasks=(TaskSpec(1, "mse"),))
     model = build_model(spec, seed=7)
-    part = partition_parameters(model)
-    assert set(part.per_task) == {1}
+    assert set(model.layout.members) == {SHARED, 1}
     assert len(model.trunk[0].bn) == 1
 
 
@@ -80,24 +75,24 @@ def test_build_determinism():
 
 def test_partition_counts_two_layer_trunk():
     model = build_model(two_task_spec(), seed=1)
-    part = partition_parameters(model)
-    weights = [n for n in part.shared if n.endswith(".weight")]
-    biases = [n for n in part.shared if n.endswith(".bias")]
+    members = model.layout.members
+    weights = [n for n in members[SHARED] if n.endswith(".weight")]
+    biases = [n for n in members[SHARED] if n.endswith(".bias")]
     assert len(weights) == 2 and biases == []  # batch norm drops the trunk biases
     for tid in (1, 2):
-        gammas = [n for n in part.per_task[tid] if n.endswith(".gamma")]
-        betas = [n for n in part.per_task[tid] if n.endswith(".beta")]
+        gammas = [n for n in members[tid] if n.endswith(".gamma")]
+        betas = [n for n in members[tid] if n.endswith(".beta")]
         assert len(gammas) == 2 and len(betas) == 2
-        assert any(n.startswith(f"head.{tid}") for n in part.per_task[tid])
+        assert any(n.startswith(f"head.{tid}") for n in members[tid])
 
 
 def test_partition_no_heads():
     spec = ModelSpec(trunk=(ConvSpec(2, 4),), heads={},
                      tasks=(TaskSpec(1, "mse"), TaskSpec(2, "mse")))
-    part = partition_parameters(build_model(spec, seed=3))
+    members = build_model(spec, seed=3).layout.members
     for tid in (1, 2):
-        assert all(".bn." in n for n in part.per_task[tid])
-        assert len(part.per_task[tid]) == 2  # gamma + beta
+        assert all(".bn." in n for n in members[tid])
+        assert len(members[tid]) == 2  # gamma + beta
 
 
 def test_partition_bookkeeping_randomized():
@@ -114,8 +109,7 @@ def test_partition_bookkeeping_randomized():
         spec = ModelSpec(trunk=trunk, heads=heads,
                          tasks=tuple(TaskSpec(i, "mse") for i in range(1, k + 1)))
         model = build_model(spec, seed=int(rng.integers(0, 2**32)))
-        part = partition_parameters(model)
-        names = list(part.shared) + [n for v in part.per_task.values() for n in v]
+        names = [n for v in model.layout.members.values() for n in v]
         assert sorted(names) == sorted(model.named_parameters())  # disjoint, covering
 
 
@@ -165,11 +159,11 @@ def test_missing_target_raises():
 
 def test_task_isolation():
     model = build_model(two_task_spec(), seed=8)
-    part = partition_parameters(model)
+    params = model.named_parameters()
     model.zero_grad()
     per_task_gradients(model, make_batch(2), task=1)
-    for name, p in part.per_task[2].items():
-        assert np.all(p.grad == 0), name
+    for name in model.layout.members[2]:
+        assert np.all(params[name].grad == 0), name
 
 
 def test_batchnorm_routing_isolation():
@@ -232,26 +226,12 @@ def test_weighted_sum_consistency():
         pred = model.forward(batch.x, tid, tape, mode="train")
         loss = tape.compute_loss(pred, batch.targets[tid], model.spec.task(tid).loss)
         tape.backward(tape.scale(loss, weights[tid]))
-    part = partition_parameters(model)
-    for n, p in part.shared.items():
-        np.testing.assert_allclose(p.grad, summed[n], atol=1e-10)
+    params = model.named_parameters()
+    for n in model.layout.members[SHARED]:
+        np.testing.assert_allclose(params[n].grad, summed[n], atol=1e-10)
 
 
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    model = build_model(two_task_spec(), seed=33)
-    per_task_gradients(model, make_batch(7), task=1)  # move running stats off init
-    path = str(tmp_path / "model.npz")
-    save_checkpoint(model, path)
-    restored = load_checkpoint(path)
-    for (n, p), (m, q) in zip(sorted(model.named_parameters().items()),
-                              sorted(restored.named_parameters().items())):
-        assert n == m and np.array_equal(p.data, q.data)
-    for (n, b), (m, c) in zip(sorted(model.named_buffers().items()),
-                              sorted(restored.named_buffers().items())):
-        assert n == m and np.array_equal(b, c)
-
-
-def test_flat_layout_views_blocks_and_checkpoint(tmp_path):
+def test_flat_layout_views_and_blocks():
     # a trunk layer without batch norm has a bias, which sorts before its weight
     spec = two_task_spec(trunk=(ConvSpec(3, 8, batch_norm=False), ConvSpec(8, 16)))
     model = build_model(spec, seed=35)
@@ -292,23 +272,3 @@ def test_flat_layout_views_blocks_and_checkpoint(tmp_path):
             for name, grad in layout.views(block, key).items():
                 assert grad.tobytes() == params[name].grad.tobytes(), name
 
-    # a checkpoint round-trips through the views
-    path = str(tmp_path / "model.npz")
-    save_checkpoint(model, path)
-    restored = load_checkpoint(path)
-    assert restored.flat_data.tobytes() == model.flat_data.tobytes()
-    for name, p in restored.named_parameters().items():
-        assert p.data.base is restored.flat_data and p.grad.base is restored.flat_grad, name
-
-
-def test_checkpoint_with_unknown_layer_field_fails(tmp_path):
-    path = str(tmp_path / "model.npz")
-    save_checkpoint(build_model(two_task_spec(), seed=34), path)
-    with np.load(path) as data:
-        arrays = dict(data)
-    spec = json.loads(bytes(arrays["spec_json"]).decode("utf-8"))
-    spec["trunk"][0]["stride"] = 1
-    arrays["spec_json"] = np.frombuffer(json.dumps(spec).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
-    with pytest.raises(ConfigError, match=r"trunk\[0\]: unknown field 'stride'"):
-        load_checkpoint(path)

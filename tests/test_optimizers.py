@@ -11,7 +11,6 @@ from mtlopt.network import (
     ModelSpec,
     TaskSpec,
     build_model,
-    partition_parameters,
     per_task_gradients,
 )
 from mtlopt.optimizers import (
@@ -198,12 +197,7 @@ def test_phase1_write_counts():
     model = build_model(conv_task_spec(), seed=21)
     opt = MtlOptimizer(model, OptimizerConfig(lr=0.01))
     opt.phase1_step(conv_batch(31), {1: 0.5, 2: 0.5})
-    part = partition_parameters(model)
-    for name in part.shared:
-        assert opt.last_step_writes[name] == 2, name
-    for tid in (1, 2):
-        for name in part.per_task[tid]:
-            assert opt.last_step_writes[name] == 1, name
+    assert opt.last_step_writes == {SHARED: 2, 1: 1, 2: 1}
 
 
 def test_gd_hand_arithmetic_cancellation():
@@ -259,9 +253,10 @@ def brute_force_phase2(model, batch, weights, owners, task_order, lr):
     for tid in task_order:
         _, gs, own = per_task_gradients(model, batch, tid, loss_weight=weights[tid])
         grads[tid], owns[tid] = model.layout.views(gs, SHARED), model.layout.views(own, tid)
-    part = partition_parameters(model)
+    params = model.named_parameters()
     expected, conflicts, projections = {}, {}, {}
-    for name, tensor in part.shared.items():
+    for name in model.layout.members[SHARED]:
+        tensor = params[name]
         layer = name.rsplit(".", 1)[0]
         if name.endswith(".weight") and layer in owners:
             combined = np.zeros_like(tensor.data)
@@ -292,7 +287,7 @@ def brute_force_phase2(model, batch, weights, owners, task_order, lr):
             expected[name] = tensor.data - lr * sum(grads[t][name] for t in task_order)
     for tid in task_order:
         for name, g in owns[tid].items():
-            expected[name] = part.per_task[tid][name].data - lr * g
+            expected[name] = params[name].data - lr * g
     return expected, conflicts, projections
 
 
@@ -358,8 +353,7 @@ def test_phase2_without_conflicts_equals_gd():
     ra = MtlOptimizer(a, OptimizerConfig(lr=0.05)).phase2_step(batch, {1: 0.5, 2: 0.5}, owners)
     MtlOptimizer(b, OptimizerConfig(method="gd", lr=0.05)).gd_step(batch, {1: 0.5, 2: 0.5})
     assert sum(ra.projections.values()) == 0
-    part = partition_parameters(a)
-    for name in part.shared:
+    for name in a.layout.members[SHARED]:
         np.testing.assert_array_equal(a.named_parameters()[name].data,
                                       b.named_parameters()[name].data, err_msg=name)
 
@@ -401,6 +395,18 @@ def test_phase2_stale_snapshot_rejected():
             opt.phase2_step(conv_batch(1), {1: 0.5, 2: 0.5}, bad)
         for name, p in model.named_parameters().items():
             np.testing.assert_array_equal(p.data, before[name], err_msg=f"{case}: {name}")
+
+
+@pytest.mark.parametrize("layer", ["trunk.9", "head.1.0"])
+def test_phase2_owners_of_no_shared_weight_rejected(layer):
+    # a layer the model lacks, or one whose weight a task owns, after a valid one
+    model = build_model(conv_task_spec(), seed=3)
+    owners = {**snapshot_owners(model), layer: np.array([1, 2, 1, 2])}
+    before = model.flat_data.tobytes()
+    opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
+    with pytest.raises(StateError, match=f"{layer}: owners name no shared conv weight"):
+        opt.phase2_step(conv_batch(1), {1: 0.5, 2: 0.5}, owners)
+    assert model.flat_data.tobytes() == before
 
 
 def test_phase2_builds_owner_groups_once_per_snapshot(monkeypatch):
@@ -460,13 +466,13 @@ def test_pcgrad_matches_manual_projection_sum():
     names = sorted(grads[1])
     g1, g2 = (np.concatenate([grads[tid][n].reshape(-1) for n in names]) for tid in (1, 2))
     total = project_gradient(g1, g2) + project_gradient(g2, g1)
-    part = partition_parameters(reference)
+    params = reference.named_parameters()
     expected = {}
     offset = 0
     for name in names:
-        size = part.shared[name].size
-        expected[name] = part.shared[name].data - 0.05 * total[offset:offset + size].reshape(
-            part.shared[name].shape)
+        size = params[name].size
+        expected[name] = params[name].data - 0.05 * total[offset:offset + size].reshape(
+            params[name].shape)
         offset += size
 
     MtlOptimizer(model, OptimizerConfig(method="pcgrad", lr=0.05)).pcgrad_step(
@@ -491,8 +497,7 @@ def test_pcgrad_no_conflict_equals_gd():
     MtlOptimizer(a, OptimizerConfig(method="pcgrad", lr=0.05)).pcgrad_step(
         batch, {1: 0.5, 2: 0.5})
     MtlOptimizer(b, OptimizerConfig(method="gd", lr=0.05)).gd_step(batch, {1: 0.5, 2: 0.5})
-    part = partition_parameters(a)
-    for name in part.shared:
+    for name in a.layout.members[SHARED]:
         np.testing.assert_allclose(a.named_parameters()[name].data,
                                    b.named_parameters()[name].data,
                                    rtol=0, atol=1e-16, err_msg=name)

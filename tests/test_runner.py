@@ -19,7 +19,7 @@ from mtlopt.config import (
 from mtlopt.errors import ConfigError, NumericError, ShapeError
 from mtlopt.loss_scaling import DynamicWeightAverage
 from mtlopt import optimizers, runner, verification
-from mtlopt.network import build_model, load_checkpoint, per_task_gradients
+from mtlopt.network import SHARED, build_model, per_task_gradients
 from mtlopt.runner import (
     RunReport,
     SeedResult,
@@ -165,6 +165,7 @@ def _trunk_layer_override(**fields):
                      heads={"1": [{"in_channels": 5, "out_channels": 4, "kernel_size": 1}],
                             "2": [{"in_channels": 5, "out_channels": 1, "kernel_size": 1}]}),
      "config.data.channels"),
+    ({"save_checkpoints": False}, "config.save_checkpoints"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -384,7 +385,8 @@ def test_priority_audit_reads_trained_models_and_trains_nothing(monkeypatch):
 
 
 _SEED_2_ERROR = "seed 2, epoch 3, step 1: NumericError: task 2: mse_loss: non-finite values"
-_SEED_2_VIOLATION = "epoch 0 step 1: trunk.0.weight written 2x, expected 1"
+_SEED_2_VIOLATION = ("epoch 0 step 1: block shared (trunk.0.weight, trunk.1.weight) "
+                     "written 2x, expected 1")
 
 
 @pytest.mark.parametrize("kind", ["error", "violation"])
@@ -431,13 +433,6 @@ def test_criterion_7_needs_four_fifths_of_its_seeds(monkeypatch, gaps, passed):
     assert result.passed == passed
     assert result.detail == (f"phase-1 cosine beats GD in {wins}/{len(seeds)} seeds "
                              f"(gaps {list(gaps)}, need >= {need}/{len(seeds)})")
-
-
-def test_checkpoint_saved_and_loadable(tmp_path):
-    config = fast_config(epochs=1, save_checkpoints=True, out_dir=str(tmp_path))
-    run_experiment(config)
-    model = load_checkpoint(str(tmp_path / "model_seed1.npz"))
-    assert model.spec.num_tasks == 2
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +561,24 @@ def test_pcgrad_is_covered_by_the_projection_invariant(monkeypatch):
         {"epochs": 1, "steps_per_epoch": 3, "seeds": [3], "method": "pcgrad"}))
     assert report.seed_results[0].log_rows[0]["conflicts"]["shared"] > 0
     assert any(v.endswith("still conflicts after projection") for v in report.violations)
+
+
+def test_write_count_check_names_the_block(monkeypatch):
+    # one gd step applies the shared block twice; the step check must name
+    # the block, its parameters, and both counts
+    apply = optimizers.MtlOptimizer._apply
+    doubled = []
+
+    def twice_once(self, key, grad):
+        apply(self, key, grad)
+        if key == SHARED and not doubled:
+            doubled.append(key)
+            apply(self, key, grad)
+
+    monkeypatch.setattr(optimizers.MtlOptimizer, "_apply", twice_once)
+    report = run_experiment(fast_config(epochs=1, method="gd"))
+    assert report.violations == [
+        "epoch 0 step 0: block shared (trunk.0.weight, trunk.1.weight) written 2x, expected 1"]
 
 
 def test_delta_m_refuses_missing_baselines():
