@@ -112,8 +112,16 @@ def cmd_report(args) -> int:
     summary_path = os.path.join(args.dir, SUMMARY_FILE)
     summary = {}
     if os.path.exists(summary_path):
-        with open(summary_path) as fh:
-            summary = json.load(fh)
+        try:
+            with open(summary_path) as fh:
+                summary = json.load(fh)
+            if not isinstance(summary, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
+            # the metrics block needs only metrics.csv
+            print(f"unreadable {summary_path} ({exc}); stopped seeds are not shown",
+                  file=sys.stderr)
+            summary = {}
     errors, failures = summary.get("errors", {}), summary.get("failures", {})
     seeds = {r["seed"] for r in rows} | {int(seed) for seed in errors}
     print(f"final epoch {last_epoch}, mean over {len({r['seed'] for r in final})} "

@@ -12,12 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .network import Batch
 from .rng import substream
 
 SEG_TASK = 1
 DEPTH_TASK = 2
+
+# One field pass builds the aligned run of consecutive batches whose images
+# hold at most this many values (128 KiB of float64, so the pass stays in
+# L2): four default 8x3x12x12 batches, or one 16x3x16x16 batch on its own.
+CHUNK_VALUES = 16_384
+# Each batch's RNG substream and per-image draws cost the same in any chunk,
+# so beyond a few batches a chunk only builds batches nobody asks for.
+MAX_CHUNK_BATCHES = 8
 
 
 @dataclass(frozen=True)
@@ -48,10 +56,14 @@ class SyntheticConfig:
 class SyntheticMtlDataset:
     """Seeded batch generator; identical (seed, index) gives identical bytes.
 
-    Each image draws its bump parameters and its pixel noise in two RNG
-    calls; the field math then runs over the whole batch at once. Eval
-    batches are built once per dataset and kept, with read-only arrays;
-    train batches are generated fresh on every call.
+    Batch ``i`` of a stream draws from its own RNG substream, each image its
+    bump parameters and its pixel noise in two calls, so its bytes do not
+    depend on which other batches are built with it. A request builds the
+    aligned chunk of consecutive batches that holds ``i`` (``CHUNK_VALUES``
+    image values, at most ``MAX_CHUNK_BATCHES`` batches) in one field pass.
+    Train batches are handed out once each, fresh and writable; the rest of
+    the chunk waits for its own request, and asking for a batch again builds
+    its chunk again. Eval batches are kept once built, with read-only arrays.
     """
 
     def __init__(self, config: SyntheticConfig, seed: int):
@@ -60,33 +72,50 @@ class SyntheticMtlDataset:
         self.seed = int(seed)
         self._xs = np.linspace(0.0, 1.0, config.width)
         self._ys = np.linspace(0.0, 1.0, config.height)
+        values = config.batch_size * config.channels * config.height * config.width
+        self._chunk = max(1, min(CHUNK_VALUES // values, MAX_CHUNK_BATCHES))
         self._eval: dict[int, Batch] = {}
+        # train batches of the last chunk built that were not handed out yet
+        self._pending: dict[int, Batch] = {}
 
     def batch(self, index: int) -> Batch:
-        return self._generate(f"train-{index}")
+        index = _batch_index(index)
+        batch = self._pending.pop(index, None)
+        if batch is None:
+            self._pending = self._generate("train", index)
+            batch = self._pending.pop(index)
+        return batch
 
     def eval_batch(self, index: int) -> Batch:
-        batch = self._eval.get(index)
-        if batch is None:
-            batch = self._generate(f"eval-{index}")
-            for arr in (batch.x, *batch.targets.values()):
-                arr.flags.writeable = False
-            self._eval[index] = batch
+        index = _batch_index(index)
+        if index not in self._eval:
+            chunk = self._generate("eval", index)
+            for batch in chunk.values():
+                for arr in (batch.x, *batch.targets.values()):
+                    arr.flags.writeable = False
+            self._eval.update(chunk)
+        batch = self._eval[index]
         return Batch(batch.x, dict(batch.targets))
 
-    def _generate(self, tag: str) -> Batch:
+    def _generate(self, stream: str, index: int) -> dict[int, Batch]:
+        """Every batch of ``stream``'s chunk that holds ``index``, by index."""
         cfg = self.config
-        n, h, w = cfg.batch_size, cfg.height, cfg.width
-        rng = substream(self.seed, f"synthetic-{tag}")
+        count, h, w = self._chunk, cfg.height, cfg.width
+        first = index - index % count
+        per = cfg.batch_size
+        n = per * count
         # per image: (cx, cy, width, amp) for the z1 bumps then the z2 bumps,
         # then the pixel noise of every channel, each drawn straight into the
-        # batch arrays; uniform(lo, hi) would draw the same doubles and
-        # return lo + (hi - lo) * u, normal(0, 1) the same standard normals
+        # chunk arrays from its batch's substream; uniform(lo, hi) would draw
+        # the same doubles and return lo + (hi - lo) * u, normal(0, 1) the
+        # same standard normals
         draws = np.empty((n, 2, cfg.bumps, 4))
         noise = np.empty((n, cfg.channels, h, w))
-        for i in range(n):
-            rng.random(out=draws[i])
-            rng.standard_normal(out=noise[i])
+        for k in range(count):
+            rng = substream(self.seed, f"synthetic-{stream}-{first + k}")
+            for i in range(k * per, (k + 1) * per):
+                rng.random(out=draws[i])
+                rng.standard_normal(out=noise[i])
         cx, cy = draws[..., 0], draws[..., 1]
         amp = 0.5 + (1.5 - 0.5) * draws[..., 3]
         # a Python float ** is libm pow, which can differ from x*x in the last bit
@@ -94,7 +123,8 @@ class SyntheticMtlDataset:
                          ).reshape(cx.shape)
 
         # every bump at once, then summed in bump order as a loop over them
-        # would sum them
+        # would sum them; every step below is elementwise or works on one
+        # image at a time, so an image's bytes do not depend on the chunk
         dx2 = (self._xs - cx[..., None, None]) ** 2
         dy2 = (self._ys[:, None] - cy[..., None, None]) ** 2
         bumps = -(dx2 + dy2) / denom[..., None, None]
@@ -128,7 +158,19 @@ class SyntheticMtlDataset:
         # images, where a trailing one would reduce a few elements per pixel
         seg = (z1 >= edges[:, :, None, None]).sum(axis=0)
         depth = np.tanh(cfg.depth_mix[0] * z1 + cfg.depth_mix[1] * z2)[:, None]
-        return Batch(x=x, targets={SEG_TASK: seg, DEPTH_TASK: depth})
+        chunk = {}
+        for k in range(count):
+            rows = slice(k * per, (k + 1) * per)
+            chunk[first + k] = Batch(x=x[rows], targets={SEG_TASK: seg[rows],
+                                                         DEPTH_TASK: depth[rows]})
+        return chunk
+
+
+def _batch_index(index) -> int:
+    """``index`` as an int: a Python or numpy integer, never a bool."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise DataError(f"batch index must be an integer, got {index!r}")
+    return int(index)
 
 
 def _class_edges(values: np.ndarray, num_classes: int) -> np.ndarray:

@@ -708,6 +708,23 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "metric_1" in captured.out
 
 
+@pytest.mark.parametrize("summary", ["cut", "[]"])
+def test_report_survives_an_unreadable_summary(tmp_path, capsys, summary):
+    out = tmp_path / "out"
+    write_report(run_experiment(fast_config(epochs=3, steps_per_epoch=1)), str(out))
+    path = out / "summary.json"
+    text = path.read_text()
+    path.write_text(text[:100] if summary == "cut" else summary)
+    capsys.readouterr()
+    assert cli_main(["report", "--dir", str(out)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "final epoch 2, mean over 1 of 1 seed(s)"
+    assert lines[1].startswith("  ours: metric_1=")
+    assert "training-loss trend correlation (mean over seeds):" in lines
+    assert f"unreadable {path}" in captured.err
+
+
 def test_cli_baseline_subcommand(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(FAST))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mtlopt.errors import ConfigError
+from mtlopt.errors import ConfigError, DataError
 from mtlopt.rng import substream
-from mtlopt.synthetic import DEPTH_TASK, SEG_TASK, SyntheticConfig, SyntheticMtlDataset, _class_edges
+from mtlopt.synthetic import (DEPTH_TASK, SEG_TASK, SyntheticConfig, SyntheticMtlDataset,
+                              _class_edges)
 
 
 def test_batch_shapes_match_config():
@@ -124,6 +125,85 @@ def test_batches_match_reference_bytes(cfg):
                     assert arr.dtype == ref.dtype
                     assert arr.shape == ref.shape
                     assert arr.tobytes() == ref.tobytes()
+
+
+class _Reference:
+    """``_reference_generate`` per (stream, index), each built once."""
+
+    def __init__(self, cfg: SyntheticConfig, seed: int):
+        self.cfg, self.seed, self.built = cfg, seed, {}
+
+    def check(self, stream: str, idx: int, got) -> None:
+        key = f"{stream}-{idx}"
+        if key not in self.built:
+            self.built[key] = _reference_generate(self.cfg, self.seed, key)
+        for arr, ref in zip((got.x, got.targets[SEG_TASK], got.targets[DEPTH_TASK]),
+                            self.built[key]):
+            assert arr.dtype == ref.dtype and arr.shape == ref.shape
+            assert arr.tobytes() == ref.tobytes(), (key, self.cfg)
+
+
+def _chunk_edges(chunk: int) -> list[int]:
+    """Indices that open, close and cross chunk boundaries, negatives included."""
+    return sorted({-chunk - 1, -chunk, -1, 0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk,
+                   2 * chunk + 1, 5})
+
+
+@pytest.mark.parametrize("cfg", PINNED_CONFIGS, ids=["default", "16x16-b16", "c5-b4-9x13", "tiny"])
+def test_chunked_batches_match_reference_in_any_order(cfg):
+    seed = 7
+    ref = _Reference(cfg, seed)
+    chunk = SyntheticMtlDataset(cfg, seed=seed)._chunk
+    indices = _chunk_edges(chunk)
+    shuffled = list(np.random.default_rng(3).permutation(indices))
+    for order in (indices, indices[::-1], shuffled):
+        ds = SyntheticMtlDataset(cfg, seed=seed)
+        for _ in range(2):
+            for idx in order:
+                ref.check("train", idx, ds.batch(idx))
+                ref.check("eval", idx, ds.eval_batch(idx))
+
+
+@pytest.mark.parametrize("cfg", PINNED_CONFIGS, ids=["default", "16x16-b16", "c5-b4-9x13", "tiny"])
+def test_first_request_inside_a_chunk(cfg):
+    seed = 2 ** 62 + 11
+    ref = _Reference(cfg, seed)
+    chunk = SyntheticMtlDataset(cfg, seed=seed)._chunk
+    for start in (chunk // 2, chunk + chunk // 2, -1 - chunk // 2):
+        ds = SyntheticMtlDataset(cfg, seed=seed)
+        first = start - start % chunk
+        # the requested batch, then the rest of its chunk, then one beyond it
+        for idx in [start, *range(first, first + chunk), first + chunk]:
+            ref.check("train", idx, ds.batch(idx))
+        ds = SyntheticMtlDataset(cfg, seed=seed)
+        for idx in [start, *range(first, first + chunk)]:
+            ref.check("eval", idx, ds.eval_batch(idx))
+
+
+def test_chunk_size_groups_desk_batches_and_not_wide_ones():
+    # a default 8x3x12x12 batch shares its chunk with 3 to 6 neighbours; a
+    # 16x3x16x16 batch is built alone
+    assert 4 <= SyntheticMtlDataset(SyntheticConfig(), seed=0)._chunk <= 7
+    wide = SyntheticConfig(batch_size=16, height=16, width=16)
+    assert SyntheticMtlDataset(wide, seed=0)._chunk == 1
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, True, False, np.bool_(True), "1", None])
+def test_non_integer_index_rejected(index):
+    ds = SyntheticMtlDataset(SyntheticConfig(), seed=4)
+    with pytest.raises(DataError, match="batch index must be an integer"):
+        ds.batch(index)
+    with pytest.raises(DataError, match="batch index must be an integer"):
+        ds.eval_batch(index)
+
+
+def test_numpy_and_negative_indices_keep_their_bytes():
+    cfg = SyntheticConfig()
+    ref = _Reference(cfg, 6)
+    ds = SyntheticMtlDataset(cfg, seed=6)
+    for idx in (np.int64(3), np.int32(-2), np.uint8(9), -7):
+        ref.check("train", int(idx), ds.batch(idx))
+        ref.check("eval", int(idx), ds.eval_batch(idx))
 
 
 def test_eval_batches_are_memoised_and_read_only():
