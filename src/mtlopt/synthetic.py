@@ -19,12 +19,14 @@ from .rng import substream
 SEG_TASK = 1
 DEPTH_TASK = 2
 
-# One field pass builds the aligned run of consecutive batches whose images
-# hold at most this many values (128 KiB of float64, so the pass stays in
-# L2): four default 8x3x12x12 batches, or one 16x3x16x16 batch on its own.
+# A request builds, in one field pass, the aligned chunk of consecutive
+# batches whose images hold at most this many values: four default 8x3x12x12
+# batches, or one 16x3x16x16 batch alone. Chunks save numpy's per-call cost,
+# which a small batch is mostly made of and a large one hardly has.
 CHUNK_VALUES = 16_384
 # Each batch's RNG substream and per-image draws cost the same in any chunk,
-# so beyond a few batches a chunk only builds batches nobody asks for.
+# so past a few batches a chunk gains little; the cap keeps a 2-value batch
+# from building 8,192 batches per request.
 MAX_CHUNK_BATCHES = 8
 
 
@@ -100,10 +102,9 @@ class SyntheticMtlDataset:
     def _generate(self, stream: str, index: int) -> dict[int, Batch]:
         """Every batch of ``stream``'s chunk that holds ``index``, by index."""
         cfg = self.config
-        count, h, w = self._chunk, cfg.height, cfg.width
+        count, size, h, w = self._chunk, cfg.batch_size, cfg.height, cfg.width
         first = index - index % count
-        per = cfg.batch_size
-        n = per * count
+        n = count * size
         # per image: (cx, cy, width, amp) for the z1 bumps then the z2 bumps,
         # then the pixel noise of every channel, each drawn straight into the
         # chunk arrays from its batch's substream; uniform(lo, hi) would draw
@@ -113,7 +114,7 @@ class SyntheticMtlDataset:
         noise = np.empty((n, cfg.channels, h, w))
         for k in range(count):
             rng = substream(self.seed, f"synthetic-{stream}-{first + k}")
-            for i in range(k * per, (k + 1) * per):
+            for i in range(k * size, (k + 1) * size):
                 rng.random(out=draws[i])
                 rng.standard_normal(out=noise[i])
         cx, cy = draws[..., 0], draws[..., 1]
@@ -160,7 +161,7 @@ class SyntheticMtlDataset:
         depth = np.tanh(cfg.depth_mix[0] * z1 + cfg.depth_mix[1] * z2)[:, None]
         chunk = {}
         for k in range(count):
-            rows = slice(k * per, (k + 1) * per)
+            rows = slice(k * size, (k + 1) * size)
             chunk[first + k] = Batch(x=x[rows], targets={SEG_TASK: seg[rows],
                                                          DEPTH_TASK: depth[rows]})
         return chunk
