@@ -117,6 +117,9 @@ def cmd_report(args) -> int:
                 summary = json.load(fh)
             if not isinstance(summary, dict):
                 raise ValueError("not a JSON object")
+            for key in ("errors", "failures"):
+                if not isinstance(summary.get(key, {}), dict):
+                    raise ValueError(f"{key} is not a JSON object")
         except (OSError, ValueError) as exc:
             # the metrics block needs only metrics.csv
             print(f"unreadable {summary_path} ({exc}); stopped seeds are not shown",

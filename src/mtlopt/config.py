@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import copy
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
 from .errors import ConfigError
 from .loss_scaling import SCHEMES
 from .network import ModelSpec
 from .optimizers import METHOD_GD, METHOD_OURS, METHOD_PCGRAD, PHASE1, PHASE2
-from .synthetic import SyntheticConfig
+from .synthetic import TARGETS, SyntheticConfig, _is_int, _is_number
 
 METHODS = (METHOD_OURS, METHOD_GD, METHOD_PCGRAD)
 
@@ -39,6 +38,8 @@ def default_model_dict() -> dict:
 
 
 def default_config_dict() -> dict:
+    data = asdict(SyntheticConfig())
+    data["depth_mix"] = list(data["depth_mix"])  # as JSON gives it
     return {
         "method": "ours",
         "loss_scaling": {
@@ -50,22 +51,12 @@ def default_config_dict() -> dict:
         "steps_per_epoch": 10,
         "lr": 0.1,
         "update_rule": {"kind": "sgd", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
-        "task_order": None,
         "phase_override": None,
         "seeds": [1],
         "out_dir": "runs/experiment",
         "eval_batches": 4,
         "baselines": None,
-        "data": {
-            "batch_size": 8,
-            "channels": 3,
-            "height": 12,
-            "width": 12,
-            "num_classes": 4,
-            "bumps": 3,
-            "noise": 0.05,
-            "depth_mix": [0.7, -0.7],
-        },
+        "data": data,
         "model": default_model_dict(),
     }
 
@@ -90,20 +81,9 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise ConfigError(f"config.{path}: {message}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_task_key(value) -> bool:
     # JSON object keys are strings, so "1" names task 1 as well as 1 does
     return _is_int(value) or (isinstance(value, str) and value.isdigit())
-
-
-def _is_number(value) -> bool:
-    # JSON and --set parse Infinity and NaN as floats; no setting takes them
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -145,10 +125,6 @@ class ExperimentConfig:
     @property
     def update_rule(self) -> dict:
         return self.raw["update_rule"]
-
-    @property
-    def task_order(self):
-        return tuple(self.raw["task_order"]) if self.raw["task_order"] else ()
 
     @property
     def phase_override(self):
@@ -222,30 +198,23 @@ class ExperimentConfig:
         _require(_is_number(ls["dwa_temperature"]) and ls["dwa_temperature"] > 0,
                  "loss_scaling.dwa_temperature", "must be positive")
 
-        order = raw["task_order"]
-        if order is not None:
-            _require(isinstance(order, (list, tuple)) and all(_is_int(t) for t in order)
-                     and sorted(order) == sorted(model.task_ids),
-                     "task_order", f"must be a permutation of {model.task_ids}")
-
-        data = raw["data"]
-        for key in ("batch_size", "channels", "height", "width", "bumps"):
-            _require(_is_int(data[key]) and data[key] >= 1, f"data.{key}",
-                     "must be a positive integer")
-        _require(_is_int(data["num_classes"]) and data["num_classes"] >= 2,
-                 "data.num_classes", "must be an integer >= 2")
-        _require(_is_number(data["noise"]) and data["noise"] >= 0,
-                 "data.noise", "must be a nonnegative number")
-        mix = data["depth_mix"]
-        _require(isinstance(mix, (list, tuple)) and len(mix) == 2
-                 and all(_is_number(v) for v in mix), "data.depth_mix", "must be two numbers")
-        data = SyntheticConfig(**{**data, "depth_mix": tuple(mix)})
+        data = SyntheticConfig(**raw["data"])
+        try:
+            data.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"config.data.{exc}") from exc
+        data = replace(data, depth_mix=tuple(data.depth_mix))
         # the first trunk layer reads the images; without a trunk, each head's first layer does
         readers = [model.trunk[0]] if model.trunk else [h[0] for h in model.heads.values() if h]
         _require(all(layer.in_channels == data.channels for layer in readers), "data.channels",
                  "must match the input channels of every layer that reads the images")
-        _require(k <= 2, "model.tasks", f"the synthetic data has 2 targets, got {k} tasks")
         for task in model.tasks:
+            _require(task.id in TARGETS, "model.tasks",
+                     f"task {task.id} names no synthetic target; the ids are {sorted(TARGETS)}")
+            target, loss = TARGETS[task.id]
+            _require(task.loss == loss, "model.tasks",
+                     f"task {task.id} is the {target} target, which takes a {loss} loss, "
+                     f"got {task.loss}")
             layers = model.heads.get(task.id) or model.trunk
             channels = layers[-1].out_channels if layers else data.channels
             expected = data.num_classes if task.loss == "cross_entropy" else 1

@@ -91,11 +91,11 @@ class ModelSpec:
         raise ConfigError(f"no task with id {task_id}")
 
     def validate(self) -> None:
-        k = self.num_tasks
-        if k < 1:
+        ids = self.task_ids
+        if not ids:
             raise ConfigError("model spec needs at least one task")
-        if self.task_ids != tuple(range(1, k + 1)):
-            raise ConfigError(f"task ids must be dense 1..K, got {self.task_ids}")
+        if not all(type(t) is int and t >= 1 for t in ids) or list(ids) != sorted(set(ids)):
+            raise ConfigError(f"task ids must be ascending, distinct positive integers, got {ids}")
         for t in self.tasks:
             if t.loss not in LOSS_KINDS:
                 raise ConfigError(f"task {t.id}: unknown loss kind {t.loss!r}")

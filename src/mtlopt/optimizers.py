@@ -121,7 +121,6 @@ class OptimizerConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    task_order: tuple[int, ...] = ()
 
     def validate(self, task_ids: Sequence[int]) -> None:
         if self.method not in (METHOD_OURS, METHOD_GD, METHOD_PCGRAD):
@@ -130,9 +129,6 @@ class OptimizerConfig:
             raise ConfigError(f"step size must be positive, got {self.lr}")
         if self.update_rule not in ("sgd", "adam"):
             raise ConfigError(f"unknown update rule {self.update_rule!r}")
-        order = self.task_order or tuple(task_ids)
-        if sorted(order) != sorted(task_ids):
-            raise ConfigError(f"task order {order} is not a permutation of {tuple(task_ids)}")
         if self.method == METHOD_PCGRAD and len(task_ids) > 2:
             # projection against the one other task; more tasks would need
             # PCGrad's random order over them
@@ -196,7 +192,6 @@ class MtlOptimizer:
         config.validate(model.spec.task_ids)
         self.model = model
         self.config = config
-        self.task_order = config.task_order or model.spec.task_ids
         self.layout = model.layout
         if config.update_rule == "adam":
             self._rule = _AdamRule(self.layout.size, config.lr, config.adam_beta1,
@@ -224,12 +219,12 @@ class MtlOptimizer:
     # -- steps -------------------------------------------------------------
 
     def phase1_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
-        """Sequential per-task updates: task i sees the shared parameters
-        already moved by tasks 1..i-1 within the same step."""
+        """Sequential per-task updates in task-id order: each task sees the
+        shared parameters already moved by the tasks before it in the same step."""
         self._begin_step()
         w = self._weights_by_task(weights)
         losses: dict[int, float] = {}
-        for tid in self.task_order:
+        for tid in self.model.spec.task_ids:
             losses[tid], shared, own = per_task_gradients(self.model, batch, tid,
                                                           loss_weight=w[tid])
             self._apply(SHARED, shared)
@@ -248,21 +243,22 @@ class MtlOptimizer:
         its label, 0 included.
         """
         self._begin_step()
+        task_ids = self.model.spec.task_ids
         w = self._weights_by_task(weights)
         result = StepResult({})
         flats: dict[int, np.ndarray] = {}
         own: dict[int, np.ndarray] = {}
-        for tid in self.task_order:
+        for tid in task_ids:
             result.losses[tid], flats[tid], own[tid] = per_task_gradients(
                 self.model, batch, tid, loss_weight=w[tid])
-        total = np.zeros_like(flats[self.task_order[0]])
-        for tid in self.task_order:
+        total = np.zeros_like(flats[task_ids[0]])
+        for tid in task_ids:
             total += flats[tid]
         for layer, idx, references in groups:
             blocks = {tid: flat[idx] for tid, flat in flats.items()}
             part = np.zeros(idx.size)
             conflicts = projections = 0
-            for tid in self.task_order:
+            for tid in task_ids:
                 g, ref_tid = blocks[tid], references[tid]
                 if ref_tid != tid:
                     ref = blocks[ref_tid]
@@ -276,7 +272,7 @@ class MtlOptimizer:
             result.conflicts[layer] = result.conflicts.get(layer, 0) + conflicts
             result.projections[layer] = result.projections.get(layer, 0) + projections
         self._apply(SHARED, total)
-        for tid in self.task_order:
+        for tid in task_ids:
             self._apply(tid, own[tid])
         return result
 
@@ -323,7 +319,7 @@ class MtlOptimizer:
                 if channels.size:
                     rows = start + width * channels
                     idx = (rows[:, None] + np.arange(width)).reshape(-1)
-                    groups.append((layer, idx, dict.fromkeys(self.task_order, owner)))
+                    groups.append((layer, idx, dict.fromkeys(task_ids, owner)))
             # counted, not np.setdiff1d: that cost ~40 us a layer per step and ~1 MB peak RSS
             if owned != layer_owners.size:
                 unknown = np.setdiff1d(layer_owners, task_ids)[0]
@@ -334,7 +330,7 @@ class MtlOptimizer:
         """PCGrad over one group that holds every shared parameter: each
         task's flattened gradient is projected against the other task's
         when the two conflict. A lone task forms no group."""
-        order = self.task_order
+        order = self.model.spec.task_ids
         groups: list[Group] = []
         if len(order) == 2:
             shared = self.layout.blocks[SHARED]

@@ -103,8 +103,7 @@ def metric_is_lower_better(loss_kind: str) -> bool:
     return loss_kind != "cross_entropy"
 
 
-def evaluate_model(model: Model, dataset: SyntheticMtlDataset, num_batches: int,
-                   target_map: Mapping[int, int] | None = None
+def evaluate_model(model: Model, dataset: SyntheticMtlDataset, num_batches: int
                    ) -> tuple[dict[int, float], dict[int, float]]:
     """Held-out (eval-mode) per-task losses and metrics over num_batches."""
     loss_totals = {tid: 0.0 for tid in model.spec.task_ids}
@@ -113,7 +112,7 @@ def evaluate_model(model: Model, dataset: SyntheticMtlDataset, num_batches: int,
     sq_err = {tid: 0.0 for tid in model.spec.task_ids}
     # batches are built outside the row-sized buffers, which speed up only
     # the model's per-channel math
-    batches = [_remap(dataset.eval_batch(idx), target_map) for idx in range(num_batches)]
+    batches = [dataset.eval_batch(idx) for idx in range(num_batches)]
     # forward-only: one tape that records nothing serves every pass
     tape = Tape(record=False)
     with _row_sized_buffers():
@@ -138,12 +137,6 @@ def evaluate_model(model: Model, dataset: SyntheticMtlDataset, num_batches: int,
         else:
             metrics[tid] = float(np.sqrt(sq_err[tid] / counts[tid]))
     return losses, metrics
-
-
-def _remap(batch: Batch, target_map: Mapping[int, int] | None) -> Batch:
-    if not target_map:
-        return batch
-    return Batch(batch.x, {new: batch.targets[old] for old, new in target_map.items()})
 
 
 def load_baseline_metric_spec(path: str, task_ids) -> MetricSpec:
@@ -197,8 +190,7 @@ def training_dataset(config: ExperimentConfig, seed: int) -> SyntheticMtlDataset
 
 
 def _run_seed(config: ExperimentConfig, seed: int,
-              metric_spec: MetricSpec | None,
-              target_map: Mapping[int, int] | None = None) -> SeedResult:
+              metric_spec: MetricSpec | None) -> SeedResult:
     """Train one seed. An MtloptError ends the seed: the result keeps the
     rows of every finished epoch, gets no model or final values, and its
     error and failure fields name the seed, epoch, step, stage and task
@@ -218,8 +210,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
         rule = config.update_rule
         optimizer = MtlOptimizer(model, OptimizerConfig(
             method=config.method, lr=config.lr, update_rule=rule["kind"],
-            adam_beta1=rule["beta1"], adam_beta2=rule["beta2"], adam_eps=rule["eps"],
-            task_order=config.task_order))
+            adam_beta1=rule["beta1"], adam_beta2=rule["beta2"], adam_eps=rule["eps"]))
         schedule = PhaseSchedule(config.epochs, substream(seed, "phase-draw"))
 
         for epoch in range(config.epochs):
@@ -243,7 +234,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
             projections: dict[str, int] = {}
             stage = "step"
             for step in range(config.steps_per_epoch):
-                batch = _remap(dataset.batch(epoch * config.steps_per_epoch + step), target_map)
+                batch = dataset.batch(epoch * config.steps_per_epoch + step)
                 step_result = optimizer.step(batch, weighting.weights(), phase=phase,
                                              owners=owners)
                 weighting.after_step(step_result.losses)
@@ -261,7 +252,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
             weighting.after_epoch(epoch_mean)
 
             stage = "evaluation"
-            evals, metrics = evaluate_model(model, dataset, config.eval_batches, target_map)
+            evals, metrics = evaluate_model(model, dataset, config.eval_batches)
             shares = _mean_priority_shares(owners, task_ids)
             dm = delta_m(metrics, metric_spec) if metric_spec is not None else None
             result.rows.append(EpochRow(seed, config.method, epoch, epoch_mean, evals,
@@ -310,13 +301,12 @@ def _check_step_invariants(result: SeedResult, optimizer: MtlOptimizer, step_res
                 f"{p.reference_task}) still conflicts after projection")
 
 
-def run_experiment(config: ExperimentConfig,
-                   target_map: Mapping[int, int] | None = None) -> RunReport:
+def run_experiment(config: ExperimentConfig) -> RunReport:
     """Train every seed; deterministic per (config, seed)."""
     metric_spec = None
     if config.baselines_path:
         metric_spec = load_baseline_metric_spec(config.baselines_path, config.model.task_ids)
-    results = [_run_seed(config, seed, metric_spec, target_map) for seed in config.seeds]
+    results = [_run_seed(config, seed, metric_spec) for seed in config.seeds]
     return RunReport(config.to_dict(), results)
 
 
@@ -325,19 +315,18 @@ def run_experiment(config: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 def single_task_config(config: ExperimentConfig, task_id: int) -> ExperimentConfig:
-    """Same trunk and data, one task (remapped to id 1), trained with GD."""
+    """Same trunk and data, one task under its own id, trained with GD."""
     task = config.model.task(task_id)
     overrides = config.to_dict()
     model = overrides["model"]
     head = model["heads"].get(str(task_id), [])
     overrides["model"] = {
         "trunk": model["trunk"],
-        "heads": {"1": head},
-        "tasks": [{"id": 1, "loss": task.loss}],
+        "heads": {str(task_id): head},
+        "tasks": [{"id": task_id, "loss": task.loss}],
     }
     overrides["method"] = "gd"
     overrides["phase_override"] = None
-    overrides["task_order"] = None
     overrides["loss_scaling"] = {"scheme": "equal", "manual_ratios": None,
                                  "dwa_temperature": 2.0}
     overrides["baselines"] = None
@@ -349,11 +338,11 @@ def run_single_task_baselines(config: ExperimentConfig) -> dict:
     tasks = {}
     for task_id in config.model.task_ids:
         single = single_task_config(config, task_id)
-        report = run_experiment(single, target_map={task_id: 1})
+        report = run_experiment(single)
         if report.failed:
             errors = [r.error for r in report.seed_results if r.error]
             raise ConfigError(f"single-task baseline for task {task_id} failed: {errors}")
-        per_seed = {str(r.seed): r.final_metric[1] for r in report.seed_results}
+        per_seed = {str(r.seed): r.final_metric[task_id] for r in report.seed_results}
         kind = config.model.task(task_id).loss
         tasks[str(task_id)] = {
             "metric": task_metric_name(kind),

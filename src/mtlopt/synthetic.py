@@ -8,6 +8,7 @@ input and correlate through the latent.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,9 @@ from .rng import substream
 
 SEG_TASK = 1
 DEPTH_TASK = 2
+# The task id of each target: its name and the loss that fits it. A task
+# takes the target its id names, in a single-task run as in a multi-task one.
+TARGETS = {SEG_TASK: ("segmentation", "cross_entropy"), DEPTH_TASK: ("depth", "mse")}
 
 # A request builds, in one field pass, the aligned chunk of consecutive
 # batches whose images hold at most this many values: four default 8x3x12x12
@@ -45,14 +49,31 @@ class SyntheticConfig:
     depth_mix: tuple[float, float] = (0.7, -0.7)
 
     def validate(self) -> None:
-        if min(self.batch_size, self.channels, self.height, self.width, self.bumps) < 1:
-            raise ConfigError("synthetic config sizes must be positive")
-        if self.num_classes < 2:
-            raise ConfigError("synthetic config needs >= 2 classes")
-        if self.noise < 0:
-            raise ConfigError("synthetic noise must be nonnegative")
-        if len(self.depth_mix) != 2:
-            raise ConfigError("depth_mix needs exactly two coefficients")
+        """Raise ConfigError, naming the first field that is out of range or
+        of the wrong type."""
+        for key in ("batch_size", "channels", "height", "width", "bumps"):
+            value = getattr(self, key)
+            if not (_is_int(value) and value >= 1):
+                raise ConfigError(f"{key}: must be a positive integer")
+        if not (_is_int(self.num_classes) and self.num_classes >= 2):
+            raise ConfigError("num_classes: must be an integer >= 2")
+        if not (_is_number(self.noise) and self.noise >= 0):
+            raise ConfigError("noise: must be a nonnegative number")
+        mix = self.depth_mix
+        if not (isinstance(mix, (list, tuple)) and len(mix) == 2
+                and all(_is_number(v) for v in mix)):
+            raise ConfigError("depth_mix: must be two numbers")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    # JSON and --set parse Infinity and NaN as floats; no setting takes them
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value)
 
 
 class SyntheticMtlDataset:

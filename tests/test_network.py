@@ -50,7 +50,7 @@ def test_spec_validation():
                   tasks=(TaskSpec(1),)).validate()
     with pytest.raises(ConfigError):
         ModelSpec(trunk=(ConvSpec(3, 8),), heads={},
-                  tasks=(TaskSpec(1), TaskSpec(5))).validate()
+                  tasks=(TaskSpec(2), TaskSpec(1))).validate()
     with pytest.raises(ConfigError):
         ModelSpec(trunk=(ConvSpec(3, 8),), heads={}, tasks=()).validate()
 

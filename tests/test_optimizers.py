@@ -539,9 +539,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(lr=0.0).validate((1, 2))
     with pytest.raises(ConfigError):
         OptimizerConfig(method="mgda").validate((1, 2))
-    with pytest.raises(ConfigError):
-        OptimizerConfig(task_order=(1, 1)).validate((1, 2))
-    OptimizerConfig(task_order=(2, 1)).validate((1, 2))
 
 
 def test_adam_rule_applies_to_combined_gradient():

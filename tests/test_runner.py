@@ -81,6 +81,7 @@ def _model_override(**fields):
 
 
 _CONV_4_TO_1 = {"in_channels": 4, "out_channels": 1, "kernel_size": 1}
+_CONV_4_TO_4 = {"in_channels": 4, "out_channels": 4, "kernel_size": 1}
 _TRUNK_4_TO_4 = {"in_channels": 4, "out_channels": 4, "kernel_size": 3}
 
 
@@ -166,6 +167,17 @@ def _trunk_layer_override(**fields):
                             "2": [{"in_channels": 5, "out_channels": 1, "kernel_size": 1}]}),
      "config.data.channels"),
     ({"save_checkpoints": False}, "config.save_checkpoints"),
+    # a task id names its synthetic target, and its loss must fit that target
+    (_model_override(heads={"1": [_CONV_4_TO_1], "2": [_CONV_4_TO_1]},
+                     tasks=[{"id": 1, "loss": "mse"}, {"id": 2, "loss": "mse"}]),
+     "config.model.tasks: task 1 is the segmentation target"),
+    (_model_override(heads={"1": [_CONV_4_TO_4], "2": [_CONV_4_TO_4]},
+                     tasks=[{"id": 1, "loss": "cross_entropy"},
+                            {"id": 2, "loss": "cross_entropy"}]),
+     "config.model.tasks: task 2 is the depth target"),
+    (_model_override(heads={"1": [_CONV_4_TO_4], "5": [_CONV_4_TO_1]},
+                     tasks=[{"id": 1, "loss": "cross_entropy"}, {"id": 5, "loss": "mse"}]),
+     "config.model.tasks: task 5 names no synthetic target"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -452,6 +464,18 @@ def test_baselines_and_delta_m(tmp_path):
     assert all(row.delta_m is not None for row in report.seed_results[0].rows)
 
 
+def test_a_task_trains_alone_under_its_own_id():
+    # the single-task baseline of task 2 is this run: task 2 alone, trained with gd
+    model = default_model_dict()
+    alone = fast_config(method="gd", model={"trunk": model["trunk"],
+                                            "heads": {"2": model["heads"]["2"]},
+                                            "tasks": [{"id": 2, "loss": "mse"}]})
+    report = run_experiment(alone)
+    assert not report.failed and not report.violations
+    baselines = run_single_task_baselines(fast_config())
+    assert baselines["tasks"]["2"]["per_seed"] == {"1": report.seed_results[0].final_metric[2]}
+
+
 def _seed_1_fails_at_epoch_2(tmp_path, monkeypatch) -> RunReport:
     """A 3-epoch run of seeds 1 and 2 in which seed 1 fails at epoch 2, step
     1, and seed 2 trains to the end."""
@@ -708,13 +732,16 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "metric_1" in captured.out
 
 
-@pytest.mark.parametrize("summary", ["cut", "[]"])
+@pytest.mark.parametrize("summary", ["cut", "[]", "failures-list"])
 def test_report_survives_an_unreadable_summary(tmp_path, capsys, summary):
     out = tmp_path / "out"
     write_report(run_experiment(fast_config(epochs=3, steps_per_epoch=1)), str(out))
     path = out / "summary.json"
     text = path.read_text()
-    path.write_text(text[:100] if summary == "cut" else summary)
+    edited = {"cut": text[:100], "[]": "[]",
+              "failures-list": json.dumps({**json.loads(text), "errors": {"1": "x"},
+                                           "failures": []})}
+    path.write_text(edited[summary])
     capsys.readouterr()
     assert cli_main(["report", "--dir", str(out)]) == 0
     captured = capsys.readouterr()
