@@ -9,7 +9,7 @@ oracles, and a deterministic experiment runner.
 from .autodiff import BatchNormState, Tape, Tensor
 from .config import ExperimentConfig
 from .errors import MtloptError
-from .evaluation import MetricSpec, TaskMetricSpec, delta_m, loss_trend_correlation, priority_share
+from .evaluation import METRICS, delta_m, loss_trend_correlation, priority_share
 from .loss_scaling import (
     DynamicWeightAverage,
     FixedWeights,

@@ -110,23 +110,24 @@ def cmd_report(args) -> int:
     task_ids = sorted(int(c.split("_")[-1]) for c in task_cols)
     # summary.json names the seeds that stopped, also those that left no row
     summary_path = os.path.join(args.dir, SUMMARY_FILE)
-    summary = {}
+    errors, failures, stopped = {}, {}, set()
     if os.path.exists(summary_path):
         try:
             with open(summary_path) as fh:
                 summary = json.load(fh)
             if not isinstance(summary, dict):
                 raise ValueError("not a JSON object")
-            for key in ("errors", "failures"):
-                if not isinstance(summary.get(key, {}), dict):
-                    raise ValueError(f"{key} is not a JSON object")
+            errors, failures = summary.get("errors", {}), summary.get("failures", {})
+            if not (isinstance(errors, dict) and isinstance(failures, dict)
+                    and all(isinstance(f, dict) for f in failures.values())):
+                raise ValueError("errors and failures must map seeds to messages and objects")
+            stopped = {int(seed) for seed in errors}  # a key that is no integer raises
         except (OSError, ValueError) as exc:
             # the metrics block needs only metrics.csv
             print(f"unreadable {summary_path} ({exc}); stopped seeds are not shown",
                   file=sys.stderr)
-            summary = {}
-    errors, failures = summary.get("errors", {}), summary.get("failures", {})
-    seeds = {r["seed"] for r in rows} | {int(seed) for seed in errors}
+            errors, failures, stopped = {}, {}, set()
+    seeds = {r["seed"] for r in rows} | stopped
     print(f"final epoch {last_epoch}, mean over {len({r['seed'] for r in final})} "
           f"of {len(seeds)} seed(s)")
     for method in methods:

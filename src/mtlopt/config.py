@@ -82,8 +82,8 @@ def _require(condition: bool, path: str, message: str) -> None:
 
 
 def _is_task_key(value) -> bool:
-    # JSON object keys are strings, so "1" names task 1 as well as 1 does
-    return _is_int(value) or (isinstance(value, str) and value.isdigit())
+    # JSON object keys are strings, so "1" names task 1 as well as 1 does; int() rejects "²"
+    return _is_int(value) or (isinstance(value, str) and value.isascii() and value.isdigit())
 
 
 @dataclass(frozen=True)

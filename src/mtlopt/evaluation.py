@@ -1,59 +1,63 @@
 """Multi-task performance metric, loss-trend correlation, priority shares."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class TaskMetricSpec:
+class Metric(NamedTuple):
+    """How a task is scored: ``finish(total, count)`` turns the sum of
+    ``batch_sum`` over an evaluation pass and its target count into the metric."""
+
     name: str
     lower_is_better: bool
-    baseline: float
+    batch_sum: Callable[[np.ndarray, np.ndarray], float]
+    finish: Callable[[float, int], float]
 
 
-@dataclass(frozen=True)
-class MetricSpec:
-    """Per-task metric directions and single-task baseline values."""
-
-    per_task: Mapping[int, TaskMetricSpec]
-
-    def validate(self) -> None:
-        for tid, m in self.per_task.items():
-            if not isinstance(m.name, str):
-                raise ConfigError(f"task {tid}: metric must be a string, got {m.name!r}")
-            # any non-empty string is truthy, so "no" would flip the delta-m sign
-            if not isinstance(m.lower_is_better, bool):
-                raise ConfigError(f"task {tid}: lower_is_better must be true or false, "
-                                  f"got {m.lower_is_better!r}")
-            if isinstance(m.baseline, bool) or not isinstance(m.baseline, (int, float)) \
-                    or not np.isfinite(m.baseline):
-                raise ConfigError(f"task {tid}: baseline must be a finite number, "
-                                  f"got {m.baseline!r}")
-            if m.baseline == 0.0:
-                raise ConfigError(f"task {tid}: baseline of 0 makes the ratio undefined")
+# Keyed by loss kind: the one place a task's metric and its direction are decided.
+METRICS = {
+    "cross_entropy": Metric("pixel_accuracy", False,
+                            lambda pred, target: float((pred.argmax(axis=1) == target).sum()),
+                            lambda hits, count: hits / count),
+    "mse": Metric("rmse", True,
+                  lambda pred, target: float(((pred - target) ** 2).sum()),
+                  lambda sq_err, count: float(np.sqrt(sq_err / count))),
+}
 
 
-def delta_m(model_metrics: Mapping[int, float], spec: MetricSpec) -> float:
+def check_baselines(baselines: Mapping[int, float]) -> None:
+    """Each single-task baseline must be a finite, nonzero number."""
+    for tid, value in baselines.items():
+        # float() would read true as 1.0 and "2" as 2.0
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not np.isfinite(value):
+            raise ConfigError(f"task {tid}: baseline must be a finite number, got {value!r}")
+        if value == 0.0:
+            raise ConfigError(f"task {tid}: baseline of 0 makes the ratio undefined")
+
+
+def delta_m(model_metrics: Mapping[int, float], baselines: Mapping[int, float],
+            losses: Mapping[int, str]) -> float:
     """Mean signed relative improvement over the single-task baselines.
 
     Positive values mean the multi-task model beats the baselines on
-    average; a lower-is-better metric contributes (baseline - value) /
+    average. Each task's loss kind (``losses``) sets its metric's direction
+    in ``METRICS``: a lower-is-better metric contributes (baseline - value) /
     baseline, a higher-is-better one (value - baseline) / baseline.
     """
-    spec.validate()
-    if set(model_metrics) != set(spec.per_task):
+    check_baselines(baselines)
+    if set(model_metrics) != set(baselines):
         raise ConfigError(
-            f"metrics cover tasks {sorted(model_metrics)}, spec covers {sorted(spec.per_task)}")
+            f"metrics cover tasks {sorted(model_metrics)}, baselines cover {sorted(baselines)}")
     total = 0.0
-    for tid, m in spec.per_task.items():
-        sign = -1.0 if m.lower_is_better else 1.0
-        total += sign * (model_metrics[tid] - m.baseline) / m.baseline
-    return total / len(spec.per_task)
+    for tid, baseline in baselines.items():
+        sign = -1.0 if METRICS[losses[tid]].lower_is_better else 1.0
+        total += sign * (model_metrics[tid] - baseline) / baseline
+    return total / len(baselines)
 
 
 def loss_trend_correlation(curves: Mapping[int, Sequence[float]]) -> np.ndarray:

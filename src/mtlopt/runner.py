@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigError, MtloptError
-from .evaluation import MetricSpec, TaskMetricSpec, delta_m, priority_share
+from .evaluation import METRICS, check_baselines, delta_m, priority_share
 from .loss_scaling import make_loss_weighting
 from .network import SHARED, Batch, Model, build_model, per_task_gradients
 from .optimizers import (
@@ -93,23 +93,14 @@ class RunReport:
 # evaluation helpers
 # ---------------------------------------------------------------------------
 
-def task_metric_name(loss_kind: str) -> str:
-    """Reported per-task metric: pixel accuracy for classification heads
-    (higher better), rmse for regression heads (lower better)."""
-    return "pixel_accuracy" if loss_kind == "cross_entropy" else "rmse"
-
-
-def metric_is_lower_better(loss_kind: str) -> bool:
-    return loss_kind != "cross_entropy"
-
-
 def evaluate_model(model: Model, dataset: SyntheticMtlDataset, num_batches: int
                    ) -> tuple[dict[int, float], dict[int, float]]:
-    """Held-out (eval-mode) per-task losses and metrics over num_batches."""
-    loss_totals = {tid: 0.0 for tid in model.spec.task_ids}
-    hits = {tid: 0.0 for tid in model.spec.task_ids}
-    counts = {tid: 0 for tid in model.spec.task_ids}
-    sq_err = {tid: 0.0 for tid in model.spec.task_ids}
+    """Held-out (eval-mode) per-task losses and metrics over num_batches;
+    each task's metric is the one ``evaluation.METRICS`` gives its loss."""
+    task_ids = model.spec.task_ids
+    loss_totals = {tid: 0.0 for tid in task_ids}
+    metric_totals = {tid: 0.0 for tid in task_ids}
+    counts = {tid: 0 for tid in task_ids}
     # batches are built outside the row-sized buffers, which speed up only
     # the model's per-channel math
     batches = [dataset.eval_batch(idx) for idx in range(num_batches)]
@@ -117,41 +108,32 @@ def evaluate_model(model: Model, dataset: SyntheticMtlDataset, num_batches: int
     tape = Tape(record=False)
     with _row_sized_buffers():
         for batch in batches:
-            for tid in model.spec.task_ids:
+            for tid in task_ids:
                 pred = model.forward(batch.x, tid, tape, mode="eval")
                 kind = model.spec.task(tid).loss
                 target = batch.targets[tid]
                 loss_totals[tid] += tape.compute_loss(pred, target, kind).item()
-                if kind == "cross_entropy":
-                    predicted = pred.data.argmax(axis=1)
-                    hits[tid] += float((predicted == target).sum())
-                    counts[tid] += target.size
-                else:
-                    sq_err[tid] += float(((pred.data - target) ** 2).sum())
-                    counts[tid] += np.asarray(target).size
+                metric_totals[tid] += METRICS[kind].batch_sum(pred.data, target)
+                counts[tid] += target.size
     losses = {tid: total / num_batches for tid, total in loss_totals.items()}
-    metrics = {}
-    for tid in model.spec.task_ids:
-        if model.spec.task(tid).loss == "cross_entropy":
-            metrics[tid] = hits[tid] / counts[tid]
-        else:
-            metrics[tid] = float(np.sqrt(sq_err[tid] / counts[tid]))
+    metrics = {tid: METRICS[model.spec.task(tid).loss].finish(metric_totals[tid], counts[tid])
+               for tid in task_ids}
     return losses, metrics
 
 
-def load_baseline_metric_spec(path: str, task_ids) -> MetricSpec:
-    """The baselines file at ``path``, which must cover exactly ``task_ids``."""
+def load_baselines(path: str, task_ids) -> dict[int, float]:
+    """Each task's single-task baseline from the baselines file at ``path``,
+    which must cover exactly ``task_ids``. Only the numbers are read: a
+    task's metric and its direction come from its loss."""
     if not os.path.exists(path):
         raise ConfigError(f"baselines file not found: {path} (run the baseline subcommand)")
     try:
         with open(path) as fh:
             data = json.load(fh)
-        spec = MetricSpec({int(tid): TaskMetricSpec(entry["metric"], entry["lower_is_better"],
-                                                    entry["baseline"])
-                           for tid, entry in data["tasks"].items()})
-        spec.validate()
-        missing = sorted(set(task_ids) - set(spec.per_task))
-        extra = sorted(set(spec.per_task) - set(task_ids))
+        baselines = {int(tid): entry["baseline"] for tid, entry in data["tasks"].items()}
+        check_baselines(baselines)
+        missing = sorted(set(task_ids) - set(baselines))
+        extra = sorted(set(baselines) - set(task_ids))
         if missing or extra:
             raise ConfigError(f"does not cover the configured tasks: missing {missing}, "
                               f"extra {extra}")
@@ -161,7 +143,7 @@ def load_baseline_metric_spec(path: str, task_ids) -> MetricSpec:
         # ValueError covers a file that is not JSON
         raise ConfigError(f"baselines file {path}: not the JSON the baseline subcommand "
                           f"writes ({type(exc).__name__}: {exc})") from exc
-    return spec
+    return baselines
 
 
 def mean_pairwise_gradient_cosine(model: Model, batches: list[Batch]) -> float:
@@ -190,7 +172,7 @@ def training_dataset(config: ExperimentConfig, seed: int) -> SyntheticMtlDataset
 
 
 def _run_seed(config: ExperimentConfig, seed: int,
-              metric_spec: MetricSpec | None) -> SeedResult:
+              baselines: dict[int, float] | None) -> SeedResult:
     """Train one seed. An MtloptError ends the seed: the result keeps the
     rows of every finished epoch, gets no model or final values, and its
     error and failure fields name the seed, epoch, step, stage and task
@@ -198,6 +180,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
     result = SeedResult(seed=seed)
     spec = config.model
     task_ids = spec.task_ids
+    losses = {t.id: t.loss for t in spec.tasks}
     k = len(task_ids)
     stage, epoch, step = "setup", None, None
     try:
@@ -205,7 +188,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
         model = build_model(spec, seed=init_seed)
         dataset = training_dataset(config, seed)
         weighting = make_loss_weighting(
-            config.scheme, {t.id: t.loss for t in spec.tasks}, config.manual_ratios,
+            config.scheme, losses, config.manual_ratios,
             config.dwa_temperature, config.lr)
         rule = config.update_rule
         optimizer = MtlOptimizer(model, OptimizerConfig(
@@ -254,7 +237,7 @@ def _run_seed(config: ExperimentConfig, seed: int,
             stage = "evaluation"
             evals, metrics = evaluate_model(model, dataset, config.eval_batches)
             shares = _mean_priority_shares(owners, task_ids)
-            dm = delta_m(metrics, metric_spec) if metric_spec is not None else None
+            dm = delta_m(metrics, baselines, losses) if baselines is not None else None
             result.rows.append(EpochRow(seed, config.method, epoch, epoch_mean, evals,
                                         metrics, epoch_weights, shares, dm))
             result.log_rows.append({
@@ -303,10 +286,10 @@ def _check_step_invariants(result: SeedResult, optimizer: MtlOptimizer, step_res
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Train every seed; deterministic per (config, seed)."""
-    metric_spec = None
+    baselines = None
     if config.baselines_path:
-        metric_spec = load_baseline_metric_spec(config.baselines_path, config.model.task_ids)
-    results = [_run_seed(config, seed, metric_spec) for seed in config.seeds]
+        baselines = load_baselines(config.baselines_path, config.model.task_ids)
+    results = [_run_seed(config, seed, baselines) for seed in config.seeds]
     return RunReport(config.to_dict(), results)
 
 
@@ -343,10 +326,11 @@ def run_single_task_baselines(config: ExperimentConfig) -> dict:
             errors = [r.error for r in report.seed_results if r.error]
             raise ConfigError(f"single-task baseline for task {task_id} failed: {errors}")
         per_seed = {str(r.seed): r.final_metric[task_id] for r in report.seed_results}
-        kind = config.model.task(task_id).loss
+        metric = METRICS[config.model.task(task_id).loss]
+        # metric and lower_is_better are for readers; a run reads only baseline
         tasks[str(task_id)] = {
-            "metric": task_metric_name(kind),
-            "lower_is_better": metric_is_lower_better(kind),
+            "metric": metric.name,
+            "lower_is_better": metric.lower_is_better,
             "baseline": float(np.mean(list(per_seed.values()))),
             "per_seed": per_seed,
         }

@@ -486,6 +486,15 @@ def check_loss_scaling(fd_draws: int = 100, dwa_epochs: int = 200) -> CheckResul
 # criterion 10: determinism
 # ---------------------------------------------------------------------------
 
+def child_environment() -> dict[str, str]:
+    """This environment with this package's directory first on PYTHONPATH, so
+    that a child ``python`` imports this package and no other mtlopt."""
+    path = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if os.environ.get("PYTHONPATH"):
+        path += os.pathsep + os.environ["PYTHONPATH"]
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def check_determinism() -> CheckResult:
     def run():
         with tempfile.TemporaryDirectory() as tmp:
@@ -498,7 +507,7 @@ def check_determinism() -> CheckResult:
                 proc = subprocess.run(
                     [sys.executable, "-m", "mtlopt", "run", "--config", config_path,
                      "--out-dir", out_dir],
-                    capture_output=True, text=True)
+                    capture_output=True, text=True, env=child_environment())
                 if proc.returncode != 0:
                     return False, f"run subcommand failed: {proc.stderr.strip()[:200]}"
                 outputs.append(out_dir)

@@ -17,6 +17,7 @@ from mtlopt.errors import (
     TaskLookupError,
 )
 from mtlopt.gradcheck import central_difference, relative_error
+from mtlopt.verification import child_environment
 
 
 def test_conv_identity_kernel():
@@ -729,7 +730,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the allocator thresholds are glibc mallopt settings")
 def test_steady_state_training_does_not_page_fault():
-    proc = subprocess.run([sys.executable, "-c", _STEADY_STATE_FAULTS],
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", _STEADY_STATE_FAULTS], capture_output=True,
+                          text=True, check=True, env=child_environment())
     faults = int(proc.stdout)
     assert faults < 50, f"{faults} minor page faults in 5 wide-trunk gd steps"

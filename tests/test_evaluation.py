@@ -3,52 +3,53 @@ import pytest
 
 from mtlopt.errors import ConfigError
 from mtlopt.evaluation import (
-    MetricSpec,
-    TaskMetricSpec,
+    METRICS,
     delta_m,
     loss_trend_correlation,
     priority_share,
 )
 
 
-def spec(entries):
-    return MetricSpec({tid: TaskMetricSpec(n, lower, base)
-                       for tid, (n, lower, base) in entries.items()})
+def test_metric_table():
+    assert {kind: (m.name, m.lower_is_better) for kind, m in METRICS.items()} == {
+        "cross_entropy": ("pixel_accuracy", False), "mse": ("rmse", True)}
+    logits = np.array([[[[2.0, 0.0]], [[1.0, 3.0]]]])  # (1, 2, 1, 2): argmax 0 then 1
+    hits = METRICS["cross_entropy"].batch_sum(logits, np.array([[[0, 0]]]))
+    assert hits == 1.0 and METRICS["cross_entropy"].finish(hits, 2) == 0.5
+    sq_err = METRICS["mse"].batch_sum(np.array([1.0, 2.0]), np.array([4.0, 6.0]))
+    assert sq_err == 25.0 and METRICS["mse"].finish(sq_err, 4) == 2.5
 
 
 def test_delta_m_self_comparison():
-    s = spec({1: ("loss", True, 1.5), 2: ("acc", False, 80.0)})
-    assert delta_m({1: 1.5, 2: 80.0}, s) == 0.0
+    assert delta_m({1: 1.5, 2: 80.0}, {1: 1.5, 2: 80.0}, {1: "mse", 2: "cross_entropy"}) == 0.0
 
 
 def test_delta_m_lower_better_improvement():
-    s = spec({1: ("rmse", True, 1.0)})
-    assert delta_m({1: 0.9}, s) == pytest.approx(0.10)
+    assert delta_m({2: 0.9}, {2: 1.0}, {2: "mse"}) == pytest.approx(0.10)
 
 
 def test_delta_m_two_metric_cancellation():
-    s = spec({1: ("acc", False, 50.0), 2: ("err", True, 2.0)})
-    assert delta_m({1: 55.0, 2: 2.2}, s) == pytest.approx(0.0)
+    assert delta_m({1: 55.0, 2: 2.2}, {1: 50.0, 2: 2.0},
+                   {1: "cross_entropy", 2: "mse"}) == pytest.approx(0.0)
 
 
 def test_delta_m_zero_baseline_rejected():
     with pytest.raises(ConfigError):
-        delta_m({1: 0.5}, spec({1: ("loss", True, 0.0)}))
+        delta_m({1: 0.5}, {1: 0.0}, {1: "mse"})
 
 
 def test_delta_m_monotonicity_randomized():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        baselines = rng.uniform(0.5, 3.0, size=3)
-        lower = rng.integers(0, 2, size=3).astype(bool)
-        s = spec({i + 1: (f"m{i}", bool(lower[i]), float(baselines[i])) for i in range(3)})
-        values = {i + 1: float(rng.uniform(0.5, 3.0)) for i in range(3)}
-        base = delta_m(values, s)
+        baselines = {i + 1: float(b) for i, b in enumerate(rng.uniform(0.5, 3.0, size=3))}
+        losses = {tid: str(rng.choice(sorted(METRICS))) for tid in baselines}
+        values = {tid: float(rng.uniform(0.5, 3.0)) for tid in baselines}
+        base = delta_m(values, baselines, losses)
         tid = int(rng.integers(1, 4))
         better = dict(values)
         step = float(rng.uniform(0.01, 0.2))
-        better[tid] = better[tid] - step if lower[tid - 1] else better[tid] + step
-        assert delta_m(better, s) > base
+        better[tid] += -step if METRICS[losses[tid]].lower_is_better else step
+        assert delta_m(better, baselines, losses) > base
 
 
 def test_correlation_identical_curves():

@@ -30,6 +30,7 @@ from mtlopt.runner import (
     run_experiment,
     write_report,
 )
+from mtlopt.verification import child_environment
 
 PIN_FILE = os.path.join(os.path.dirname(__file__), "output_bytes.json")
 PINNED_FILES = (METRICS_FILE, RUN_LOG_FILE, STRENGTH_FILE)
@@ -90,7 +91,7 @@ def test_output_bytes_match_pin(tmp_path):
         pinned = json.load(fh)
     one_thread = {key: "1" for key in BLAS_THREAD_VARIABLES}
     proc = subprocess.run([sys.executable, __file__, str(tmp_path)], capture_output=True,
-                          text=True, env={**os.environ, **one_thread})
+                          text=True, env={**child_environment(), **one_thread})
     assert proc.returncode == 0, proc.stderr
     current = json.loads(proc.stdout)
     if current["runs"] != pinned["runs"]:

@@ -178,6 +178,8 @@ def _trunk_layer_override(**fields):
     (_model_override(heads={"1": [_CONV_4_TO_4], "5": [_CONV_4_TO_1]},
                      tasks=[{"id": 1, "loss": "cross_entropy"}, {"id": 5, "loss": "mse"}]),
      "config.model.tasks: task 5 names no synthetic target"),
+    # "²" is a digit to str.isdigit, and int() rejects it
+    (_model_override(heads={"²": []}), "config.model.heads"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -452,16 +454,25 @@ def test_criterion_7_needs_four_fifths_of_its_seeds(monkeypatch, gaps, passed):
 # ---------------------------------------------------------------------------
 
 def test_baselines_and_delta_m(tmp_path):
-    config = fast_config(epochs=2)
-    baselines = run_single_task_baselines(config)
-    path = write_baselines(baselines, str(tmp_path))
+    baselines = run_single_task_baselines(fast_config(epochs=2))
     assert set(baselines["tasks"]) == {"1", "2"}
     assert baselines["tasks"]["1"]["metric"] == "pixel_accuracy"
     assert baselines["tasks"]["2"]["metric"] == "rmse"
 
-    with_dm = fast_config(epochs=2, baselines=path)
-    report = run_experiment(with_dm)
-    assert all(row.delta_m is not None for row in report.seed_results[0].rows)
+    # metric and lower_is_better are for the file's readers: a run reads only
+    # the numbers, so a file that states both wrongly for both tasks, or
+    # leaves them out, gives the delta-m of the file that baseline writes
+    numbers = {tid: {"baseline": entry["baseline"]}
+               for tid, entry in baselines["tasks"].items()}
+    wrong = {"1": {**numbers["1"], "metric": "rmse", "lower_is_better": True},
+             "2": {**numbers["2"], "metric": "pixel_accuracy", "lower_is_better": False}}
+    columns = []
+    for name, tasks in (("written", baselines["tasks"]), ("wrong", wrong), ("numbers", numbers)):
+        path = write_baselines({"tasks": tasks}, str(tmp_path / name))
+        report = run_experiment(fast_config(epochs=2, baselines=path))
+        columns.append([row.delta_m for row in report.seed_results[0].rows])
+    assert None not in columns[0]
+    assert columns[1] == columns[0] and columns[2] == columns[0]
 
 
 def test_a_task_trains_alone_under_its_own_id():
@@ -613,10 +624,7 @@ def test_delta_m_refuses_missing_baselines():
 
 @pytest.mark.parametrize("text, reason", [
     ('{"tasks": ', "JSONDecodeError"),
-    ('{"tasks": {"1": {"metric": "rmse", "baseline": 1.0}}}', "KeyError: 'lower_is_better'"),
-    # "no" is truthy: taken as written, it would flip the task's delta-m term
-    ('{"tasks": {"2": {"metric": "rmse", "lower_is_better": "no", "baseline": 1.0}}}',
-     "task 2: lower_is_better must be true or false, got 'no'"),
+    ('{"tasks": {"1": {"metric": "rmse"}}}', "KeyError: 'baseline'"),
     # float() would read true as 1.0 and "2" as 2.0
     ('{"tasks": {"2": {"metric": "rmse", "lower_is_better": true, "baseline": true}}}',
      "task 2: baseline must be a finite number, got True"),
@@ -624,8 +632,6 @@ def test_delta_m_refuses_missing_baselines():
      "task 2: baseline must be a finite number, got '2'"),
     ('{"tasks": {"2": {"metric": "rmse", "lower_is_better": true, "baseline": NaN}}}',
      "task 2: baseline must be a finite number, got nan"),
-    ('{"tasks": {"2": {"metric": 5, "lower_is_better": true, "baseline": 1.0}}}',
-     "task 2: metric must be a string, got 5"),
     ('{"tasks": {"2": {"metric": "rmse", "lower_is_better": true, "baseline": 0}}}',
      "task 2: baseline of 0 makes the ratio undefined"),
     ('{"tasks": {}}', "does not cover the configured tasks: missing [1, 2], extra []"),
@@ -732,24 +738,52 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "metric_1" in captured.out
 
 
-@pytest.mark.parametrize("summary", ["cut", "[]", "failures-list"])
-def test_report_survives_an_unreadable_summary(tmp_path, capsys, summary):
+def _report_on_an_edited_summary(tmp_path, capsys, edit):
+    """Lines and stderr of ``mtlopt report`` on a 3-epoch run of seed 1
+    whose summary.json ``edit`` rewrites."""
     out = tmp_path / "out"
     write_report(run_experiment(fast_config(epochs=3, steps_per_epoch=1)), str(out))
     path = out / "summary.json"
-    text = path.read_text()
-    edited = {"cut": text[:100], "[]": "[]",
-              "failures-list": json.dumps({**json.loads(text), "errors": {"1": "x"},
-                                           "failures": []})}
-    path.write_text(edited[summary])
+    path.write_text(edit(path.read_text()))
     capsys.readouterr()
     assert cli_main(["report", "--dir", str(out)]) == 0
     captured = capsys.readouterr()
-    lines = captured.out.splitlines()
+    return captured.out.splitlines(), captured.err, path
+
+
+# entries that are not a message under a seed or a failure object under a seed
+_BAD_STOPPED_SEEDS = {
+    "failures-list": {"errors": {"1": "x"}, "failures": []},
+    "failure-list": {"errors": {"1": "x"}, "failures": {"1": []}},
+    "failure-null": {"failures": {"1": None}},
+    "seedless-error": {"errors": {"x": "y"}},
+}
+
+
+@pytest.mark.parametrize("summary", ["cut", "[]", *_BAD_STOPPED_SEEDS])
+def test_report_survives_an_unreadable_summary(tmp_path, capsys, summary):
+    def edit(text):
+        if summary in _BAD_STOPPED_SEEDS:
+            return json.dumps({**json.loads(text), **_BAD_STOPPED_SEEDS[summary]})
+        return {"cut": text[:100], "[]": "[]"}[summary]
+
+    lines, err, path = _report_on_an_edited_summary(tmp_path, capsys, edit)
     assert lines[0] == "final epoch 2, mean over 1 of 1 seed(s)"
     assert lines[1].startswith("  ours: metric_1=")
     assert "training-loss trend correlation (mean over seeds):" in lines
-    assert f"unreadable {path}" in captured.err
+    assert f"unreadable {path}" in err
+
+
+def test_report_names_a_negative_stopped_seed(tmp_path, capsys):
+    # a seed may be negative, so "-1" is as much a seed key as "1"
+    def edit(text):
+        return json.dumps({**json.loads(text), "errors": {"-1": "x"},
+                           "failures": {"-1": {"epoch": 0, "stage": "step"}}})
+
+    lines, err, _ = _report_on_an_edited_summary(tmp_path, capsys, edit)
+    assert lines[0] == "final epoch 2, mean over 1 of 2 seed(s)"
+    assert lines[lines.index("stopped seeds:") + 1] == "  seed -1 at epoch 0, stage step: x"
+    assert "unreadable" not in err
 
 
 def test_cli_baseline_subcommand(tmp_path):
