@@ -181,8 +181,9 @@ class ExperimentConfig:
 
         _require(isinstance(raw["model"], Mapping), "model", "must be an object")
         heads = raw["model"].get("heads", {})
-        _require(isinstance(heads, Mapping) and all(_is_task_key(t) for t in heads),
-                 "model.heads", "must map integer task ids to layer lists")
+        _require(isinstance(heads, Mapping) and all(_is_task_key(t) for t in heads)
+                 and len({int(t) for t in heads}) == len(heads),
+                 "model.heads", "must map distinct integer task ids to layer lists")
         try:
             model = ModelSpec.from_dict(raw["model"])
         except (ConfigError, TypeError) as exc:

@@ -29,8 +29,9 @@ METRICS = {
 }
 
 
-def check_baselines(baselines: Mapping[int, float]) -> None:
-    """Each single-task baseline must be a finite, nonzero number."""
+def check_baselines(baselines: Mapping[int, float], task_ids) -> None:
+    """The single-task baselines must cover exactly ``task_ids``, each with a
+    finite, nonzero number."""
     for tid, value in baselines.items():
         # float() would read true as 1.0 and "2" as 2.0
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
@@ -38,6 +39,10 @@ def check_baselines(baselines: Mapping[int, float]) -> None:
             raise ConfigError(f"task {tid}: baseline must be a finite number, got {value!r}")
         if value == 0.0:
             raise ConfigError(f"task {tid}: baseline of 0 makes the ratio undefined")
+    missing = sorted(set(task_ids) - set(baselines))
+    extra = sorted(set(baselines) - set(task_ids))
+    if missing or extra:
+        raise ConfigError(f"does not cover the configured tasks: missing {missing}, extra {extra}")
 
 
 def delta_m(model_metrics: Mapping[int, float], baselines: Mapping[int, float],
@@ -49,10 +54,7 @@ def delta_m(model_metrics: Mapping[int, float], baselines: Mapping[int, float],
     in ``METRICS``: a lower-is-better metric contributes (baseline - value) /
     baseline, a higher-is-better one (value - baseline) / baseline.
     """
-    check_baselines(baselines)
-    if set(model_metrics) != set(baselines):
-        raise ConfigError(
-            f"metrics cover tasks {sorted(model_metrics)}, baselines cover {sorted(baselines)}")
+    check_baselines(baselines, model_metrics)
     total = 0.0
     for tid, baseline in baselines.items():
         sign = -1.0 if METRICS[losses[tid]].lower_is_better else 1.0

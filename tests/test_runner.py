@@ -180,6 +180,8 @@ def _trunk_layer_override(**fields):
      "config.model.tasks: task 5 names no synthetic target"),
     # "²" is a digit to str.isdigit, and int() rejects it
     (_model_override(heads={"²": []}), "config.model.heads"),
+    (_model_override(heads={"1": [_CONV_4_TO_4], "01": [_CONV_4_TO_4], "2": [_CONV_4_TO_1]}),
+     "config.model.heads: must map distinct"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -635,6 +637,8 @@ def test_delta_m_refuses_missing_baselines():
     ('{"tasks": {"2": {"metric": "rmse", "lower_is_better": true, "baseline": 0}}}',
      "task 2: baseline of 0 makes the ratio undefined"),
     ('{"tasks": {}}', "does not cover the configured tasks: missing [1, 2], extra []"),
+    ('{"tasks": {"1": {"baseline": 0.5}, "01": {"baseline": 0.9}, "2": {"baseline": 1.0}}}',
+     "names a task under two keys"),
     (json.dumps({"tasks": {str(tid): {"metric": "rmse", "lower_is_better": True, "baseline": 1.0}
                            for tid in (1, 2, 3)}}),
      "does not cover the configured tasks: missing [], extra [3]"),
