@@ -38,7 +38,7 @@ def _load_overrides(args) -> dict:
         overrides["seeds"] = [args.seed]
     if getattr(args, "out_dir", None):
         overrides["out_dir"] = args.out_dir
-    if getattr(args, "method", None):
+    if getattr(args, "method", None) is not None:
         overrides["method"] = args.method
     return overrides
 
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="single seed shorthand")
         p.add_argument("--out-dir", help="output directory override")
         if with_method:
-            p.add_argument("--method", choices=("ours", "gd", "pcgrad"))
+            p.add_argument("--method", help="training method; sets config.method")
 
     p_run = sub.add_parser("run", help="train and emit metrics/logs/snapshots")
     common(p_run)

@@ -2,7 +2,8 @@
 
 A config is a plain JSON object; every field has a default, so ``{}`` is a
 runnable experiment. Validation happens before any training step and
-reports the offending field path.
+reports the offending field path; the optimizer's and the loss weighting's
+own rules run there, in those components, which ``from_dict`` builds.
 """
 from __future__ import annotations
 
@@ -12,12 +13,10 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
 from .errors import ConfigError
-from .loss_scaling import SCHEMES
+from .loss_scaling import LossWeighting, make_loss_weighting
 from .network import ModelSpec
-from .optimizers import METHOD_GD, METHOD_OURS, METHOD_PCGRAD, PHASE1, PHASE2
+from .optimizers import PHASE1, PHASE2, OptimizerConfig
 from .synthetic import TARGETS, SyntheticConfig, _is_int, _is_number
-
-METHODS = (METHOD_OURS, METHOD_GD, METHOD_PCGRAD)
 
 
 def default_model_dict() -> dict:
@@ -93,22 +92,11 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
     model: ModelSpec = field(repr=False)
     data: SyntheticConfig = field(repr=False)
+    optimizer: OptimizerConfig = field(repr=False)
 
     @property
     def method(self) -> str:
         return self.raw["method"]
-
-    @property
-    def scheme(self) -> str:
-        return self.raw["loss_scaling"]["scheme"]
-
-    @property
-    def manual_ratios(self):
-        return self.raw["loss_scaling"]["manual_ratios"]
-
-    @property
-    def dwa_temperature(self) -> float:
-        return self.raw["loss_scaling"]["dwa_temperature"]
 
     @property
     def epochs(self) -> int:
@@ -121,10 +109,6 @@ class ExperimentConfig:
     @property
     def lr(self) -> float:
         return self.raw["lr"]
-
-    @property
-    def update_rule(self) -> dict:
-        return self.raw["update_rule"]
 
     @property
     def phase_override(self):
@@ -149,20 +133,22 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return copy.deepcopy(self.raw)
 
+    def loss_weighting(self) -> LossWeighting:
+        """A fresh loss weighting: each seed trains with its own, as its
+        state moves with that seed's losses."""
+        ls = self.raw["loss_scaling"]
+        return make_loss_weighting(ls["scheme"], {t.id: t.loss for t in self.model.tasks},
+                                   ls["manual_ratios"], ls["dwa_temperature"], self.lr)
+
     @classmethod
     def from_dict(cls, overrides: Mapping | None = None) -> "ExperimentConfig":
         raw = _merge(default_config_dict(), overrides or {})
-        _require(raw["method"] in METHODS, "method", f"must be one of {METHODS}")
-        ls = raw["loss_scaling"]
-        _require(ls["scheme"] in SCHEMES, "loss_scaling.scheme", f"must be one of {SCHEMES}")
         _require(_is_int(raw["epochs"]) and raw["epochs"] >= 1,
                  "epochs", "must be a positive integer")
         _require(_is_int(raw["steps_per_epoch"]) and raw["steps_per_epoch"] >= 1,
                  "steps_per_epoch", "must be a positive integer")
-        _require(_is_number(raw["lr"]) and raw["lr"] > 0,
-                 "lr", "must be a positive number")
+        _require(_is_number(raw["lr"]), "lr", "must be a finite number")
         rule = raw["update_rule"]
-        _require(rule["kind"] in ("sgd", "adam"), "update_rule.kind", "must be 'sgd' or 'adam'")
         for key in ("beta1", "beta2"):
             _require(_is_number(rule[key]) and 0 <= rule[key] < 1,
                      f"update_rule.{key}", "must be a number in [0, 1)")
@@ -188,14 +174,11 @@ class ExperimentConfig:
             model = ModelSpec.from_dict(raw["model"])
         except (ConfigError, TypeError) as exc:
             raise ConfigError(f"config.model: {exc}") from exc
-        k = model.num_tasks
-
-        if ls["scheme"] == "manual":
-            ratios = ls["manual_ratios"]
-            _require(isinstance(ratios, (list, tuple)) and len(ratios) == k,
-                     "loss_scaling.manual_ratios", f"manual scheme needs {k} ratios")
-            _require(all(_is_number(r) and r >= 0 for r in ratios),
-                     "loss_scaling.manual_ratios", "ratios must be nonnegative numbers")
+        ls = raw["loss_scaling"]
+        ratios = ls["manual_ratios"]
+        _require(ratios is None or isinstance(ratios, (list, tuple))
+                 and all(_is_number(r) and r >= 0 for r in ratios),
+                 "loss_scaling.manual_ratios", "must be null or a list of nonnegative numbers")
         _require(_is_number(ls["dwa_temperature"]) and ls["dwa_temperature"] > 0,
                  "loss_scaling.dwa_temperature", "must be positive")
 
@@ -209,6 +192,10 @@ class ExperimentConfig:
         readers = [model.trunk[0]] if model.trunk else [h[0] for h in model.heads.values() if h]
         _require(all(layer.in_channels == data.channels for layer in readers), "data.channels",
                  "must match the input channels of every layer that reads the images")
+        # train-mode batch norm divides by each channel's spread over one batch
+        _require(not any(layer.batch_norm for layer in model.trunk)
+                 or data.batch_size * data.height * data.width >= 2, "data",
+                 "a trunk with batch norm needs batch_size * height * width >= 2")
         for task in model.tasks:
             _require(task.id in TARGETS, "model.tasks",
                      f"task {task.id} names no synthetic target; the ids are {sorted(TARGETS)}")
@@ -222,7 +209,18 @@ class ExperimentConfig:
             _require(channels == expected, f"model.heads.{task.id}",
                      f"a {task.loss} task needs {expected} output channels, got {channels}")
 
-        return cls(raw=raw, model=model, data=data)
+        config = cls(raw=raw, model=model, data=data, optimizer=OptimizerConfig(
+            method=raw["method"], lr=raw["lr"], update_rule=rule["kind"],
+            adam_beta1=rule["beta1"], adam_beta2=rule["beta2"], adam_eps=rule["eps"]))
+        try:
+            config.optimizer.validate(model.task_ids)
+        except ConfigError as exc:
+            raise ConfigError(f"config.{exc}") from exc
+        try:
+            config.loss_weighting()
+        except ConfigError as exc:
+            raise ConfigError(f"config.loss_scaling.{exc}") from exc
+        return config
 
 
 def apply_dotted_overrides(overrides: dict, assignments: list[str]) -> dict:

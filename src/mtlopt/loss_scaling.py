@@ -56,7 +56,7 @@ class DynamicWeightAverage(FixedWeights):
 
     def __init__(self, task_ids: Sequence[int], temperature: float):
         if temperature <= 0:
-            raise ConfigError("dwa: temperature must be positive")
+            raise ConfigError("dwa_temperature: must be positive")
         super().__init__({tid: 1.0 for tid in sorted(task_ids)})
         self.temperature = temperature
         self._previous: np.ndarray | None = None
@@ -105,16 +105,17 @@ def make_loss_weighting(scheme: str, loss_kinds: Mapping[int, str],
                         manual_ratios: Sequence[float] | None, dwa_temperature: float,
                         lr: float) -> LossWeighting:
     """The scheme for tasks whose loss kinds ("mse" or "cross_entropy") are
-    given in task-id order; ``lr`` is the uncertainty scheme's step size."""
+    given in task-id order; ``lr`` is the uncertainty scheme's step size.
+    A ConfigError starts with the ``loss_scaling`` field it rejects."""
     task_ids = list(loss_kinds)
     if scheme == "equal":
         return FixedWeights({tid: 1.0 / len(task_ids) for tid in task_ids})
     if scheme == "manual":
         if manual_ratios is None or len(manual_ratios) != len(task_ids):
-            raise ConfigError(f"manual weighting needs {len(task_ids)} ratios")
+            raise ConfigError(f"manual_ratios: the manual scheme needs {len(task_ids)} ratios")
         return FixedWeights({tid: float(r) for tid, r in zip(task_ids, manual_ratios)})
     if scheme == "dwa":
         return DynamicWeightAverage(task_ids, dwa_temperature)
     if scheme == "uncertainty":
         return UncertaintyWeights(loss_kinds, lr)
-    raise ConfigError(f"unknown loss-weighting scheme {scheme!r}; one of {SCHEMES}")
+    raise ConfigError(f"scheme: unknown loss-weighting scheme {scheme!r}; one of {SCHEMES}")

@@ -33,6 +33,8 @@ PHASE2 = "phase2"
 METHOD_OURS = "ours"
 METHOD_GD = "gd"
 METHOD_PCGRAD = "pcgrad"
+METHODS = (METHOD_OURS, METHOD_GD, METHOD_PCGRAD)
+PROJECTION_DOT_FLOOR = -1e-12  # least result @ reference that training and criterion 3 accept
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +125,17 @@ class OptimizerConfig:
     adam_eps: float = 1e-8
 
     def validate(self, task_ids: Sequence[int]) -> None:
-        if self.method not in (METHOD_OURS, METHOD_GD, METHOD_PCGRAD):
-            raise ConfigError(f"unknown method {self.method!r}")
+        """Raise ConfigError, naming the first field that is out of range."""
+        if self.method not in METHODS:
+            raise ConfigError(f"method: must be one of {METHODS}, got {self.method!r}")
         if self.lr <= 0:
-            raise ConfigError(f"step size must be positive, got {self.lr}")
+            raise ConfigError(f"lr: must be positive, got {self.lr}")
         if self.update_rule not in ("sgd", "adam"):
-            raise ConfigError(f"unknown update rule {self.update_rule!r}")
+            raise ConfigError(f"update_rule: must be 'sgd' or 'adam', got {self.update_rule!r}")
         if self.method == METHOD_PCGRAD and len(task_ids) > 2:
             # projection against the one other task; more tasks would need
             # PCGrad's random order over them
-            raise ConfigError(f"pcgrad takes at most 2 tasks, got {len(task_ids)}")
+            raise ConfigError(f"method: pcgrad takes at most 2 tasks, got {len(task_ids)}")
 
 
 class _SgdRule:

@@ -20,15 +20,8 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import ConfigError, MtloptError
 from .evaluation import METRICS, check_baselines, delta_m, priority_share
-from .loss_scaling import make_loss_weighting
 from .network import SHARED, Batch, Model, build_model, per_task_gradients
-from .optimizers import (
-    METHOD_OURS,
-    PHASE1,
-    MtlOptimizer,
-    OptimizerConfig,
-    PhaseSchedule,
-)
+from .optimizers import METHOD_OURS, PHASE1, PROJECTION_DOT_FLOOR, MtlOptimizer, PhaseSchedule
 from .rng import substream
 from .strength import model_strength_snapshot, snapshot_records
 from .synthetic import SyntheticMtlDataset
@@ -51,7 +44,7 @@ class EpochRow:
     metric: dict[int, float]
     weight: dict[int, float]
     share: dict[int, float]
-    delta_m: float | None
+    delta_m: float | None = None  # scored after training, when baselines are configured
 
 
 @dataclass
@@ -168,8 +161,7 @@ def training_dataset(config: ExperimentConfig, seed: int) -> SyntheticMtlDataset
     return SyntheticMtlDataset(config.data, seed=int(substream(seed, "data").integers(0, 2 ** 63)))
 
 
-def _run_seed(config: ExperimentConfig, seed: int,
-              baselines: dict[int, float] | None) -> SeedResult:
+def _run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     """Train one seed. An MtloptError ends the seed: the result keeps the
     rows of every finished epoch, gets no model or final values, and its
     error and failure fields name the seed, epoch, step, stage and task
@@ -177,20 +169,14 @@ def _run_seed(config: ExperimentConfig, seed: int,
     result = SeedResult(seed=seed)
     spec = config.model
     task_ids = spec.task_ids
-    losses = {t.id: t.loss for t in spec.tasks}
     k = len(task_ids)
     stage, epoch, step = "setup", None, None
     try:
         init_seed = int(substream(seed, "init").integers(0, 2 ** 63))
         model = build_model(spec, seed=init_seed)
         dataset = training_dataset(config, seed)
-        weighting = make_loss_weighting(
-            config.scheme, losses, config.manual_ratios,
-            config.dwa_temperature, config.lr)
-        rule = config.update_rule
-        optimizer = MtlOptimizer(model, OptimizerConfig(
-            method=config.method, lr=config.lr, update_rule=rule["kind"],
-            adam_beta1=rule["beta1"], adam_beta2=rule["beta2"], adam_eps=rule["eps"]))
+        weighting = config.loss_weighting()
+        optimizer = MtlOptimizer(model, config.optimizer)
         schedule = PhaseSchedule(config.epochs, substream(seed, "phase-draw"))
 
         for epoch in range(config.epochs):
@@ -234,9 +220,8 @@ def _run_seed(config: ExperimentConfig, seed: int,
             stage = "evaluation"
             evals, metrics = evaluate_model(model, dataset, config.eval_batches)
             shares = _mean_priority_shares(owners, task_ids)
-            dm = delta_m(metrics, baselines, losses) if baselines is not None else None
             result.rows.append(EpochRow(seed, config.method, epoch, epoch_mean, evals,
-                                        metrics, epoch_weights, shares, dm))
+                                        metrics, epoch_weights, shares))
             result.log_rows.append({
                 "seed": seed, "epoch": epoch, "p": drawn_p, "phase": phase,
                 "losses": {str(t): epoch_mean[t] for t in task_ids},
@@ -275,18 +260,23 @@ def _check_step_invariants(result: SeedResult, optimizer: MtlOptimizer, step_res
                 f"epoch {epoch} step {step}: block {block} ({', '.join(members[block])}) "
                 f"written {writes}x, expected {expected}")
     for p in step_result.projected:
-        if float(p.result @ p.reference) < -1e-12:
+        if float(p.result @ p.reference) < PROJECTION_DOT_FLOOR:
             result.violations.append(
                 f"epoch {epoch} step {step}: {p.layer} task {p.task} (reference task "
                 f"{p.reference_task}) still conflicts after projection")
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Train every seed; deterministic per (config, seed)."""
+    """Train every seed; deterministic per (config, seed). Configured baselines
+    are read before the first seed and, after the last, score every kept row."""
     baselines = None
     if config.baselines_path:
         baselines = load_baselines(config.baselines_path, config.model.task_ids)
-    results = [_run_seed(config, seed, baselines) for seed in config.seeds]
+    results = [_run_seed(config, seed) for seed in config.seeds]
+    if baselines is not None:
+        losses = {t.id: t.loss for t in config.model.tasks}
+        for row in (row for result in results for row in result.rows):
+            row.delta_m = delta_m(row.metric, baselines, losses)
     return RunReport(config.to_dict(), results)
 
 

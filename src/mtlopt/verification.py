@@ -23,7 +23,8 @@ from .config import ExperimentConfig
 from .gradcheck import central_difference, relative_error
 from .loss_scaling import make_loss_weighting
 from .network import Batch, ConvSpec, ModelSpec, TaskSpec, build_model
-from .optimizers import PHASE1, MtlOptimizer, OptimizerConfig, PhaseSchedule, project_gradient
+from .optimizers import (PHASE1, PROJECTION_DOT_FLOOR, MtlOptimizer, OptimizerConfig,
+                         PhaseSchedule, project_gradient)
 from .quadratics import (
     convergence_probe,
     make_conflicting_quadratic,
@@ -253,8 +254,8 @@ def check_projection_contract(models: int = 20, steps: int = 3,
                 projections_seen += sum(result.projections.values())
                 for p in result.projected:
                     worst_dot = min(worst_dot, float(p.result @ p.reference))
-        if worst_dot < -1e-12:
-            return False, f"post-projection dot {worst_dot:.2e} below -1e-12"
+        if worst_dot < PROJECTION_DOT_FLOOR:
+            return False, f"post-projection dot {worst_dot:.2e} below {PROJECTION_DOT_FLOOR:g}"
         if projections_seen == 0:
             return False, "no projections occurred; fixture is vacuous"
 

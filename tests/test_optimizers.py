@@ -110,6 +110,23 @@ def test_projection_idempotent_and_norm_bounded():
         assert np.linalg.norm(once) <= np.linalg.norm(g) + 1e-12
 
 
+def test_one_coordinate_projection_is_the_probe_mask():
+    # criterion 5's "phase2" probe zeroes each shared coordinate whose sign
+    # disagrees with its owner's: project_gradient on one-coordinate blocks
+    rng = np.random.default_rng(5)
+    eps = np.finfo(np.float64).eps
+    for _ in range(10_000):
+        g = rng.normal() * 10 ** rng.uniform(-3, 3)
+        size = abs(rng.normal()) * 10 ** rng.uniform(-3, 3)
+        for ref in (-np.sign(g) * size, np.sign(g) * size, 0.0):
+            mask = 0.0 if g * ref < 0.0 else g
+            out = project_gradient(np.array([g]), np.array([ref]))[0]
+            if mask == 0.0:
+                assert abs(out) <= 4 * eps * abs(g), (g, ref, out)
+            else:
+                assert out == g  # no conflict, or a zero owner: bit for bit
+
+
 # ---------------------------------------------------------------------------
 # model fixtures
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from mtlopt.config import (
 )
 from mtlopt.errors import ConfigError, NumericError, ShapeError
 from mtlopt.loss_scaling import DynamicWeightAverage
-from mtlopt import optimizers, runner, verification
+from mtlopt import evaluation, optimizers, runner, verification
 from mtlopt.network import SHARED, build_model, per_task_gradients
 from mtlopt.runner import (
     RunReport,
@@ -182,6 +182,15 @@ def _trunk_layer_override(**fields):
     (_model_override(heads={"²": []}), "config.model.heads"),
     (_model_override(heads={"1": [_CONV_4_TO_4], "01": [_CONV_4_TO_4], "2": [_CONV_4_TO_1]}),
      "config.model.heads: must map distinct"),
+    # train-mode batch norm in the trunk needs two values per channel in a batch
+    ({"data": {"batch_size": 1, "height": 1, "width": 1}}, "config.data"),
+    # the optimizer's and the loss weighting's own rules, run by from_dict
+    ({"lr": 0}, "config.lr"),
+    ({"update_rule": {"kind": "rmsprop"}}, "config.update_rule"),
+    ({"loss_scaling": {"scheme": "gradnorm"}}, "config.loss_scaling.scheme"),
+    ({"loss_scaling": {"scheme": "manual", "manual_ratios": [1.0]}},
+     "config.loss_scaling.manual_ratios"),
+    ({"loss_scaling": {"manual_ratios": "1,2"}}, "config.loss_scaling.manual_ratios"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -195,7 +204,18 @@ def test_benchmark_workload_configs_build(monkeypatch):
     workloads = importlib.import_module("workloads")
     for workload in workloads.WORKLOADS.values():
         config = ExperimentConfig.from_dict(workload.overrides)
-        build_model(config.model, seed=config.seeds[0])
+        optimizers.MtlOptimizer(build_model(config.model, seed=config.seeds[0]), config.optimizer)
+        assert set(config.loss_weighting().weights()) == set(config.model.task_ids)
+
+
+def test_one_pixel_batch_trains_without_trunk_batch_norm():
+    # only train-mode batch norm needs two values per channel in a batch
+    trunk = [{"in_channels": 3, "out_channels": 4, "kernel_size": 3, "batch_norm": False},
+             {**_TRUNK_4_TO_4, "batch_norm": False}]
+    config = fast_config(data={"batch_size": 1, "height": 1, "width": 1},
+                         **_model_override(trunk=trunk))
+    report = run_experiment(config)
+    assert not report.failed and not report.violations
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
@@ -537,6 +557,17 @@ def test_failed_seed_keeps_its_finished_epochs(tmp_path, monkeypatch, capsys):
     assert "(1 seed(s) with fewer than 3 epochs left out)" in capsys.readouterr().out
 
 
+def test_delta_m_is_scored_after_training_for_every_kept_row(tmp_path, monkeypatch):
+    # a failed seed's finished epochs are scored too, against the baselines
+    # that _seed_1_fails_at_epoch_2 writes
+    report = _seed_1_fails_at_epoch_2(tmp_path, monkeypatch)
+    baselines, losses = {1: 0.5, 2: 1.0}, {1: "cross_entropy", 2: "mse"}
+    rows = [row for result in report.seed_results for row in result.rows]
+    assert [(row.seed, row.epoch) for row in rows] == [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+    for row in rows:
+        assert row.delta_m == evaluation.delta_m(row.metric, baselines, losses)
+
+
 def test_report_names_the_stopped_seeds(tmp_path, monkeypatch, capsys):
     out = tmp_path / "report"
     write_report(_seed_1_fails_at_epoch_2(tmp_path, monkeypatch), str(out))
@@ -811,6 +842,11 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         capsys.readouterr()
         assert cli_main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: config file {path}: ")
+    # --method sets config.method, whose one check is the optimizer's
+    for method in ("mgda", ""):
+        assert cli_main(["run", "--method", method, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: config.method: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_verify_subcommand(capsys):
