@@ -55,8 +55,6 @@ class DynamicWeightAverage(FixedWeights):
     """
 
     def __init__(self, task_ids: Sequence[int], temperature: float):
-        if temperature <= 0:
-            raise ConfigError("dwa_temperature: must be positive")
         super().__init__({tid: 1.0 for tid in sorted(task_ids)})
         self.temperature = temperature
         self._previous: np.ndarray | None = None
@@ -104,10 +102,14 @@ class UncertaintyWeights(LossWeighting):
 def make_loss_weighting(scheme: str, loss_kinds: Mapping[int, str],
                         manual_ratios: Sequence[float] | None, dwa_temperature: float,
                         lr: float) -> LossWeighting:
-    """The scheme for tasks whose loss kinds ("mse" or "cross_entropy") are
-    given in task-id order; ``lr`` is the uncertainty scheme's step size.
-    A ConfigError starts with the ``loss_scaling`` field it rejects."""
+    """The scheme for tasks whose loss kinds ("mse" or "cross_entropy") are given
+    in task-id order; ``lr`` is the uncertainty scheme's step size. Any scheme checks
+    the ratios' sign and the temperature; a ConfigError starts with its field."""
     task_ids = list(loss_kinds)
+    if manual_ratios is not None and not all(r >= 0 for r in manual_ratios):
+        raise ConfigError(f"manual_ratios: must be nonnegative, got {list(manual_ratios)}")
+    if not dwa_temperature > 0:
+        raise ConfigError(f"dwa_temperature: must be positive, got {dwa_temperature}")
     if scheme == "equal":
         return FixedWeights({tid: 1.0 / len(task_ids) for tid in task_ids})
     if scheme == "manual":

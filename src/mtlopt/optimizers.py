@@ -118,20 +118,25 @@ class Projection:
 @dataclass(frozen=True)
 class OptimizerConfig:
     method: str = METHOD_OURS
-    lr: float = 0.05
+    lr: float = 0.1
     update_rule: str = "sgd"  # "sgd" | "adam"
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
 
     def validate(self, task_ids: Sequence[int]) -> None:
-        """Raise ConfigError, naming the first field that is out of range."""
+        """Raise ConfigError naming the first field out of range, Adam's under sgd too."""
         if self.method not in METHODS:
             raise ConfigError(f"method: must be one of {METHODS}, got {self.method!r}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr: must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr: must be positive and finite, got {self.lr}")
         if self.update_rule not in ("sgd", "adam"):
             raise ConfigError(f"update_rule: must be 'sgd' or 'adam', got {self.update_rule!r}")
+        for key, beta in (("beta1", self.adam_beta1), ("beta2", self.adam_beta2)):
+            if not 0 <= beta < 1:
+                raise ConfigError(f"update_rule.{key}: must be a number in [0, 1), got {beta}")
+        if not 0 < self.adam_eps < math.inf:
+            raise ConfigError(f"update_rule.eps: must be a positive number, got {self.adam_eps}")
         if self.method == METHOD_PCGRAD and len(task_ids) > 2:
             # projection against the one other task; more tasks would need
             # PCGrad's random order over them

@@ -191,10 +191,10 @@ def priority_update_check(problem: QuadraticProblem, theta: np.ndarray,
                                 loss_priority <= loss_sum + tol)
 
 
-def model_priority_oracle(model, batch, layer_index: int,
+def model_priority_oracle(model, batch, layer: str,
                           weights: dict[int, float], eta: float) -> np.ndarray:
-    """(C,) priority owner of each out-channel of one trunk conv by direct
-    loss evaluation.
+    """(C,) priority owner of each out-channel of the shared conv ``layer``
+    (a strength snapshot key such as ``trunk.0``) by direct loss evaluation.
 
     For each channel, each task's (unweighted) gradient steps just that
     channel's kernel slice; the task whose step leaves the smallest weighted
@@ -205,12 +205,13 @@ def model_priority_oracle(model, batch, layer_index: int,
     from .autodiff import Tape
     from .network import SHARED, per_task_gradients
 
-    weight = model.trunk[layer_index].weight.data
+    name = f"{layer}.weight"
+    weight = model.layout.views(model.flat_data)[name]
     task_ids = model.spec.task_ids
     # train-mode passes move every batch-norm layer's running statistics
     saved_buffers = {key: buf.copy() for key, buf in model.named_buffers().items()}
-    grads = {tid: model.layout.views(per_task_gradients(model, batch, tid)[1], SHARED)[
-        f"trunk.{layer_index}.weight"] for tid in task_ids}
+    grads = {tid: model.layout.views(per_task_gradients(model, batch, tid)[1], SHARED)[name]
+             for tid in task_ids}
 
     def task_loss(tid: int) -> float:
         tape = Tape(record=False)

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, default_config_dict
 from .errors import ConfigError, MtloptError
 from .evaluation import METRICS, check_baselines, delta_m, priority_share
 from .network import SHARED, Batch, Model, build_model, per_task_gradients
@@ -295,11 +295,8 @@ def single_task_config(config: ExperimentConfig, task_id: int) -> ExperimentConf
         "heads": {str(task_id): head},
         "tasks": [{"id": task_id, "loss": task.loss}],
     }
-    overrides["method"] = "gd"
-    overrides["phase_override"] = None
-    overrides["loss_scaling"] = {"scheme": "equal", "manual_ratios": None,
-                                 "dwa_temperature": 2.0}
-    overrides["baselines"] = None
+    overrides.update(method="gd", phase_override=None, baselines=None,
+                     loss_scaling=default_config_dict()["loss_scaling"])
     return ExperimentConfig.from_dict(overrides)
 
 

@@ -2,8 +2,8 @@
 
 Each check prints one pass/fail line; ``run_all`` executes them in order.
 The same functions back the pytest acceptance module and the ``verify``
-CLI subcommand. Sample counts follow the stated criteria; ``fast`` mode
-shrinks them for smoke testing only.
+CLI subcommand. Each check's defaults are its criterion's full sample
+sizes; ``fast`` mode passes ``FAST_SIZES`` instead, for smoke testing only.
 """
 from __future__ import annotations
 
@@ -405,8 +405,7 @@ def measure_priority_agreement(report: RunReport, eta: float = 1e-3) -> float:
         task_ids = model.spec.task_ids
         weights = dict.fromkeys(task_ids, 1.0 / len(task_ids))  # the default equal weights
         for layer, strength in model_strength_snapshot(model).items():
-            layer_index = int(layer.split(".")[1])
-            oracle = model_priority_oracle(model, batch, layer_index, weights, eta)
+            oracle = model_priority_oracle(model, batch, layer, weights, eta)
             agree += int(np.count_nonzero(strength.owners == oracle))
             total += strength.num_channels
     return agree / total if total else 0.0
@@ -525,25 +524,21 @@ def check_determinism() -> CheckResult:
 # driver
 # ---------------------------------------------------------------------------
 
+FAST_SIZES = {1: {"cases_per_op": 10}, 2: {"tables": 100}, 3: {"models": 4, "vector_pairs": 500},
+              4: {"instances": 100}, 5: {"instances": 10}, 6: {"draws": 5_000},
+              7: {"seeds": (1, 2)}, 8: {"seeds": (1, 2)}, 9: {"fd_draws": 10}}
+CHECKS = {1: check_gradient_exactness, 2: check_strength_suite, 3: check_projection_contract,
+          4: check_priority_update_dominance, 5: check_convergence, 6: check_phase_mixing,
+          7: check_phase1_alignment, 8: check_end_to_end, 9: check_loss_scaling,
+          10: check_determinism}
+
+
 def run_all(fast: bool = False, selected: set[int] | None = None) -> list[CheckResult]:
-    checks = {
-        1: lambda: check_gradient_exactness(cases_per_op=10 if fast else 100),
-        2: lambda: check_strength_suite(tables=100 if fast else 1000),
-        3: lambda: check_projection_contract(models=4 if fast else 20,
-                                             vector_pairs=500 if fast else 10_000),
-        4: lambda: check_priority_update_dominance(instances=100 if fast else 1000),
-        5: lambda: check_convergence(instances=10 if fast else 100),
-        6: lambda: check_phase_mixing(draws=5_000 if fast else 100_000),
-        7: lambda: check_phase1_alignment(seeds=(1, 2) if fast else (1, 2, 3, 4, 5)),
-        8: lambda: check_end_to_end(seeds=(1, 2) if fast else (1, 2, 3, 4, 5)),
-        9: lambda: check_loss_scaling(fd_draws=10 if fast else 100),
-        10: check_determinism,
-    }
     results = []
-    for number, factory in checks.items():
+    for number, check in CHECKS.items():
         if selected is not None and number not in selected:
             continue
-        result = factory()
+        result = check(**(FAST_SIZES.get(number, {}) if fast else {}))
         print(result.line(), flush=True)
         results.append(result)
     print("verification:", "ALL PASSED" if all(r.passed for r in results) else "FAILURES")

@@ -44,6 +44,12 @@ def test_constructor_rejects_wrong_ratio_count_and_unknown_scheme():
         _scheme("dwa", 2, dwa_temperature=0.0)
 
 
+@pytest.mark.parametrize("scheme", ["manual", "equal"])
+def test_negative_ratio_is_rejected_whatever_the_scheme(scheme):
+    with pytest.raises(ConfigError, match="manual_ratios: must be nonnegative"):
+        _scheme(scheme, 2, [-1.0, 1.0])
+
+
 @pytest.mark.parametrize("scheme, ratios", [("equal", None), ("manual", (2.0, 0.5))])
 def test_fixed_weights_never_move(scheme, ratios):
     weighting = _scheme(scheme, 2, ratios)

@@ -556,6 +556,21 @@ def test_optimizer_config_validation():
         OptimizerConfig(lr=0.0).validate((1, 2))
     with pytest.raises(ConfigError):
         OptimizerConfig(method="mgda").validate((1, 2))
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="lr: must be positive and finite"):
+            OptimizerConfig(lr=lr).validate((1, 2))
+
+
+@pytest.mark.parametrize("field, value", [("adam_beta1", 1.0), ("adam_beta2", 1.0),
+                                          ("adam_eps", 0.0)])
+def test_adam_ranges_fail_before_any_write(field, value):
+    # beta1 = 1 would divide 0 by 0 in the bias correction and write NaN at step 0
+    model = build_model(conv_task_spec(), seed=63)
+    before = model.flat_data.copy()
+    config = OptimizerConfig(update_rule="adam", **{field: value})
+    with pytest.raises(ConfigError, match=f"update_rule.{field.removeprefix('adam_')}: "):
+        MtlOptimizer(model, config)
+    assert model.flat_data.tobytes() == before.tobytes()
 
 
 def test_adam_rule_applies_to_combined_gradient():

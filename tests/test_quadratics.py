@@ -212,7 +212,7 @@ def test_model_oracle_restores_the_model_and_matches_per_channel_brute_force():
         _weighted_loss(model, batch, weights)
         for layer_index in (0, 1):
             before = copy.deepcopy(model)
-            owners = model_priority_oracle(model, batch, layer_index, weights, eta)
+            owners = model_priority_oracle(model, batch, f"trunk.{layer_index}", weights, eta)
             for name, p in before.named_parameters().items():
                 assert np.array_equal(model.named_parameters()[name].data, p.data), name
             for name, buf in before.named_buffers().items():

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import os
 import re
@@ -53,6 +54,19 @@ def test_empty_config_is_valid_and_runnable():
     # a one-epoch override of the defaults actually trains
     report = run_experiment(fast_config(epochs=1))
     assert not report.failed and not report.violations
+
+
+def test_optimizer_config_defaults_are_the_run_defaults():
+    assert ExperimentConfig.from_dict({}).optimizer == optimizers.OptimizerConfig()
+
+
+def test_fast_sizes_shrink_parameters_of_their_checks():
+    # a check's full sample sizes are its defaults; verify --fast passes smaller ones
+    for number, sizes in verification.FAST_SIZES.items():
+        parameters = inspect.signature(verification.CHECKS[number]).parameters
+        for name, fast in sizes.items():
+            full = parameters[name].default
+            assert len(fast) < len(full) if isinstance(full, tuple) else fast < full, name
 
 
 def test_readme_configuration_table_lists_every_default():
