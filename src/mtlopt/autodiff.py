@@ -81,6 +81,15 @@ _keep_freed_memory()
 ROW_BUFSIZE = 1024
 
 
+# bytes of one block's column matrix where conv2d keeps no columns
+# (forward-only passes and the input gradient), so that a block's columns
+# are still in cache when its product reads them: the best of a sweep from
+# 128 KiB to 2 MiB on a Xeon with 2 MiB of L2 per core (README,
+# Convolution). Every conv of the default model fits in one block; its
+# largest matrix is 331,776 B.
+BLOCK_BYTES = 512 * 1024
+
+
 @contextlib.contextmanager
 def _row_sized_buffers():
     """Run the block with numpy's ufunc buffer set to ``ROW_BUFSIZE``.
@@ -190,6 +199,62 @@ def _assert_finite(op: str, arr: np.ndarray) -> None:
         raise NumericError(f"{op}: produced non-finite values")
 
 
+def _same_conv(xc: np.ndarray, w2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Same-size conv of channel-major ``(C_in, N, H, W)`` input ``xc`` with
+    the ``(C_out, C_in*k*k)`` kernel matrix ``w2``.
+
+    Returns the ``(C_out, N*H*W)`` output and the ``(C_in*k*k, N*H*W)``
+    column matrix it multiplied, whose rows hold each pixel's window in
+    output order. A 1x1 conv's matrix is the input's channel-major rows,
+    with no padding or window copy.
+    """
+    c_in, n, h, w = xc.shape
+    if k == 1:
+        cols = xc.reshape(c_in, -1)
+        return w2 @ cols, cols
+    # each channel-image as one flat row of H*W pixels between pad*W + pad
+    # zeros, so that offset (i, j)'s window of every pixel is the row
+    # shifted by i*W + j: every plane of the view below is copied in runs
+    # of H*W elements, not of W
+    pad = k // 2
+    hw, margin = h * w, pad * w + pad
+    flat = np.zeros((c_in, n, hw + 2 * margin))
+    flat[:, :, margin:margin + hw].reshape(c_in, n, h, w)[...] = xc
+    s_c, s_n, s_p = flat.strides
+    windows = np.ndarray((c_in, k, k, n, hw), flat.dtype, flat, 0,
+                         (s_c, w * s_p, s_p, s_n, s_p))
+    # copy() and not reshape: with one channel-image and W == k the (i, j)
+    # axes merge, and reshape would return a view of flat
+    cols = windows.copy().reshape(c_in * k * k, n * hw)
+    # a horizontal shift by d wraps into a neighbouring row at the first or
+    # the last d image columns (every column if d >= W); those entries are
+    # the zero padding of a padded grid
+    grid = cols.reshape(c_in, k, k, n, h, w)
+    for d in range(1, pad + 1):
+        grid[:, :, pad - d, :, :, :d] = 0.0
+        grid[:, :, pad + d, :, :, max(w - d, 0):] = 0.0
+    return w2 @ cols, cols
+
+
+def _blocked_conv(xc: np.ndarray, w2: np.ndarray, k: int) -> np.ndarray:
+    """``_same_conv``'s output, built a block of whole images at a time.
+
+    A block holds as many images as fit their column matrix into
+    ``BLOCK_BYTES`` (at least one), and no block's columns outlive its
+    product. A 1x1 conv builds no columns, so it runs in one call, as does
+    a batch whose matrix fits.
+    """
+    c_in, n, h, w = xc.shape
+    per_block = n if k == 1 else max(1, BLOCK_BYTES // (c_in * k * k * h * w * 8))
+    if per_block >= n:
+        return _same_conv(xc, w2, k)[0]
+    out2 = np.empty((w2.shape[0], n * h * w))
+    for start in range(0, n, per_block):
+        stop = min(start + per_block, n)
+        out2[:, start * h * w:stop * h * w] = _same_conv(xc[:, start:stop], w2, k)[0]
+    return out2
+
+
 class Tape:
     """Append-only record of operations; replayed in reverse by backward().
 
@@ -223,25 +288,16 @@ class Tape:
 
         The kernel is square with an odd side k; the conv runs at stride 1
         with zero padding ``k // 2``, so the output keeps the input's H x W.
-        A plain array ``x`` is a constant: it gets no gradient. The input is
-        unfolded once into a ``(C_in*K*K, N*H*W)`` matrix, so forward and
-        both weight-side and input-side backward products are 2-d GEMMs. A
-        1x1 conv's matrix is the input's channel-major rows, with no padding
-        or window copy.
+        A plain array ``x`` is a constant: it gets no gradient. The conv is
+        one GEMM of the weight with the input's ``(C_in*K*K, N*H*W)`` column
+        matrix (``_same_conv``). A recording tape keeps that matrix for the
+        weight gradient; a tape that records nothing convolves a block of
+        whole images at a time (``_blocked_conv``) and keeps no columns.
 
-        The input-side backward puts each output gradient at its window's
-        corner on the padded input grid, zeros elsewhere, and multiplies it
-        by one ``(C_in, C_out)`` weight block per kernel offset, so no
-        temporary is larger than the padded input. Offset (i, j)'s product
-        is a flat shift by ``i*W_pad + j`` of the gradient it adds; the
-        gradient starts as the offset-(0, 0) product, and the others are
-        added into it in (i, j) order, as a per-window scatter adds them.
-        The products' extra columns are exact zeros, so the two agree in
-        value, and in every bit once added into a zeroed leaf gradient (the
-        offset-(0, 0) product may keep a -0.0 that a sum from +0.0 would
-        not), wherever the BLAS rounds a column alike in the two product
-        shapes. It may not for a one-column product or at the edge of a
-        large one, where the results can differ in the last bit.
+        For k > 1 the input gradient is the same-size conv of the output
+        gradient with the kernel's in/out axes swapped and its offsets
+        flipped, also run in blocks. A 1x1 conv's input gradient is the
+        plain product ``w2.T @ g2``.
         """
         xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
         if xd.ndim != 4:
@@ -256,37 +312,12 @@ class Tape:
         if bias is not None and bias.shape != (c_out,):
             raise ShapeError(f"conv2d: bias must have shape ({c_out},), got {bias.shape}")
 
-        # channel-major (C, N, H, W) layout puts each column-matrix row's
-        # pixels in output order and makes a 1x1 conv's matrix a free reshape
-        pad = k // 2
-        hp, wp = h + 2 * pad, w + 2 * pad
-        inner = np.s_[:, :, pad:pad + h, pad:pad + w]
         xc = xd.transpose(1, 0, 2, 3)
-        if k == 1:
-            cols = xc.reshape(c_in, -1)
-        else:
-            # each channel-image as one flat row of H*W pixels between
-            # pad*W + pad zeros, so that offset (i, j)'s window of every
-            # pixel is the row shifted by i*W + j: every plane of the view
-            # below is copied in runs of H*W elements, not of W
-            hw, margin = h * w, pad * w + pad
-            flat = np.zeros((c_in, n, hw + 2 * margin))
-            flat[:, :, margin:margin + hw].reshape(c_in, n, h, w)[...] = xc
-            s_c, s_n, s_p = flat.strides
-            windows = np.ndarray((c_in, k, k, n, hw), flat.dtype, flat, 0,
-                                 (s_c, w * s_p, s_p, s_n, s_p))
-            # copy() and not reshape: with one channel-image and W == k the
-            # (i, j) axes merge, and reshape would return a view of flat
-            cols = windows.copy().reshape(c_in * k * k, n * hw)
-            # a horizontal shift by d wraps into a neighbouring row at the
-            # first or the last d image columns (every column if d >= W);
-            # those entries are the zero padding of a padded grid
-            grid = cols.reshape(c_in, k, k, n, h, w)
-            for d in range(1, pad + 1):
-                grid[:, :, pad - d, :, :, :d] = 0.0
-                grid[:, :, pad + d, :, :, max(w - d, 0):] = 0.0
         w2 = weight.data.reshape(c_out, -1)
-        out2 = w2 @ cols
+        if self.record:
+            out2, cols = _same_conv(xc, w2, k)
+        else:  # no backward will read the columns
+            out2, cols = _blocked_conv(xc, w2, k), None
         if bias is not None:
             out2 += bias.data[:, None]
         out = out2.reshape(c_out, n, h, w).transpose(1, 0, 2, 3)
@@ -294,7 +325,8 @@ class Tape:
         inputs = (x, weight) if bias is None else (x, weight, bias)
 
         def backward(grad_out: np.ndarray):
-            g2 = grad_out.transpose(1, 0, 2, 3).reshape(c_out, -1)
+            gc = grad_out.transpose(1, 0, 2, 3)
+            g2 = gc.reshape(c_out, -1)
             # g2 @ cols.T with the long column axis as the product's rows:
             # faster, and the same bits on one BLAS thread; a threaded BLAS
             # may split the two shapes differently and round a large
@@ -303,23 +335,11 @@ class Tape:
             grad_x = None
             if isinstance(x, Tensor):
                 if k == 1:
-                    grad_xp = w2.T @ g2
+                    grad_x2 = w2.T @ g2
                 else:
-                    corners = np.zeros((c_out, n, hp, wp))
-                    corners[:, :, :h, :w] = grad_out.transpose(1, 0, 2, 3)
-                    corners = corners.reshape(c_out, -1)
-                    # w2.T's rows for offset (i, j), as one contiguous
-                    # (c_in, c_out) block per offset
-                    blocks = np.ascontiguousarray(
-                        w2.T.reshape(c_in, k, k, c_out).transpose(1, 2, 0, 3))
-                    size = n * hp * wp
-                    grad_xp = blocks[0, 0] @ corners
-                    for i in range(k):
-                        for j in range(k):
-                            shift = i * wp + j
-                            if shift:
-                                grad_xp[:, shift:] += (blocks[i, j] @ corners)[:, :size - shift]
-                grad_x = grad_xp.reshape(c_in, n, hp, wp)[inner].transpose(1, 0, 2, 3)
+                    flipped = weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+                    grad_x2 = _blocked_conv(gc, flipped.reshape(c_in, -1), k)
+                grad_x = grad_x2.reshape(c_in, n, h, w).transpose(1, 0, 2, 3)
             if bias is None:
                 return grad_x, grad_w
             return grad_x, grad_w, g2.sum(axis=1)

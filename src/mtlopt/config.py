@@ -16,7 +16,7 @@ from typing import Any, Mapping
 from .errors import ConfigError
 from .loss_scaling import LossWeighting, make_loss_weighting
 from .network import ModelSpec
-from .optimizers import PHASE1, PHASE2, OptimizerConfig
+from .optimizers import METHOD_OURS, PHASE1, PHASE2, OptimizerConfig
 from .synthetic import TARGETS, SyntheticConfig, _is_int, _is_number
 
 
@@ -216,6 +216,9 @@ class ExperimentConfig:
             config.optimizer.validate(model.task_ids)
         except ConfigError as exc:
             raise ConfigError(f"config.{exc}") from exc
+        # only ours reads the override; with another method it would be recorded but not run
+        _require(raw["phase_override"] is None or config.method == METHOD_OURS, "phase_override",
+                 f"must be null unless method is '{METHOD_OURS}', got method {config.method!r}")
         try:
             config.loss_weighting()
         except ConfigError as exc:

@@ -8,7 +8,9 @@ import weakref
 import numpy as np
 import pytest
 
+from mtlopt import autodiff
 from mtlopt.autodiff import BatchNormState, Tape, Tensor, _assert_finite
+from mtlopt.config import ExperimentConfig
 from mtlopt.errors import (
     LabelError,
     NumericError,
@@ -17,6 +19,8 @@ from mtlopt.errors import (
     TaskLookupError,
 )
 from mtlopt.gradcheck import central_difference, relative_error
+from mtlopt.network import build_model, per_task_gradients
+from mtlopt.runner import evaluate_model, training_dataset
 from mtlopt.verification import child_environment
 
 
@@ -111,22 +115,28 @@ def test_conv_matches_direct_reference(k):
 
 
 def _window_conv(x, w, b, grad_out):
-    """Same-size conv2d by the k*k-window im2col and per-window col2im scatter.
+    """Same-size conv2d by k*k-window columns copied one slice at a time.
 
-    A reference copy of the kernel that the flat-shift backward replaced:
-    the same products, summed in the same order.
+    A reference copy of conv2d's kernel: the same products, summed in the
+    same order. For k > 1 the input gradient is the same-size conv of the
+    output gradient with the flipped kernel: its padded grid's windows
+    times ``w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]``.
     """
     n, c_in, h, wd = x.shape
     c_out, _, k, _ = w.shape
     padding = k // 2
-    inner = np.s_[:, :, padding:padding + h, padding:padding + wd]
-    xp = np.zeros((c_in, n, h + 2 * padding, wd + 2 * padding))
-    xp[inner] = x.transpose(1, 0, 2, 3)
-    windows = [(i, j, np.s_[:, :, i:i + h, j:j + wd]) for i in range(k) for j in range(k)]
-    cols = np.empty((c_in, k, k, n, h, wd))
-    for i, j, window in windows:
-        cols[:, i, j] = xp[window]
-    cols = cols.reshape(c_in * k * k, n * h * wd)
+    windows = [np.s_[:, :, i:i + h, j:j + wd] for i in range(k) for j in range(k)]
+
+    def columns(a):
+        # (C, N, H, W) -> (C*k*k, N*H*W), each window one slice of the padded grid
+        ap = np.zeros((a.shape[0], n, h + 2 * padding, wd + 2 * padding))
+        ap[:, :, padding:padding + h, padding:padding + wd] = a
+        cols = np.empty((a.shape[0], k * k, n, h, wd))
+        for offset, window in enumerate(windows):
+            cols[:, offset] = ap[window]
+        return cols.reshape(-1, n * h * wd)
+
+    cols = columns(x.transpose(1, 0, 2, 3))
     w2 = w.reshape(c_out, -1)
     out2 = w2 @ cols
     out2 += b[:, None]
@@ -135,11 +145,13 @@ def _window_conv(x, w, b, grad_out):
         return out
     g2 = grad_out.transpose(1, 0, 2, 3).reshape(c_out, -1)
     grad_w = (g2 @ cols.T).reshape(w.shape)
-    grad_cols = (w2.T @ g2).reshape(c_in, k, k, n, h, wd)
-    grad_xp = np.zeros_like(xp)
-    for i, j, window in windows:
-        grad_xp[window] += grad_cols[:, i, j]
-    return out, grad_xp[inner].transpose(1, 0, 2, 3), grad_w, g2.sum(axis=1)
+    if k == 1:
+        grad_x2 = w2.T @ g2
+    else:
+        flipped = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c_in, -1)
+        grad_x2 = flipped @ columns(grad_out.transpose(1, 0, 2, 3))
+    grad_x = grad_x2.reshape(c_in, n, h, wd).transpose(1, 0, 2, 3)
+    return out, grad_x, grad_w, g2.sum(axis=1)
 
 
 def _assert_same_bits(actual, expected):
@@ -156,12 +168,9 @@ def _with_signed_zeros(rng, arr, share=0.2):
 
 @pytest.mark.parametrize("k", [1, 3, 5], ids=_same_size_id)
 def test_conv_bits_match_window_scatter(k):
-    # The flat-shift col2im and the copy-free 1x1 path must give every bit,
-    # signs of zero included, of the per-window kernel. Both multiply the
-    # same matrices except the input-side product, whose shape differs; the
-    # products here are small enough that the BLAS rounds their columns
-    # alike (a one-column or a large product may round its edge columns
-    # differently).
+    # The flat-shift column matrices and the copy-free 1x1 path must give
+    # every bit, signs of zero included, of the per-window kernel: both
+    # multiply the same matrices, and each batch here fits in one block.
     rng = np.random.default_rng(1000 + 100 * k + 10 + k // 2)
     x_val = _with_signed_zeros(rng, rng.normal(size=(3, 4, k + 3, k + 5)))
     w_val = _with_signed_zeros(rng, rng.normal(size=(5, 4, k, k)), share=0.1)
@@ -697,6 +706,78 @@ def test_conv_backward_peak_stays_below_one_stacked_offset_product():
     finally:
         tracemalloc.stop()
     assert peak < stacked, f"backward peak {peak} B >= {stacked} B"
+
+
+def _count_blocks(monkeypatch):
+    # the image count of every column matrix conv2d builds
+    blocks = []
+    same_conv = autodiff._same_conv
+
+    def counting(xc, w2, k):
+        blocks.append(xc.shape[1])
+        return same_conv(xc, w2, k)
+
+    monkeypatch.setattr(autodiff, "_same_conv", counting)
+    return blocks
+
+
+def test_forward_only_conv_keeps_the_recording_bits_in_blocks(monkeypatch):
+    # the wide trunk's 16->16 conv; 256 pixels per image, so every block's
+    # product has as many columns per image as the whole batch's
+    rng = np.random.default_rng(47)
+    x = rng.normal(size=(16, 16, 16, 16)).transpose(1, 0, 2, 3).copy().transpose(1, 0, 2, 3)
+    w, b = Tensor(rng.normal(size=(16, 16, 3, 3))), Tensor(rng.normal(size=16))
+    recorded = Tape().conv2d(x, w, b).data
+    blocks = _count_blocks(monkeypatch)
+    _assert_same_bits(Tape(record=False).conv2d(x, w, b).data, recorded)
+    assert len(blocks) > 1 and sum(blocks) == 16
+
+
+def test_blocked_input_gradient_matches_direct_reference(monkeypatch):
+    # 13x13 images, and a batch whose last block is short
+    rng = np.random.default_rng(53)
+    x_val = rng.normal(size=(5, 2, 13, 13))
+    w_val, b_val = rng.normal(size=(16, 2, 3, 3)), rng.normal(size=16)
+    out_ref, _, _ = _reference_conv(x_val, w_val, b_val, None)
+    target = rng.normal(size=out_ref.shape)
+    grad_out = 2.0 * (out_ref - target) / out_ref.size  # d mse / d out
+    _, gx_ref, _ = _reference_conv(x_val, w_val, b_val, grad_out)
+    x = Tensor(x_val)
+    tape = Tape()
+    out = tape.conv2d(x, Tensor(w_val), Tensor(b_val))
+    blocks = _count_blocks(monkeypatch)
+    tape.backward(tape.mse_loss(out, target))
+    assert len(blocks) > 1 and blocks[-1] < blocks[0] and sum(blocks) == 5
+    np.testing.assert_allclose(x.grad, gx_ref, rtol=1e-12, atol=1e-12 * np.abs(gx_ref).max())
+
+
+def test_every_default_conv_runs_in_one_block(monkeypatch):
+    config = ExperimentConfig.from_dict({})
+    model = build_model(config.model, seed=1)
+    dataset = training_dataset(config, 1)
+    blocks = _count_blocks(monkeypatch)
+    for task in config.model.task_ids:
+        per_task_gradients(model, dataset.batch(0), task)
+    evaluate_model(model, dataset, 1)
+    assert blocks and set(blocks) == {config.data.batch_size}
+
+
+def test_forward_only_conv_peak_stays_below_one_column_matrix():
+    # the wide trunk's 16->16 3x3 conv: its whole-batch column matrix is
+    # 4.72 MB, and a tape that records nothing needs none
+    rng = np.random.default_rng(59)
+    n, c, h, k = 16, 16, 16, 3
+    x = rng.normal(size=(n, c, h, h))
+    w = Tensor(rng.normal(size=(c, c, k, k)))
+    tape = Tape(record=False)
+    columns = c * k * k * n * h * h * 8
+    tracemalloc.start()
+    try:
+        tape.conv2d(x, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < columns, f"forward peak {peak} B >= {columns} B"
 
 
 # Runs in a fresh interpreter, so glibc starts from its default thresholds

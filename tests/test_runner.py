@@ -205,6 +205,8 @@ def _trunk_layer_override(**fields):
     ({"loss_scaling": {"scheme": "manual", "manual_ratios": [1.0]}},
      "config.loss_scaling.manual_ratios"),
     ({"loss_scaling": {"manual_ratios": "1,2"}}, "config.loss_scaling.manual_ratios"),
+    # only ours reads a phase override; another method would record it and train without it
+    ({"method": "gd", "phase_override": "phase1"}, "config.phase_override"),
 ])
 def test_invalid_configs_fail_fast(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
