@@ -722,8 +722,9 @@ def _count_blocks(monkeypatch):
 
 
 def test_forward_only_conv_keeps_the_recording_bits_in_blocks(monkeypatch):
-    # the wide trunk's 16->16 conv; 256 pixels per image, so every block's
-    # product has as many columns per image as the whole batch's
+    # the wide trunk's 16->16 conv in blocks of whole 16x16 images: each
+    # block's pixel count is a multiple of 8, so the BLAS rounds its
+    # columns as it rounds the whole batch's
     rng = np.random.default_rng(47)
     x = rng.normal(size=(16, 16, 16, 16)).transpose(1, 0, 2, 3).copy().transpose(1, 0, 2, 3)
     w, b = Tensor(rng.normal(size=(16, 16, 3, 3))), Tensor(rng.normal(size=16))
