@@ -65,10 +65,10 @@ def _keep_freed_memory() -> None:
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     # 32 MiB is glibc's documented upper limit for the mmap threshold on
-    # 64-bit systems, and above the largest per-pass temporary (conv2d's
-    # 4.7 MB forward column matrix on a 16-channel, 16x16, batch-16 trunk,
-    # one column per output pixel). The 1 GiB trim threshold keeps the
-    # freed heap top for the next pass.
+    # 64-bit systems, and far above the largest per-pass temporary: on a
+    # 16-channel, 16x16, batch-16 trunk, the 0.88 MB column matrix that a
+    # recording first conv keeps (27 rows, one column per output pixel).
+    # The 1 GiB trim threshold keeps the freed heap top for the next pass.
     mallopt(_M_MMAP_THRESHOLD, 32 * 1024 * 1024)
     mallopt(_M_TRIM_THRESHOLD, 1024 * 1024 * 1024)
 
@@ -81,9 +81,10 @@ _keep_freed_memory()
 ROW_BUFSIZE = 1024
 
 
-# bytes of one block's column matrix where conv2d keeps no columns
-# (forward-only passes and the input gradient), so that a block's columns
-# are still in cache when its product reads them: the best of a sweep from
+# bytes of one block's column matrix where conv2d keeps no columns (every
+# forward but a recording one over a constant input or with k = 1, and the
+# backward of a k > 1 conv over a Tensor input), so that a block's columns
+# are still in cache when its products read them: the best of a sweep from
 # 128 KiB to 2 MiB on a Xeon with 2 MiB of L2 per core (README,
 # Convolution). Every conv of the default model fits in one block; its
 # largest matrix is 331,776 B.
@@ -236,23 +237,35 @@ def _same_conv(xc: np.ndarray, w2: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     return w2 @ cols, cols
 
 
-def _blocked_conv(xc: np.ndarray, w2: np.ndarray, k: int) -> np.ndarray:
+def _blocked_conv(xc: np.ndarray, w2: np.ndarray, k: int, rows: np.ndarray | None = None):
     """``_same_conv``'s output, built a block of whole images at a time.
 
     A block holds as many images as fit their column matrix into
     ``BLOCK_BYTES`` (at least one), and no block's columns outlive its
-    product. A 1x1 conv builds no columns, so it runs in one call, as does
+    products. A 1x1 conv builds no columns, so it runs in one call, as does
     a batch whose matrix fits.
+
+    Given ``rows``, a channel-major ``(C_r, N, H, W)`` array of the same
+    images, it returns the output together with the ``(C_in*k*k, C_r)``
+    product of the whole batch's columns with ``rows``'s channel rows,
+    summed block by block: a k > 1 conv's weight gradient, built from the
+    columns of its output gradient.
     """
     c_in, n, h, w = xc.shape
     per_block = n if k == 1 else max(1, BLOCK_BYTES // (c_in * k * k * h * w * 8))
     if per_block >= n:
-        return _same_conv(xc, w2, k)[0]
+        out2, cols = _same_conv(xc, w2, k)
+        if rows is None:
+            return out2
+        return out2, cols @ rows.reshape(rows.shape[0], -1).T
     out2 = np.empty((w2.shape[0], n * h * w))
+    corr = None if rows is None else np.zeros((c_in * k * k, rows.shape[0]))
     for start in range(0, n, per_block):
         stop = min(start + per_block, n)
-        out2[:, start * h * w:stop * h * w] = _same_conv(xc[:, start:stop], w2, k)[0]
-    return out2
+        out2[:, start * h * w:stop * h * w], cols = _same_conv(xc[:, start:stop], w2, k)
+        if rows is not None:
+            corr += cols @ rows[:, start:stop].reshape(rows.shape[0], -1).T
+    return out2 if rows is None else (out2, corr)
 
 
 class Tape:
@@ -290,14 +303,18 @@ class Tape:
         with zero padding ``k // 2``, so the output keeps the input's H x W.
         A plain array ``x`` is a constant: it gets no gradient. The conv is
         one GEMM of the weight with the input's ``(C_in*K*K, N*H*W)`` column
-        matrix (``_same_conv``). A recording tape keeps that matrix for the
-        weight gradient; a tape that records nothing convolves a block of
-        whole images at a time (``_blocked_conv``) and keeps no columns.
+        matrix (``_same_conv``).
 
-        For k > 1 the input gradient is the same-size conv of the output
-        gradient with the kernel's in/out axes swapped and its offsets
-        flipped, also run in blocks. A 1x1 conv's input gradient is the
-        plain product ``w2.T @ g2``.
+        Only a recording conv over a constant input, or a 1x1 one, keeps
+        that matrix, for the weight gradient ``(cols @ g2.T).T``. Every
+        other forward convolves a block of whole images at a time
+        (``_blocked_conv``) and keeps no columns. For k > 1 the input
+        gradient is the same-size conv of the output gradient with the
+        kernel's in/out axes swapped and its offsets flipped, run in the
+        same blocks; each block's output-gradient columns, times that
+        block's input rows, also add up to the weight gradient with its
+        offsets flipped. A 1x1 conv's input gradient is the plain product
+        ``w2.T @ g2``.
         """
         xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
         if xd.ndim != 4:
@@ -314,9 +331,13 @@ class Tape:
 
         xc = xd.transpose(1, 0, 2, 3)
         w2 = weight.data.reshape(c_out, -1)
-        if self.record:
+        # kept columns: a 1x1 conv's are its input's rows, and a constant
+        # input has no input gradient whose output-gradient columns the
+        # weight gradient could share (a first trunk conv's input has 27
+        # rows of columns against its output gradient's 144)
+        if self.record and (k == 1 or not isinstance(x, Tensor)):
             out2, cols = _same_conv(xc, w2, k)
-        else:  # no backward will read the columns
+        else:
             out2, cols = _blocked_conv(xc, w2, k), None
         if bias is not None:
             out2 += bias.data[:, None]
@@ -327,19 +348,22 @@ class Tape:
         def backward(grad_out: np.ndarray):
             gc = grad_out.transpose(1, 0, 2, 3)
             g2 = gc.reshape(c_out, -1)
-            # g2 @ cols.T with the long column axis as the product's rows:
-            # faster, and the same bits on one BLAS thread; a threaded BLAS
-            # may split the two shapes differently and round a large
-            # product differently in the last bit
-            grad_w = (cols @ g2.T).T.reshape(weight.shape)
             grad_x = None
-            if isinstance(x, Tensor):
-                if k == 1:
-                    grad_x2 = w2.T @ g2
-                else:
-                    flipped = weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-                    grad_x2 = _blocked_conv(gc, flipped.reshape(c_in, -1), k)
+            if cols is not None:
+                # g2 @ cols.T with the long column axis as the product's
+                # rows: faster, and the same bits on one BLAS thread; a
+                # threaded BLAS may split the two shapes differently and
+                # round a large product differently in the last bit
+                grad_w = (cols @ g2.T).T.reshape(weight.shape)
+                if isinstance(x, Tensor):  # k == 1
+                    grad_x = (w2.T @ g2).reshape(c_in, n, h, w).transpose(1, 0, 2, 3)
+            else:
+                flipped = weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+                grad_x2, corr = _blocked_conv(gc, flipped.reshape(c_in, -1), k, xc)
                 grad_x = grad_x2.reshape(c_in, n, h, w).transpose(1, 0, 2, 3)
+                # corr[(o, i, j), c] sums g[o, p + (i, j) - pad] * x[c, p] over
+                # the pixels p: the forward's window offset (k-1-i, k-1-j)
+                grad_w = corr.reshape(c_out, k, k, c_in)[:, ::-1, ::-1, :].transpose(0, 3, 1, 2)
             if bias is None:
                 return grad_x, grad_w
             return grad_x, grad_w, g2.sum(axis=1)

@@ -9,6 +9,8 @@ in the summary.
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import json
 import os
 import time
@@ -90,6 +92,8 @@ def evaluate_model(model: Model, dataset: SyntheticMtlDataset, num_batches: int
                    ) -> tuple[dict[int, float], dict[int, float]]:
     """Held-out (eval-mode) per-task losses and metrics over num_batches;
     each task's metric is the one ``evaluation.METRICS`` gives its loss."""
+    if num_batches < 1:
+        raise ConfigError(f"num_batches: must be a positive integer, got {num_batches}")
     task_ids = model.spec.task_ids
     loss_totals = {tid: 0.0 for tid in task_ids}
     metric_totals = {tid: 0.0 for tid in task_ids}
@@ -346,18 +350,35 @@ def _metric_columns(task_ids) -> list[str]:
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def blas_threads() -> int | None:
+    """The thread count numpy's bundled OpenBLAS reports, or None where it
+    cannot be queried (another BLAS, or no bundled library)."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
+        try:
+            query = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (AttributeError, OSError):
+            continue
+        query.restype, query.argtypes = ctypes.c_int, []
+        return int(query())
+    return None
+
+
 def numeric_environment() -> dict:
     """numpy's version, its BLAS and the thread settings of this process.
 
     A product large enough for the BLAS to split over threads can round
     differently in the last bit on another thread count, so a run's output
     bytes depend on these; None marks a variable that is not set.
+    ``blas_threads`` is the count the BLAS itself reports, whichever
+    variable or default set it.
     """
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {key: os.environ.get(key) for key in BLAS_THREAD_VARIABLES},
+        "blas_threads": blas_threads(),
         "cpu_count": os.cpu_count(),
     }
 

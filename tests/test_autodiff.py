@@ -114,13 +114,16 @@ def test_conv_matches_direct_reference(k):
             close(x.grad, gx_ref)
 
 
-def _window_conv(x, w, b, grad_out):
+def _window_conv(x, w, b, grad_out, constant_input=False):
     """Same-size conv2d by k*k-window columns copied one slice at a time.
 
     A reference copy of conv2d's kernel: the same products, summed in the
     same order. For k > 1 the input gradient is the same-size conv of the
     output gradient with the flipped kernel: its padded grid's windows
-    times ``w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]``.
+    times ``w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]``. Its weight
+    gradient is those windows times the input's channel rows, with the
+    kernel offsets flipped back. Over a constant input, or for k = 1, the
+    weight gradient is the output gradient times the input's windows.
     """
     n, c_in, h, wd = x.shape
     c_out, _, k, _ = w.shape
@@ -144,12 +147,18 @@ def _window_conv(x, w, b, grad_out):
     if grad_out is None:
         return out
     g2 = grad_out.transpose(1, 0, 2, 3).reshape(c_out, -1)
-    grad_w = (g2 @ cols.T).reshape(w.shape)
     if k == 1:
         grad_x2 = w2.T @ g2
     else:
+        gcols = columns(grad_out.transpose(1, 0, 2, 3))
         flipped = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c_in, -1)
-        grad_x2 = flipped @ columns(grad_out.transpose(1, 0, 2, 3))
+        grad_x2 = flipped @ gcols
+    if k == 1 or constant_input:
+        grad_w = (g2 @ cols.T).reshape(w.shape)
+    else:
+        x_rows = x.transpose(1, 0, 2, 3).reshape(c_in, -1)
+        corr = (gcols @ x_rows.T).reshape(c_out, k, k, c_in)
+        grad_w = corr[:, ::-1, ::-1, :].transpose(0, 3, 1, 2)
     grad_x = grad_x2.reshape(c_in, n, h, wd).transpose(1, 0, 2, 3)
     return out, grad_x, grad_w, g2.sum(axis=1)
 
@@ -178,11 +187,12 @@ def test_conv_bits_match_window_scatter(k):
     out_ref = _window_conv(x_val, w_val, b_val, None)
     target = _with_signed_zeros(rng, out_ref.copy(), share=0.3)  # zero gradients too
     grad_ref = (np.ones(()) * (2.0 / out_ref.size)) * (out_ref - target)  # mse's backward
-    _, gx_ref, gw_ref, gb_ref = _window_conv(x_val, w_val, b_val, grad_ref)
 
     # channel-major memory, as the trunk's activations have it, and NCHW
     for x_in in (x_val, x_val.transpose(1, 0, 2, 3).copy().transpose(1, 0, 2, 3)):
         for constant_input in (False, True):
+            _, gx_ref, gw_ref, gb_ref = _window_conv(x_val, w_val, b_val, grad_ref,
+                                                     constant_input)
             tape = Tape()
             x = x_in if constant_input else Tensor(x_in)
             wt, bt = Tensor(w_val), Tensor(b_val)
@@ -212,7 +222,7 @@ def test_conv_columns_match_slice_loop(k, batch):
         out_ref = _window_conv(x_val, w_val, b_val, None)
         target = rng.normal(size=out_ref.shape)
         grad_ref = (np.ones(()) * (2.0 / out_ref.size)) * (out_ref - target)  # mse's backward
-        _, _, gw_ref, _ = _window_conv(x_val, w_val, b_val, grad_ref)
+        _, _, gw_ref, _ = _window_conv(x_val, w_val, b_val, grad_ref, constant_input=True)
         # NCHW, and channel-major memory as the trunk's activations have it
         for x_in in (x_val, x_val.transpose(1, 0, 2, 3).copy().transpose(1, 0, 2, 3)):
             tape = Tape()
@@ -752,6 +762,32 @@ def test_blocked_input_gradient_matches_direct_reference(monkeypatch):
     np.testing.assert_allclose(x.grad, gx_ref, rtol=1e-12, atol=1e-12 * np.abs(gx_ref).max())
 
 
+@pytest.mark.parametrize("c_in, c_out", [(2, 16), (16, 2), (16, 16)],
+                         ids=["widening", "narrowing", "square"])
+def test_blocked_weight_gradient_matches_direct_reference(monkeypatch, c_in, c_out):
+    # an inner conv's weight gradient, summed over blocks of its output
+    # gradient's columns: batch 5 of 13x13 images in blocks of 2, 2 and 1
+    n, h, k = 5, 13, 3
+    rng = np.random.default_rng(61 + c_in + c_out)
+    x_val = rng.normal(size=(n, c_in, h, h))
+    w_val, b_val = rng.normal(size=(c_out, c_in, k, k)), rng.normal(size=c_out)
+    out_ref, _, _ = _reference_conv(x_val, w_val, b_val, None)
+    target = rng.normal(size=out_ref.shape)
+    grad_out = 2.0 * (out_ref - target) / out_ref.size  # d mse / d out
+    _, gx_ref, gw_ref = _reference_conv(x_val, w_val, b_val, grad_out)
+    # two images of output-gradient columns per block
+    monkeypatch.setattr(autodiff, "BLOCK_BYTES", 2 * c_out * k * k * h * h * 8)
+    x, wt = Tensor(x_val), Tensor(w_val)
+    tape = Tape()
+    out = tape.conv2d(x, wt, Tensor(b_val))
+    blocks = _count_blocks(monkeypatch)
+    tape.backward(tape.mse_loss(out, target))
+    assert blocks == [2, 2, 1]
+    for actual, expected in ((wt.grad, gw_ref), (x.grad, gx_ref)):
+        np.testing.assert_allclose(actual, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+
 def test_every_default_conv_runs_in_one_block(monkeypatch):
     config = ExperimentConfig.from_dict({})
     model = build_model(config.model, seed=1)
@@ -779,6 +815,26 @@ def test_forward_only_conv_peak_stays_below_one_column_matrix():
     finally:
         tracemalloc.stop()
     assert peak < columns, f"forward peak {peak} B >= {columns} B"
+
+
+def test_recording_conv_peak_stays_below_one_column_matrix():
+    # the wide trunk's 16->16 3x3 conv over a channel-major activation: its
+    # whole-batch column matrix is 4.72 MB, and neither the recording
+    # forward nor the backward, weight gradient included, keeps one
+    rng = np.random.default_rng(67)
+    n, c, h, k = 16, 16, 16, 3
+    x = Tensor(rng.normal(size=(c, n, h, h)).transpose(1, 0, 2, 3))
+    w = Tensor(rng.normal(size=(c, c, k, k)))
+    target = np.zeros((n, c, h, h))
+    columns = c * k * k * n * h * h * 8
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        tape.backward(tape.mse_loss(tape.conv2d(x, w), target))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < columns, f"forward and backward peak {peak} B >= {columns} B"
 
 
 # Runs in a fresh interpreter, so glibc starts from its default thresholds

@@ -3,6 +3,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -365,12 +367,35 @@ def test_summary_names_numpy_blas_and_thread_settings(tmp_path, monkeypatch):
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None},
+        # the BLAS read its variables when it loaded, so it keeps its count
+        "blas_threads": runner.blas_threads(),
         "cpu_count": os.cpu_count(),
     }
     # the byte-compared files stay free of them
     for name in ("metrics.csv", "run_log.jsonl", "strength.jsonl"):
         text = (tmp_path / name).read_text()
         assert "THREADS" not in text and np.__version__ not in text
+
+
+def test_blas_threads_reports_the_count_a_child_starts_with():
+    if runner.blas_threads() is None:
+        pytest.skip("numpy's BLAS reports no thread count")
+    code = "from mtlopt.runner import blas_threads; print(blas_threads())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True,
+                          env={**verification.child_environment(), "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("num_batches", [0, -1])
+def test_evaluate_model_refuses_a_batch_count_below_one(monkeypatch, num_batches):
+    config = fast_config()
+    dataset = training_dataset(config, 1)
+    built = []
+    monkeypatch.setattr(dataset, "eval_batch", lambda idx: built.append(idx))
+    with pytest.raises(ConfigError, match="num_batches"):
+        evaluate_model(build_model(config.model, seed=1), dataset, num_batches)
+    assert built == []
 
 
 def test_phase_override_forces_single_phase():
