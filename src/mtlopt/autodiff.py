@@ -27,7 +27,7 @@ import contextlib
 import ctypes
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .errors import (
     ShapeError,
     StateError,
     TapeError,
-    TaskLookupError,
 )
 
 BN_EPS = 1e-5
@@ -166,20 +165,17 @@ class BatchNormState:
         )
 
 
+@dataclass(slots=True)
 class _Node:
     """One recorded operation: inputs, output, and the backward rule.
 
     A plain-array input is a constant; the backward rule returns None for it.
     """
 
-    __slots__ = ("op", "inputs", "output", "backward")
-
-    def __init__(self, op: str, inputs: tuple[Tensor | np.ndarray, ...], output: Tensor,
-                 backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
-        self.op = op
-        self.inputs = inputs
-        self.output = output
-        self.backward = backward
+    op: str
+    inputs: tuple[Tensor | np.ndarray, ...]
+    output: Tensor
+    backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]
 
 
 def _assert_finite(op: str, arr: np.ndarray) -> None:
@@ -370,48 +366,49 @@ class Tape:
 
         return self._record("conv2d", inputs, out, backward)
 
-    def task_batchnorm(self, y: Tensor, states: Mapping[int, BatchNormState], task: int,
-                       mode: str = "train") -> Tensor:
-        """Per-channel batch norm using the given task's state.
+    def task_batchnorm(self, y: Tensor, state: BatchNormState, mode: str = "train") -> Tensor:
+        """Per-channel batch norm using one task's state.
 
         Train mode normalizes with the batch's (biased) statistics and
         updates the running statistics by exponential moving average with
         weight ``BN_MOMENTUM``; eval mode normalizes with the running
-        statistics. Both add ``BN_EPS`` to the variance. Gradients flow to
-        y, gamma, and beta.
+        statistics. Both add ``BN_EPS`` to the variance, and the two modes
+        differ only in where the statistics come from and in ``dy``.
+        Gradients flow to y, gamma, and beta.
         """
-        if task not in states:
-            raise TaskLookupError(f"batchnorm: no state registered for task {task}")
         if mode not in ("train", "eval"):
             raise ValueError(f"batchnorm: unknown mode {mode!r}")
-        state = states[task]
         if y.data.ndim != 4:
             raise ShapeError(f"batchnorm: input must be N x C x H x W, got shape {y.shape}")
         n, c, h, w = y.shape
         if c == 0 or state.gamma.shape != (c,):
             raise ShapeError(f"batchnorm: state has {state.gamma.shape} channels, input has {c}")
         m = n * h * w
-        gamma, beta = state.gamma, state.beta
 
         if mode == "train":
             if m < 2:
                 raise ShapeError(f"batchnorm: train mode needs >= 2 elements per channel, got {m}")
-            mu = y.data.mean(axis=(0, 2, 3))
-            centred = y.data - mu[None, :, None, None]
+            mean = y.data.mean(axis=(0, 2, 3))
+            xhat = y.data - mean[None, :, None, None]
             # biased (population) variance, by the same operations as np.var
-            var = (centred * centred).sum(axis=(0, 2, 3)) / m
-            inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = centred
-            xhat *= inv_std[None, :, None, None]
-            out = gamma.data[None, :, None, None] * xhat
-            out += beta.data[None, :, None, None]
-            state.running_mean[...] = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mu
+            var = (xhat * xhat).sum(axis=(0, 2, 3)) / m
+            state.running_mean[...] = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
             state.running_var[...] = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
+        else:
+            if np.any(state.running_var < 0):
+                raise StateError("batchnorm: running variance is negative (corrupt state)")
+            var = state.running_var
+            xhat = y.data - state.running_mean[None, :, None, None]
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat *= inv_std[None, :, None, None]
+        out = state.gamma.data[None, :, None, None] * xhat
+        out += state.beta.data[None, :, None, None]
 
-            def backward(grad_out: np.ndarray):
-                dgamma = (grad_out * xhat).sum(axis=(0, 2, 3))
-                dbeta = grad_out.sum(axis=(0, 2, 3))
-                dxhat = grad_out * gamma.data[None, :, None, None]
+        def backward(grad_out: np.ndarray):
+            dgamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+            dbeta = grad_out.sum(axis=(0, 2, 3))
+            if mode == "train":
+                dxhat = grad_out * state.gamma.data[None, :, None, None]
                 sum_dxhat = dxhat.sum(axis=(0, 2, 3))
                 sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3))
                 # (inv_std / m) * (m*dxhat - sum_dxhat - xhat*sum_dxhat_xhat),
@@ -421,24 +418,11 @@ class Tape:
                 dy -= sum_dxhat[None, :, None, None]
                 dy -= xhat * sum_dxhat_xhat[None, :, None, None]
                 dy *= inv_std[None, :, None, None] / m
-                return dy, dgamma, dbeta
+            else:
+                dy = grad_out * (state.gamma.data * inv_std)[None, :, None, None]
+            return dy, dgamma, dbeta
 
-        else:
-            if np.any(state.running_var < 0):
-                raise StateError("batchnorm: running variance is negative (corrupt state)")
-            inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
-            xhat = y.data - state.running_mean[None, :, None, None]
-            xhat *= inv_std[None, :, None, None]
-            out = gamma.data[None, :, None, None] * xhat
-            out += beta.data[None, :, None, None]
-
-            def backward(grad_out: np.ndarray):
-                dgamma = (grad_out * xhat).sum(axis=(0, 2, 3))
-                dbeta = grad_out.sum(axis=(0, 2, 3))
-                dy = grad_out * (gamma.data * inv_std)[None, :, None, None]
-                return dy, dgamma, dbeta
-
-        return self._record("task_batchnorm", (y, gamma, beta), out, backward)
+        return self._record("task_batchnorm", (y, state.gamma, state.beta), out, backward)
 
     def relu(self, x: Tensor) -> Tensor:
         """``max(x, 0)``, with +0.0 for every input that is not positive.

@@ -43,8 +43,20 @@ def _load_overrides(args) -> dict:
     return overrides
 
 
-def cmd_run(args) -> int:
+def _load_config(args) -> ExperimentConfig:
+    """The command's config, refused before any training unless its out_dir's nearest
+    existing ancestor is a writable directory; the check creates nothing."""
     config = ExperimentConfig.from_dict(_load_overrides(args))
+    ancestor = os.path.abspath(config.out_dir)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError(f"config.out_dir: {config.out_dir}: {ancestor} is no writable directory")
+    return config
+
+
+def cmd_run(args) -> int:
+    config = _load_config(args)
     report = run_experiment(config)
     paths = write_report(report, config.out_dir)
     for name, path in paths.items():
@@ -63,7 +75,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    config = ExperimentConfig.from_dict(_load_overrides(args))
+    config = _load_config(args)
     baselines = run_single_task_baselines(config)
     path = write_baselines(baselines, config.out_dir)
     print(f"baselines: {path}")
@@ -132,9 +144,7 @@ def cmd_report(args) -> int:
           f"of {len(seeds)} seed(s)")
     for method in methods:
         subset = [r for r in final if r["method"] == method]
-        parts = []
-        for col in task_cols:
-            parts.append(f"{col}={np.mean([r[col] for r in subset]):.4f}")
+        parts = [f"{col}={np.mean([r[col] for r in subset]):.4f}" for col in task_cols]
         dms = [r["delta_m"] for r in subset if r["delta_m"] is not None]
         if dms:
             parts.append(f"delta_m={np.mean(dms):+.4f}")

@@ -24,10 +24,6 @@ class LabelError(MtloptError, ValueError):
     """A class-index target is outside the valid range."""
 
 
-class TaskLookupError(MtloptError, KeyError):
-    """Referenced task id has no registered state."""
-
-
 class NumericError(MtloptError, ArithmeticError):
     """A non-finite value (NaN/Inf) appeared where finiteness is required."""
 

@@ -282,7 +282,7 @@ class Model:
         for layer in self.trunk:
             h = tape.conv2d(h, layer.weight, layer.bias)
             if layer.bn:
-                h = tape.task_batchnorm(h, layer.bn, task, mode=mode)
+                h = tape.task_batchnorm(h, layer.bn[task], mode=mode)
             if layer.spec.activation:
                 h = tape.relu(h)
         head = self.heads.get(task, [])

@@ -72,10 +72,10 @@ class PhaseSchedule:
 def project_gradient(g: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Remove g's component along ref when the two conflict (negative dot).
 
-    Returns g unchanged (as a copy) when the dot is nonnegative or ref is
-    zero. The subtraction is repeated while rounding leaves a negative dot;
-    if the iterates fall into a floating-point cycle, a canonical member of
-    the cycle is returned. Both rules make the operation exactly idempotent.
+    Returns g unchanged (as a copy) when ref is zero. Otherwise it subtracts
+    the component along ref until ``out @ ref >= -slack * |out|``, a step
+    leaves ``out`` unchanged, or 64 steps have run. Nothing detects a cycle;
+    criterion 3 checks idempotence empirically, it is not proved.
     """
     g = np.asarray(g, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .config import ExperimentConfig, default_config_dict
-from .errors import ConfigError, MtloptError
+from .errors import ConfigError, DataError, MtloptError
 from .evaluation import METRICS, check_baselines, delta_m, priority_share
 from .network import SHARED, Batch, Model, build_model, per_task_gradients
 from .optimizers import METHOD_OURS, PHASE1, PROJECTION_DOT_FLOOR, MtlOptimizer, PhaseSchedule
@@ -440,15 +440,25 @@ def write_report(report: RunReport, out_dir: str) -> dict[str, str]:
 
 
 def read_metrics(path: str) -> list[dict]:
-    """Parse a metrics.csv back into typed rows (exact float round trip)."""
+    """Parse a metrics.csv back into typed rows (exact float round trip); a header other
+    than ``write_report``'s for its ``metric_<id>`` task ids, or a bad value, raises DataError."""
     rows = []
     with open(path, newline="") as fh:
-        for record in csv.DictReader(fh):
-            row: dict = {"seed": int(record["seed"]), "method": record["method"],
-                         "epoch": int(record["epoch"])}
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        ids = [c.removeprefix("metric_") for c in header if c.startswith("metric_")]
+        task_ids = [int(t) for t in ids if t.removeprefix("-").isdecimal()]
+        missing = [c for c in _metric_columns(task_ids or ["<id>"]) if c not in header]
+        if missing or header != _metric_columns(task_ids):
+            problem = f"no column {missing[0]!r}" if missing else f"columns {header}"
+            raise DataError(f"{path}: not the metrics file of a run: {problem}")
+        for record in reader:
+            rows.append({})
             for key, value in record.items():
-                if key in ("seed", "method", "epoch"):
-                    continue
-                row[key] = None if value == "" else float(value)
-            rows.append(row)
+                parse = str if key == "method" else int if key in ("seed", "epoch") else float
+                try:
+                    rows[-1][key] = None if key == "delta_m" and value == "" else parse(value)
+                except (TypeError, ValueError):
+                    raise DataError(f"{path}: line {reader.line_num}, column {key}: "
+                                    f"bad value {value!r}") from None
     return rows

@@ -101,7 +101,7 @@ def _gradcheck_case(rng: np.random.Generator, op: str) -> float:
         def build(tape: Tape) -> Tensor:
             state.running_mean[...] = rm
             state.running_var[...] = rv
-            out = tape.task_batchnorm(y, {1: state}, task=1, mode=mode)
+            out = tape.task_batchnorm(y, state, mode=mode)
             return tape.mse_loss(out, Tensor(t))
 
     elif op == "relu":

@@ -16,7 +16,6 @@ from mtlopt.errors import (
     NumericError,
     ShapeError,
     TapeError,
-    TaskLookupError,
 )
 from mtlopt.gradcheck import central_difference, relative_error
 from mtlopt.network import build_model, per_task_gradients
@@ -256,8 +255,7 @@ def test_conv_shape_errors():
 def test_batchnorm_zero_variance_centres():
     tape = Tape()
     y = Tensor(np.full((2, 3, 2, 2), 7.5))
-    states = {1: BatchNormState.fresh(3)}
-    out = tape.task_batchnorm(y, states, task=1, mode="train")
+    out = tape.task_batchnorm(y, BatchNormState.fresh(3), mode="train")
     assert np.abs(out.data).max() < 1e-9
 
 
@@ -268,7 +266,7 @@ def test_batchnorm_gamma_zero_gives_beta():
     state = BatchNormState.fresh(2)
     state.gamma.data[...] = 0.0
     state.beta.data[...] = np.array([0.25, -1.5])
-    out = tape.task_batchnorm(y, {1: state}, task=1, mode="train")
+    out = tape.task_batchnorm(y, state, mode="train")
     np.testing.assert_allclose(out.data, np.broadcast_to(state.beta.data[None, :, None, None], out.shape))
 
 
@@ -276,7 +274,7 @@ def test_batchnorm_two_point_batch():
     # channel batch {-1, +1}: mean 0, biased var 1 -> outputs +/- 1/sqrt(1+eps)
     tape = Tape()
     y = Tensor(np.array([-1.0, 1.0]).reshape(2, 1, 1, 1))
-    out = tape.task_batchnorm(y, {1: BatchNormState.fresh(1)}, task=1, mode="train")
+    out = tape.task_batchnorm(y, BatchNormState.fresh(1), mode="train")
     expected = 1.0 / math.sqrt(1.0 + 1e-5)
     np.testing.assert_allclose(out.data.reshape(-1), [-expected, expected], rtol=0, atol=1e-15)
 
@@ -288,7 +286,7 @@ def test_batchnorm_train_mode_statistics():
     state.gamma.data[...] = np.array([1.5, -0.5, 2.0])
     state.beta.data[...] = np.array([0.3, 1.0, -2.0])
     var = y.data.var(axis=(0, 2, 3))
-    out = Tape().task_batchnorm(y, {1: state}, task=1, mode="train")
+    out = Tape().task_batchnorm(y, state, mode="train")
     mean = out.data.mean(axis=(0, 2, 3))
     std = out.data.std(axis=(0, 2, 3))
     np.testing.assert_allclose(mean, state.beta.data, atol=1e-6)
@@ -299,12 +297,12 @@ def test_batchnorm_running_stats_ema_and_eval():
     rng = np.random.default_rng(5)
     y = rng.normal(size=(2, 2, 4, 4))
     state = BatchNormState.fresh(2)
-    Tape().task_batchnorm(Tensor(y), {1: state}, task=1, mode="train")
+    Tape().task_batchnorm(Tensor(y), state, mode="train")
     np.testing.assert_allclose(state.running_mean, 0.1 * y.mean(axis=(0, 2, 3)))
     np.testing.assert_allclose(state.running_var, 0.9 + 0.1 * y.var(axis=(0, 2, 3)))
     # eval mode uses the running stats, not the batch's
     z = rng.normal(size=(1, 2, 2, 2))
-    out = Tape().task_batchnorm(Tensor(z), {1: state}, task=1, mode="eval")
+    out = Tape().task_batchnorm(Tensor(z), state, mode="eval")
     expected = (z - state.running_mean[None, :, None, None]) / np.sqrt(
         state.running_var[None, :, None, None] + 1e-5)
     np.testing.assert_allclose(out.data, expected)
@@ -312,11 +310,8 @@ def test_batchnorm_running_stats_ema_and_eval():
 
 def test_batchnorm_errors():
     tape = Tape()
-    y = Tensor(np.zeros((2, 1, 2, 2)))
-    with pytest.raises(TaskLookupError):
-        tape.task_batchnorm(y, {1: BatchNormState.fresh(1)}, task=9)
     with pytest.raises(ShapeError):
-        tape.task_batchnorm(Tensor(np.zeros((1, 1, 1, 1))), {1: BatchNormState.fresh(1)}, task=1)
+        tape.task_batchnorm(Tensor(np.zeros((1, 1, 1, 1))), BatchNormState.fresh(1))
 
 
 def test_mse_examples():
@@ -531,7 +526,7 @@ def test_determinism_bitwise():
         w = Tensor(rng.normal(size=(4, 3, 3, 3)))
         state = BatchNormState.fresh(4)
         h = tape.conv2d(x, w)
-        h = tape.task_batchnorm(h, {1: state}, task=1, mode="train")
+        h = tape.task_batchnorm(h, state, mode="train")
         h = tape.relu(h)
         loss = tape.mse_loss(h, Tensor(rng.normal(size=h.shape)))
         tape.backward(loss)
@@ -567,7 +562,7 @@ def _model_ops_pass(n, h, w):
         x, wt, wh, bh = Tensor(x_val), Tensor(w_trunk), Tensor(w_head), Tensor(b_head)
         assert x.data.transpose(1, 0, 2, 3).flags.c_contiguous
         outs = [tape.conv2d(x, wt)]
-        outs.append(tape.task_batchnorm(outs[-1], {1: state}, task=1, mode=mode))
+        outs.append(tape.task_batchnorm(outs[-1], state, mode=mode))
         outs.append(tape.relu(outs[-1]))
         outs.append(tape.conv2d(outs[-1], wh, bh))
         outs.append(tape.compute_loss(outs[-1], target, kind))
@@ -635,7 +630,7 @@ def test_gradcheck_batchnorm_train():
 
     def build(tape):
         rm, rv = state.running_mean.copy(), state.running_var.copy()
-        out = tape.task_batchnorm(y, {1: state}, task=1, mode="train")
+        out = tape.task_batchnorm(y, state, mode="train")
         loss = tape.cross_entropy_loss(out, labels)
         state.running_mean[...] = rm  # keep state fixed across FD evaluations
         state.running_var[...] = rv

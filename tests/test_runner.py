@@ -915,3 +915,39 @@ def test_cli_set_overrides(tmp_path):
     assert code == 0
     rows = read_metrics(str(out_dir / "metrics.csv"))
     assert len(rows) == 1 and rows[0]["seed"] == 3
+
+
+@pytest.mark.parametrize("subcommand", ["run", "baseline"])
+def test_cli_refuses_an_out_dir_it_cannot_make_before_training(tmp_path, monkeypatch, capsys,
+                                                                subcommand):
+    def no_training(config):
+        raise AssertionError("trained before the out_dir check")
+
+    monkeypatch.setattr("mtlopt.cli.run_experiment", no_training)
+    monkeypatch.setattr(runner, "run_experiment", no_training)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    capsys.readouterr()
+    assert cli_main([subcommand, "--set", "epochs=1", "--set", "steps_per_epoch=1",
+                     "--out-dir", str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config.out_dir: {blocker / 'sub'}: ")
+
+
+_ONE_TASK_HEADER = ("seed,method,epoch,train_loss_1,eval_loss_1,metric_1,weight_1,share_1,"
+                    "delta_m")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n1,2\n", "not the metrics file of a run: no column 'seed'"),
+    ("seed,method,epoch\n1,ours,0\n1,ours,1\n1,ours,2\n",
+     "not the metrics file of a run: no column 'train_loss_<id>'"),
+    (f"{_ONE_TASK_HEADER}\n1,ours,0,0.5,0.5,abc,1.0,1.0,\n",
+     "line 2, column metric_1: bad value 'abc'"),
+], ids=["foreign-header", "no-task-columns", "bad-value"])
+def test_report_refuses_a_metrics_file_no_run_wrote(tmp_path, capsys, text, message):
+    (tmp_path / "metrics.csv").write_text(text)
+    capsys.readouterr()
+    assert cli_main(["report", "--dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {tmp_path / 'metrics.csv'}: {message}\n"
+    assert captured.out == ""
