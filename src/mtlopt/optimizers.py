@@ -19,6 +19,7 @@ every shared parameter with the other task as the reference, GD none.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -176,9 +177,13 @@ class _AdamRule:
 
 @dataclass
 class StepResult:
+    """One step's record: each task's loss, each block key's writes, and
+    each group label's conflicts and projections."""
+
     losses: dict[int, float]
-    conflicts: dict[str, int] = field(default_factory=dict)
-    projections: dict[str, int] = field(default_factory=dict)
+    writes: Counter = field(default_factory=Counter)
+    conflicts: Counter = field(default_factory=Counter)
+    projections: Counter = field(default_factory=Counter)
     projected: list[Projection] = field(default_factory=list)
 
 
@@ -190,10 +195,11 @@ Group = tuple[str, np.ndarray, Mapping[int, int]]
 class MtlOptimizer:
     """Applies multi-task update steps to one model.
 
-    Owns the update-rule state (Adam moments) and ``last_step_writes``, the
-    number of writes of each block in the last step, used to verify the
-    update-count accounting. Every update writes one whole block of the
-    model's flat parameter vector: the shared block, or one task's own block.
+    Holds only the update rule's state (Adam moments and step counts), so a
+    step's outcome depends only on its arguments and that state. Every
+    update writes one whole block of the model's flat parameter vector: the
+    shared block, or one task's own block, and counts it in the step's
+    ``StepResult.writes``.
     """
 
     def __init__(self, model: Model, config: OptimizerConfig):
@@ -206,20 +212,13 @@ class MtlOptimizer:
                                    config.adam_beta2, config.adam_eps)
         else:
             self._rule = _SgdRule(config.lr)
-        self.last_step_writes = dict.fromkeys(self.layout.blocks, 0)
-        # phase 2's owner groups and the owners they were built from
-        self._owner_groups: list[Group] = []
-        self._groups_owners: dict[str, np.ndarray] | None = None
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _begin_step(self) -> None:
-        self.last_step_writes = dict.fromkeys(self.layout.blocks, 0)
-
-    def _apply(self, key: str | int, grad: np.ndarray) -> None:
+    def _apply(self, result: StepResult, key: str | int, grad: np.ndarray) -> None:
         block = self.layout.blocks[key]
         self._rule.apply(key, block, self.model.flat_data[block], grad)
-        self.last_step_writes[key] += 1
+        result.writes[key] += 1
 
     def _weights_by_task(self, weights: Mapping[int, float]) -> dict[int, float]:
         return {tid: float(weights[tid]) for tid in self.model.spec.task_ids}
@@ -229,15 +228,14 @@ class MtlOptimizer:
     def phase1_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
         """Sequential per-task updates in task-id order: each task sees the
         shared parameters already moved by the tasks before it in the same step."""
-        self._begin_step()
         w = self._weights_by_task(weights)
-        losses: dict[int, float] = {}
+        result = StepResult({})
         for tid in self.model.spec.task_ids:
-            losses[tid], shared, own = per_task_gradients(self.model, batch, tid,
-                                                          loss_weight=w[tid])
-            self._apply(SHARED, shared)
-            self._apply(tid, own)
-        return StepResult(losses)
+            result.losses[tid], shared, own = per_task_gradients(self.model, batch, tid,
+                                                                 loss_weight=w[tid])
+            self._apply(result, SHARED, shared)
+            self._apply(result, tid, own)
+        return result
 
     def _joint_step(self, batch: Batch, weights: Mapping[int, float],
                     groups: Sequence[Group]) -> StepResult:
@@ -250,7 +248,6 @@ class MtlOptimizer:
         block (dot < 0, nonzero reference) as a projection; every group logs
         its label, 0 included.
         """
-        self._begin_step()
         task_ids = self.model.spec.task_ids
         w = self._weights_by_task(weights)
         result = StepResult({})
@@ -277,11 +274,11 @@ class MtlOptimizer:
                     result.projected.append(Projection(layer, tid, ref_tid, ref, g))
                 part += g
             total[idx] = part
-            result.conflicts[layer] = result.conflicts.get(layer, 0) + conflicts
-            result.projections[layer] = result.projections.get(layer, 0) + projections
-        self._apply(SHARED, total)
+            result.conflicts[layer] += conflicts
+            result.projections[layer] += projections
+        self._apply(result, SHARED, total)
         for tid in task_ids:
-            self._apply(tid, own[tid])
+            self._apply(result, tid, own[tid])
         return result
 
     def gd_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
@@ -291,21 +288,11 @@ class MtlOptimizer:
     def phase2_step(self, batch: Batch, weights: Mapping[int, float],
                     owners: Mapping[str, np.ndarray]) -> StepResult:
         """Priority-preserving step: ``owners`` maps a layer to the owner
-        task id of each of its output channels. In the channels of one owner,
+        task id of each of its output channels. Each call builds one group
+        per owner of a layer's channels, in the order of ``owners``, where
         every task's gradient is projected against the owner's when the two
         conflict. Layers without owners are summed; a key that names no
-        shared conv weight is a StateError before any write. The groups are
-        rebuilt only when some layer's owners differ from the last step's."""
-        last = self._groups_owners
-        if last is None or last.keys() != owners.keys() or not all(
-                np.array_equal(owners[layer], last[layer]) for layer in owners):
-            self._owner_groups = self._build_owner_groups(owners)
-            self._groups_owners = {layer: np.array(o) for layer, o in owners.items()}
-        return self._joint_step(batch, weights, self._owner_groups)
-
-    def _build_owner_groups(self, owners: Mapping[str, np.ndarray]) -> list[Group]:
-        """One group per owner of each layer's channels, in the order of
-        ``owners``, with the owner as every task's reference."""
+        shared conv weight is a StateError before any write."""
         task_ids = self.model.spec.task_ids
         layout = self.layout
         groups: list[Group] = []
@@ -319,20 +306,19 @@ class MtlOptimizer:
                 raise StateError(f"{layer}: {layer_owners.size} owners, weight has "
                                  f"{shape[0]} channels (stale snapshot)")
             start = layout.slices[name].start - layout.blocks[SHARED].start
-            width = math.prod(shape[1:])
+            # the owner of each coordinate of the weight, a channel's row at a time
+            coordinate_owners = np.repeat(layer_owners, math.prod(shape[1:]))
             owned = 0
             for owner in task_ids:
-                channels = np.flatnonzero(layer_owners == owner)
-                owned += channels.size
-                if channels.size:
-                    rows = start + width * channels
-                    idx = (rows[:, None] + np.arange(width)).reshape(-1)
-                    groups.append((layer, idx, dict.fromkeys(task_ids, owner)))
+                idx = np.flatnonzero(coordinate_owners == owner)
+                owned += idx.size
+                if idx.size:
+                    groups.append((layer, start + idx, dict.fromkeys(task_ids, owner)))
             # counted, not np.setdiff1d: that cost ~40 us a layer per step and ~1 MB peak RSS
-            if owned != layer_owners.size:
+            if owned != coordinate_owners.size:
                 unknown = np.setdiff1d(layer_owners, task_ids)[0]
                 raise StateError(f"{layer}: owner {unknown} is not a task id")
-        return groups
+        return self._joint_step(batch, weights, groups)
 
     def pcgrad_step(self, batch: Batch, weights: Mapping[int, float]) -> StepResult:
         """PCGrad over one group that holds every shared parameter: each

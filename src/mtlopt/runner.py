@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import ctypes
 import glob
+import io
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -199,21 +201,18 @@ def _run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
                     phase, drawn_p = draw.phase, draw.p
 
             epoch_weights = weighting.weights()
-            loss_totals = {tid: 0.0 for tid in task_ids}
-            conflicts: dict[str, int] = {}
-            projections: dict[str, int] = {}
+            # sums of the step records; Counter.update keeps the zero counts the log records
+            loss_totals = Counter(dict.fromkeys(task_ids, 0.0))
+            conflicts, projections = Counter(), Counter()
             stage = "step"
             for step in range(config.steps_per_epoch):
                 batch = dataset.batch(epoch * config.steps_per_epoch + step)
                 step_result = optimizer.step(batch, weighting.weights(), phase=phase,
                                              owners=owners)
                 weighting.after_step(step_result.losses)
-                for tid, value in step_result.losses.items():
-                    loss_totals[tid] += value
-                for name, n in step_result.conflicts.items():
-                    conflicts[name] = conflicts.get(name, 0) + n
-                for name, n in step_result.projections.items():
-                    projections[name] = projections.get(name, 0) + n
+                loss_totals.update(step_result.losses)
+                conflicts.update(step_result.conflicts)
+                projections.update(step_result.projections)
                 _check_step_invariants(result, optimizer, step_result, phase, k, epoch, step)
 
             stage, step = "loss weighting", None
@@ -257,12 +256,12 @@ def _mean_priority_shares(owners: Mapping[str, np.ndarray], task_ids) -> dict[in
 def _check_step_invariants(result: SeedResult, optimizer: MtlOptimizer, step_result,
                            phase, k: int, epoch: int, step: int) -> None:
     members = optimizer.layout.members
-    for block, writes in optimizer.last_step_writes.items():
+    for block in members:
         expected = k if block == SHARED and phase == PHASE1 else 1
-        if writes != expected:
+        if step_result.writes[block] != expected:
             result.violations.append(
                 f"epoch {epoch} step {step}: block {block} ({', '.join(members[block])}) "
-                f"written {writes}x, expected {expected}")
+                f"written {step_result.writes[block]}x, expected {expected}")
     for p in step_result.projected:
         if float(p.result @ p.reference) < PROJECTION_DOT_FLOOR:
             result.violations.append(
@@ -367,11 +366,11 @@ def blas_threads() -> int | None:
 def numeric_environment() -> dict:
     """numpy's version, its BLAS and the thread settings of this process.
 
-    A product large enough for the BLAS to split over threads can round
-    differently in the last bit on another thread count, so a run's output
-    bytes depend on these; None marks a variable that is not set.
-    ``blas_threads`` is the count the BLAS itself reports, whichever
-    variable or default set it.
+    They are kept because a BLAS may round a product that it splits over
+    threads differently in the last bit on another thread count; a test
+    pins equal output bytes at 1 and 2 threads on the wide-trunk model.
+    None marks a variable that is not set. ``blas_threads`` is the count
+    the BLAS itself reports, whichever variable or default set it.
     """
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
@@ -440,25 +439,29 @@ def write_report(report: RunReport, out_dir: str) -> dict[str, str]:
 
 
 def read_metrics(path: str) -> list[dict]:
-    """Parse a metrics.csv back into typed rows (exact float round trip); a header other
-    than ``write_report``'s for its ``metric_<id>`` task ids, or a bad value, raises DataError."""
+    """Parse a metrics.csv back into typed rows (exact float round trip); a file not readable
+    as text, a header other than ``write_report``'s for its task ids, or a bad value: DataError."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read as text: {type(exc).__name__}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []
+    ids = [c.removeprefix("metric_") for c in header if c.startswith("metric_")]
+    task_ids = [int(t) for t in ids if t.removeprefix("-").isdecimal()]
+    missing = [c for c in _metric_columns(task_ids or ["<id>"]) if c not in header]
+    if missing or header != _metric_columns(task_ids):
+        problem = f"no column {missing[0]!r}" if missing else f"columns {header}"
+        raise DataError(f"{path}: not the metrics file of a run: {problem}")
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        ids = [c.removeprefix("metric_") for c in header if c.startswith("metric_")]
-        task_ids = [int(t) for t in ids if t.removeprefix("-").isdecimal()]
-        missing = [c for c in _metric_columns(task_ids or ["<id>"]) if c not in header]
-        if missing or header != _metric_columns(task_ids):
-            problem = f"no column {missing[0]!r}" if missing else f"columns {header}"
-            raise DataError(f"{path}: not the metrics file of a run: {problem}")
-        for record in reader:
-            rows.append({})
-            for key, value in record.items():
-                parse = str if key == "method" else int if key in ("seed", "epoch") else float
-                try:
-                    rows[-1][key] = None if key == "delta_m" and value == "" else parse(value)
-                except (TypeError, ValueError):
-                    raise DataError(f"{path}: line {reader.line_num}, column {key}: "
-                                    f"bad value {value!r}") from None
+    for record in reader:
+        rows.append({})
+        for key, value in record.items():
+            parse = str if key == "method" else int if key in ("seed", "epoch") else float
+            try:
+                rows[-1][key] = None if key == "delta_m" and value == "" else parse(value)
+            except (TypeError, ValueError):
+                raise DataError(f"{path}: line {reader.line_num}, column {key}: "
+                                f"bad value {value!r}") from None
     return rows

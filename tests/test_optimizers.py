@@ -210,11 +210,14 @@ def test_phase1_null_step_reports_losses():
     assert result.losses[2] == pytest.approx((0.25 + 1.0) ** 2)
 
 
-def test_phase1_write_counts():
+@pytest.mark.parametrize("method", ["phase1", "gd", "pcgrad", "phase2"])
+def test_phase1_write_counts(method):
+    # phase 1 writes the shared block once per task, every other step each block once
     model = build_model(conv_task_spec(), seed=21)
     opt = MtlOptimizer(model, OptimizerConfig(lr=0.01))
-    opt.phase1_step(conv_batch(31), {1: 0.5, 2: 0.5})
-    assert opt.last_step_writes == {SHARED: 2, 1: 1, 2: 1}
+    owners = (snapshot_owners(model),) if method == "phase2" else ()
+    result = getattr(opt, f"{method}_step")(conv_batch(31), {1: 0.5, 2: 0.5}, *owners)
+    assert result.writes == {SHARED: 2 if method == "phase1" else 1, 1: 1, 2: 1}
 
 
 def test_gd_hand_arithmetic_cancellation():
@@ -426,38 +429,22 @@ def test_phase2_owners_of_no_shared_weight_rejected(layer):
     assert model.flat_data.tobytes() == before
 
 
-def test_phase2_builds_owner_groups_once_per_snapshot(monkeypatch):
+def test_phase2_step_is_a_function_of_its_arguments():
+    # an earlier step with other owners leaves nothing behind that the next step reads
     model = build_model(conv_task_spec(), seed=7)
-    opt = MtlOptimizer(model, OptimizerConfig(lr=0.05))
-    builds = []
-    build = MtlOptimizer._build_owner_groups
-
-    def counting(self, owners):
-        builds.append({layer: np.array(o) for layer, o in owners.items()})
-        return build(self, owners)
-
-    monkeypatch.setattr(MtlOptimizer, "_build_owner_groups", counting)
     owners = snapshot_owners(model)
+    other = {layer: 3 - o for layer, o in owners.items()}
     weights = {1: 0.5, 2: 0.5}
-    opt.phase2_step(conv_batch(1), weights, owners)
-    # equal owners in fresh arrays reuse the groups
-    opt.phase2_step(conv_batch(2), weights, {layer: o.copy() for layer, o in owners.items()})
-    assert len(builds) == 1
-    # one changed channel rebuilds them, and a stale snapshot still raises
-    changed = {**owners, "trunk.1": owners["trunk.1"].copy()}
-    changed["trunk.1"][0] = 3 - changed["trunk.1"][0]
-    opt.phase2_step(conv_batch(3), weights, changed)
-    assert len(builds) == 2
-    with pytest.raises(StateError):
-        opt.phase2_step(conv_batch(4), weights, {**owners, "trunk.1": owners["trunk.1"][:3]})
-    # the groups kept from the changed owners act as freshly built ones
-    fresh = MtlOptimizer(copy.deepcopy(model), OptimizerConfig(lr=0.05))
-    again = opt.phase2_step(conv_batch(5), weights, changed)
-    assert len(builds) == 3
-    expected = fresh.phase2_step(conv_batch(5), weights, changed)
-    assert (again.conflicts, again.projections) == (expected.conflicts, expected.projections)
-    assert sum(again.projections.values()) > 0
-    assert model.flat_data.tobytes() == fresh.model.flat_data.tobytes()
+    a, b = copy.deepcopy(model), copy.deepcopy(model)
+    opt_a = MtlOptimizer(a, OptimizerConfig(lr=0.05))
+    opt_a.phase2_step(conv_batch(4), weights, other)
+    a.flat_data[:] = b.flat_data  # sgd keeps no state, so only the parameters moved
+    ra = opt_a.phase2_step(conv_batch(5), weights, owners)
+    rb = MtlOptimizer(b, OptimizerConfig(lr=0.05)).phase2_step(conv_batch(5), weights, owners)
+    assert sum(ra.projections.values()) > 0
+    for name in ("losses", "conflicts", "projections", "writes"):
+        assert getattr(ra, name) == getattr(rb, name), name
+    assert a.flat_data.tobytes() == b.flat_data.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,18 @@ def test_one_pixel_batch_trains_without_trunk_batch_norm():
     assert not report.failed and not report.violations
 
 
+def test_every_module_but_autodiff_fails_a_test_on_a_runtime_warning(pytestconfig):
+    # pyproject.toml turns a RuntimeWarning into an error in every module but
+    # autodiff, whose overflow check may warn; a new module fails here until listed
+    package = os.path.dirname(optimizers.__file__)
+    modules = {"mtlopt" if name == "__init__.py" else f"mtlopt.{name[:-3]}"
+               for name in os.listdir(package) if name.endswith(".py")}
+    assert "mtlopt.optimizers" in modules
+    filters = set(pytestconfig.getini("filterwarnings"))
+    missing = {f"error::RuntimeWarning:{m}" for m in modules - {"mtlopt.autodiff"}} - filters
+    assert not missing
+
+
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
     # the traced benchmark patches package names from outside; a renamed
     # step method or function should fail here, not crash the traced run
@@ -385,6 +397,55 @@ def test_blas_threads_reports_the_count_a_child_starts_with():
                           check=True,
                           env={**verification.child_environment(), "OPENBLAS_NUM_THREADS": "1"})
     assert proc.stdout.strip() == "1"
+
+
+# the wide-trunk model; seed 1 draws phase 1, then phase 2. Batch 16 of 16x16 is the
+# wide-trunk workload's shape; batch 5 of 13x13 makes the 845-column products whose
+# last bits OpenBLAS rounded differently on 1 and 2 threads in other product forms
+_WIDE_SHAPES = ({"batch_size": 16, "height": 16, "width": 16},
+                {"batch_size": 5, "height": 13, "width": 13})
+_WIDE = {
+    "epochs": 2, "steps_per_epoch": 2, "seeds": [1], "eval_batches": 1,
+    "model": {"trunk": [{"in_channels": 3, "out_channels": 16, "kernel_size": 3},
+                        {"in_channels": 16, "out_channels": 16, "kernel_size": 3}],
+              "heads": {"1": [{"in_channels": 16, "out_channels": 4, "kernel_size": 1}],
+                        "2": [{"in_channels": 16, "out_channels": 1, "kernel_size": 1}]},
+              "tasks": [{"id": 1, "loss": "cross_entropy"}, {"id": 2, "loss": "mse"}]},
+}
+_HASH_REPORTS = """
+import hashlib, json, sys, tempfile
+from mtlopt import ExperimentConfig, run_experiment, write_report
+from mtlopt.runner import blas_threads
+digests = {}
+for shape, config in enumerate(json.loads(sys.argv[1])):
+    for method in ("ours", "gd", "pcgrad"):
+        report = run_experiment(ExperimentConfig.from_dict({**config, "method": method}))
+        assert not report.failed and not report.violations
+        if method == "ours":
+            assert {row["phase"] for row in report.seed_results[0].log_rows} == {"phase1", "phase2"}
+        with tempfile.TemporaryDirectory() as out:
+            write_report(report, out)
+            for name in ("metrics.csv", "run_log.jsonl", "strength.jsonl"):
+                with open(f"{out}/{name}", "rb") as fh:
+                    digests[f"{shape}/{method}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps({"blas_threads": blas_threads(), "digests": digests}))
+"""
+
+
+def test_output_bytes_do_not_depend_on_the_blas_thread_count():
+    if (os.cpu_count() or 1) < 2 or runner.blas_threads() is None:
+        pytest.skip("needs two CPUs and a BLAS that reports its thread count")
+    configs = json.dumps([{**_WIDE, "data": shape} for shape in _WIDE_SHAPES])
+    children = [subprocess.Popen([sys.executable, "-c", _HASH_REPORTS, configs],
+                                 stdout=subprocess.PIPE, text=True,
+                                 env={**verification.child_environment(),
+                                      "OPENBLAS_NUM_THREADS": str(threads)})
+                for threads in (1, 2)]
+    outputs = [child.communicate(timeout=120)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    one, two = map(json.loads, outputs)
+    assert (one["blas_threads"], two["blas_threads"]) == (1, 2)
+    assert one["digests"] == two["digests"]
 
 
 @pytest.mark.parametrize("num_batches", [0, -1])
@@ -678,11 +739,11 @@ def test_write_count_check_names_the_block(monkeypatch):
     apply = optimizers.MtlOptimizer._apply
     doubled = []
 
-    def twice_once(self, key, grad):
-        apply(self, key, grad)
+    def twice_once(self, result, key, grad):
+        apply(self, result, key, grad)
         if key == SHARED and not doubled:
             doubled.append(key)
-            apply(self, key, grad)
+            apply(self, result, key, grad)
 
     monkeypatch.setattr(optimizers.MtlOptimizer, "_apply", twice_once)
     report = run_experiment(fast_config(epochs=1, method="gd"))
@@ -950,4 +1011,18 @@ def test_report_refuses_a_metrics_file_no_run_wrote(tmp_path, capsys, text, mess
     assert cli_main(["report", "--dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {tmp_path / 'metrics.csv'}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: path.mkdir(), "IsADirectoryError"),
+    (lambda path: path.write_bytes(b"seed,\xffmethod\n"), "UnicodeDecodeError"),
+], ids=["directory", "not-utf-8"])
+def test_report_refuses_a_metrics_file_it_cannot_read_as_text(tmp_path, capsys, make, reason):
+    make(tmp_path / "metrics.csv")
+    capsys.readouterr()
+    assert cli_main(["report", "--dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: {tmp_path / 'metrics.csv'}: cannot read as text: {reason}: ")
     assert captured.out == ""
