@@ -2,9 +2,9 @@
 
 A config is a plain JSON object; every field has a default, so ``{}`` is a
 runnable experiment. Validation happens before any training step and
-reports the offending field path. ``from_dict`` checks JSON types; the
-optimizer and the loss weighting, which it builds, check their settings'
-ranges, and ``OptimizerConfig`` holds the optimizer settings' defaults.
+reports the offending field path. Each component it builds checks its own
+settings' types and ranges; ``from_dict`` checks the run's own fields and
+the rules that join components. ``OptimizerConfig`` holds the optimizer's defaults.
 """
 from __future__ import annotations
 
@@ -13,11 +13,11 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .loss_scaling import LossWeighting, make_loss_weighting
 from .network import ModelSpec
 from .optimizers import METHOD_OURS, PHASE1, PHASE2, OptimizerConfig
-from .synthetic import TARGETS, SyntheticConfig, _is_int, _is_number
+from .synthetic import TARGETS, SyntheticConfig
 
 
 def default_model_dict() -> dict:
@@ -85,7 +85,7 @@ def _require(condition: bool, path: str, message: str) -> None:
 
 def _is_task_key(value) -> bool:
     # JSON object keys are strings, so "1" names task 1 as well as 1 does; int() rejects "²"
-    return _is_int(value) or (isinstance(value, str) and value.isascii() and value.isdigit())
+    return is_int(value) or (isinstance(value, str) and value.isascii() and value.isdigit())
 
 
 @dataclass(frozen=True)
@@ -146,22 +146,15 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, overrides: Mapping | None = None) -> "ExperimentConfig":
         raw = _merge(default_config_dict(), overrides or {})
-        _require(_is_int(raw["epochs"]) and raw["epochs"] >= 1,
-                 "epochs", "must be a positive integer")
-        _require(_is_int(raw["steps_per_epoch"]) and raw["steps_per_epoch"] >= 1,
-                 "steps_per_epoch", "must be a positive integer")
-        _require(_is_number(raw["lr"]), "lr", "must be a finite number")
-        rule = raw["update_rule"]
-        for key in ("beta1", "beta2", "eps"):
-            _require(_is_number(rule[key]), f"update_rule.{key}", "must be a finite number")
+        for key in ("epochs", "steps_per_epoch", "eval_batches"):
+            _require(is_int(raw[key]) and raw[key] >= 1, key, "must be a positive integer")
         _require(raw["phase_override"] in (None, PHASE1, PHASE2),
                  "phase_override", f"must be null, '{PHASE1}' or '{PHASE2}'")
         _require(isinstance(raw["seeds"], (list, tuple)) and len(raw["seeds"]) >= 1
-                 and all(_is_int(s) for s in raw["seeds"])
+                 and all(is_int(s) for s in raw["seeds"])
                  and len(set(raw["seeds"])) == len(raw["seeds"]),
                  "seeds", "must be a nonempty list of distinct integers")
-        _require(_is_int(raw["eval_batches"]) and raw["eval_batches"] >= 1,
-                 "eval_batches", "must be a positive integer")
+        _require(isinstance(raw["out_dir"], str), "out_dir", "must be a path string")
         _require(raw["baselines"] is None or isinstance(raw["baselines"], str),
                  "baselines", "must be null or a path string")
 
@@ -174,13 +167,6 @@ class ExperimentConfig:
             model = ModelSpec.from_dict(raw["model"])
         except (ConfigError, TypeError) as exc:
             raise ConfigError(f"config.model: {exc}") from exc
-        ls = raw["loss_scaling"]
-        ratios = ls["manual_ratios"]
-        _require(ratios is None or isinstance(ratios, (list, tuple))
-                 and all(_is_number(r) for r in ratios),
-                 "loss_scaling.manual_ratios", "must be null or a list of finite numbers")
-        _require(_is_number(ls["dwa_temperature"]),
-                 "loss_scaling.dwa_temperature", "must be a finite number")
 
         data = SyntheticConfig(**raw["data"])
         try:
@@ -209,6 +195,7 @@ class ExperimentConfig:
             _require(channels == expected, f"model.heads.{task.id}",
                      f"a {task.loss} task needs {expected} output channels, got {channels}")
 
+        rule = raw["update_rule"]
         config = cls(raw=raw, model=model, data=data, optimizer=OptimizerConfig(
             method=raw["method"], lr=raw["lr"], update_rule=rule["kind"],
             adam_beta1=rule["beta1"], adam_beta2=rule["beta2"], adam_eps=rule["eps"]))

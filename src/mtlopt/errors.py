@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two predicates every
+settings check uses to tell a valid number."""
+import sys
 
 
 class MtloptError(Exception):
@@ -34,3 +36,15 @@ class TapeError(MtloptError, RuntimeError):
 
 class StateError(MtloptError, RuntimeError):
     """Mutable state is corrupt or stale (negative variance, outdated snapshot)."""
+
+
+def is_int(value) -> bool:
+    """An integer setting: a Python int, never a bool or another int type."""
+    return type(value) is int
+
+
+def is_number(value) -> bool:
+    """A numeric setting: an int or a float, finite as a float. JSON and
+    ``--set`` parse Infinity and NaN as floats and a run of digits past the
+    float range as an int; no setting takes them."""
+    return (is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max

@@ -5,7 +5,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_number
 
 
 class Metric(NamedTuple):
@@ -34,8 +34,7 @@ def check_baselines(baselines: Mapping[int, float], task_ids) -> None:
     finite, nonzero number."""
     for tid, value in baselines.items():
         # float() would read true as 1.0 and "2" as 2.0
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not np.isfinite(value):
+        if not is_number(value):
             raise ConfigError(f"task {tid}: baseline must be a finite number, got {value!r}")
         if value == 0.0:
             raise ConfigError(f"task {tid}: baseline of 0 makes the ratio undefined")

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_number
 
 SCHEMES = ("equal", "manual", "uncertainty", "dwa")
 
@@ -104,12 +104,14 @@ def make_loss_weighting(scheme: str, loss_kinds: Mapping[int, str],
                         lr: float) -> LossWeighting:
     """The scheme for tasks whose loss kinds ("mse" or "cross_entropy") are given
     in task-id order; ``lr`` is the uncertainty scheme's step size. Any scheme checks
-    the ratios' sign and the temperature; a ConfigError starts with its field."""
+    the ratios and the temperature; a ConfigError starts with its field."""
     task_ids = list(loss_kinds)
-    if manual_ratios is not None and not all(r >= 0 for r in manual_ratios):
-        raise ConfigError(f"manual_ratios: must be nonnegative, got {list(manual_ratios)}")
-    if not dwa_temperature > 0:
-        raise ConfigError(f"dwa_temperature: must be positive, got {dwa_temperature}")
+    if manual_ratios is not None and not (isinstance(manual_ratios, (list, tuple))
+                                          and all(is_number(r) and r >= 0 for r in manual_ratios)):
+        raise ConfigError("manual_ratios: must be nonnegative finite numbers in a list, or "
+                          f"null, got {manual_ratios!r}")
+    if not (is_number(dwa_temperature) and dwa_temperature > 0):
+        raise ConfigError(f"dwa_temperature: must be a positive number, got {dwa_temperature!r}")
     if scheme == "equal":
         return FixedWeights({tid: 1.0 / len(task_ids) for tid in task_ids})
     if scheme == "manual":

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .autodiff import BatchNormState, Tape, Tensor, _row_sized_buffers
-from .errors import ConfigError, DataError, MtloptError
+from .errors import ConfigError, DataError, MtloptError, is_int, is_number
 
 LOSS_KINDS = ("mse", "cross_entropy")
 SHARED = "shared"  # the shared block's key; a task's own block is keyed by its id
@@ -63,7 +63,7 @@ def _task_from_dict(d, where: str) -> TaskSpec:
     # configs written with it, but only at the neutral value
     if isinstance(d, Mapping) and "weight" in d:
         weight = d["weight"]
-        if isinstance(weight, bool) or weight != 1.0:
+        if not is_number(weight) or weight != 1.0:
             raise ConfigError(f"{where}: weight {weight!r} is not 1.0; set per-task loss "
                               "weights with loss_scaling.manual_ratios")
         d = {k: v for k, v in d.items() if k != "weight"}
@@ -94,7 +94,7 @@ class ModelSpec:
         ids = self.task_ids
         if not ids:
             raise ConfigError("model spec needs at least one task")
-        if not all(type(t) is int and t >= 1 for t in ids) or list(ids) != sorted(set(ids)):
+        if not all(is_int(t) and t >= 1 for t in ids) or list(ids) != sorted(set(ids)):
             raise ConfigError(f"task ids must be ascending, distinct positive integers, got {ids}")
         for t in self.tasks:
             if t.loss not in LOSS_KINDS:
@@ -103,8 +103,7 @@ class ModelSpec:
         layers += [(f"head {tid} layer {i}", c)
                    for tid, head in self.heads.items() for i, c in enumerate(head)]
         for where, c in layers:
-            if not all(type(v) is int and v >= 1
-                       for v in (c.in_channels, c.out_channels, c.kernel_size)):
+            if not all(is_int(v) and v >= 1 for v in (c.in_channels, c.out_channels, c.kernel_size)):
                 raise ConfigError(f"{where}: channels and kernel_size must be positive integers")
             if c.kernel_size % 2 == 0:
                 raise ConfigError(f"{where}: kernel_size must be odd, got {c.kernel_size}")

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, ShapeError, StateError, is_int, is_number
 from .network import SHARED, Batch, Model, per_task_gradients
 
 PHASE1 = "phase1"
@@ -54,8 +54,8 @@ class PhaseSchedule:
     uniform draw P satisfies P >= epoch/total_epochs."""
 
     def __init__(self, total_epochs: int, rng: np.random.Generator):
-        if total_epochs <= 0:
-            raise ConfigError(f"total_epochs must be positive, got {total_epochs}")
+        if not (is_int(total_epochs) and total_epochs > 0):
+            raise ConfigError(f"total_epochs: must be a positive integer, got {total_epochs!r}")
         self.total_epochs = total_epochs
         self._rng = rng
 
@@ -126,18 +126,18 @@ class OptimizerConfig:
     adam_eps: float = 1e-8
 
     def validate(self, task_ids: Sequence[int]) -> None:
-        """Raise ConfigError naming the first field out of range, Adam's under sgd too."""
+        """Raise ConfigError naming the first bad field, Adam's under sgd too."""
         if self.method not in METHODS:
             raise ConfigError(f"method: must be one of {METHODS}, got {self.method!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr: must be positive and finite, got {self.lr}")
+        if not (is_number(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr: must be positive and finite, got {self.lr!r}")
         if self.update_rule not in ("sgd", "adam"):
             raise ConfigError(f"update_rule: must be 'sgd' or 'adam', got {self.update_rule!r}")
         for key, beta in (("beta1", self.adam_beta1), ("beta2", self.adam_beta2)):
-            if not 0 <= beta < 1:
-                raise ConfigError(f"update_rule.{key}: must be a number in [0, 1), got {beta}")
-        if not 0 < self.adam_eps < math.inf:
-            raise ConfigError(f"update_rule.eps: must be a positive number, got {self.adam_eps}")
+            if not (is_number(beta) and 0 <= beta < 1):
+                raise ConfigError(f"update_rule.{key}: must be a number in [0, 1), got {beta!r}")
+        if not (is_number(self.adam_eps) and self.adam_eps > 0):
+            raise ConfigError(f"update_rule.eps: must be a positive number, got {self.adam_eps!r}")
         if self.method == METHOD_PCGRAD and len(task_ids) > 2:
             # projection against the one other task; more tasks would need
             # PCGrad's random order over them

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .config import ExperimentConfig, default_config_dict
-from .errors import ConfigError, DataError, MtloptError
+from .errors import ConfigError, DataError, MtloptError, is_int
 from .evaluation import METRICS, check_baselines, delta_m, priority_share
 from .network import SHARED, Batch, Model, build_model, per_task_gradients
 from .optimizers import METHOD_OURS, PHASE1, PROJECTION_DOT_FLOOR, MtlOptimizer, PhaseSchedule
@@ -34,6 +34,8 @@ from .autodiff import Tape, _row_sized_buffers
 METRICS_FILE = "metrics.csv"
 RUN_LOG_FILE = "run_log.jsonl"
 STRENGTH_FILE = "strength.jsonl"
+# the files a run's config and seeds fix to the byte; timings stay out of them
+DETERMINISTIC_FILES = (METRICS_FILE, RUN_LOG_FILE, STRENGTH_FILE)
 SUMMARY_FILE = "summary.json"
 BASELINES_FILE = "baselines.json"
 
@@ -94,8 +96,8 @@ def evaluate_model(model: Model, dataset: SyntheticMtlDataset, num_batches: int
                    ) -> tuple[dict[int, float], dict[int, float]]:
     """Held-out (eval-mode) per-task losses and metrics over num_batches;
     each task's metric is the one ``evaluation.METRICS`` gives its loss."""
-    if num_batches < 1:
-        raise ConfigError(f"num_batches: must be a positive integer, got {num_batches}")
+    if not (is_int(num_batches) and num_batches >= 1):
+        raise ConfigError(f"num_batches: must be a positive integer, got {num_batches!r}")
     task_ids = model.spec.task_ids
     loss_totals = {tid: 0.0 for tid in task_ids}
     metric_totals = {tid: 0.0 for tid in task_ids}

@@ -8,12 +8,11 @@ input and correlate through the latent.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_int, is_number
 from .network import Batch
 from .rng import substream
 
@@ -53,27 +52,16 @@ class SyntheticConfig:
         of the wrong type."""
         for key in ("batch_size", "channels", "height", "width", "bumps"):
             value = getattr(self, key)
-            if not (_is_int(value) and value >= 1):
+            if not (is_int(value) and value >= 1):
                 raise ConfigError(f"{key}: must be a positive integer")
-        if not (_is_int(self.num_classes) and self.num_classes >= 2):
+        if not (is_int(self.num_classes) and self.num_classes >= 2):
             raise ConfigError("num_classes: must be an integer >= 2")
-        if not (_is_number(self.noise) and self.noise >= 0):
+        if not (is_number(self.noise) and self.noise >= 0):
             raise ConfigError("noise: must be a nonnegative number")
         mix = self.depth_mix
         if not (isinstance(mix, (list, tuple)) and len(mix) == 2
-                and all(_is_number(v) for v in mix)):
+                and all(is_number(v) for v in mix)):
             raise ConfigError("depth_mix: must be two numbers")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    # JSON and --set parse Infinity and NaN as floats; no setting takes them
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return _is_int(value)
 
 
 class SyntheticMtlDataset:
@@ -155,15 +143,12 @@ class SyntheticMtlDataset:
         fields = bumps[:, :, 0].copy()
         for b in range(1, cfg.bumps):
             fields += bumps[:, :, b]
-        # centre and scale each latent over one flat H*W axis by the steps
-        # of np.mean and np.std, so every byte matches those calls on one
-        # image's 2-D field
+        # centre and scale each latent over one flat H*W axis; every byte
+        # matches np.mean and np.std on one image's 2-D field
         m = h * w
         flat = fields.reshape(n, 2, m)
-        centred = flat - flat.sum(axis=-1, keepdims=True) / m
-        dev = centred - centred.sum(axis=-1, keepdims=True) / m
-        dev *= dev
-        scale = np.sqrt(dev.sum(axis=-1, keepdims=True) / m)
+        centred = flat - flat.mean(axis=-1, keepdims=True)
+        scale = centred.std(axis=-1, keepdims=True)
         fields = (centred / np.where(scale > 0, scale, 1.0)).reshape(n, 2, h, w)
         z1, z2 = fields[:, 0], fields[:, 1]
 

@@ -34,8 +34,8 @@ from .quadratics import (
     priority_update_check,
 )
 from .rng import substream
-from .runner import RunReport, mean_pairwise_gradient_cosine, run_experiment, \
-    run_single_task_baselines, training_dataset, write_baselines
+from .runner import DETERMINISTIC_FILES, RunReport, mean_pairwise_gradient_cosine, \
+    run_experiment, run_single_task_baselines, training_dataset, write_baselines
 from .strength import (
     channel_owners,
     layer_strength_report,
@@ -511,7 +511,7 @@ def check_determinism() -> CheckResult:
                 if proc.returncode != 0:
                     return False, f"run subcommand failed: {proc.stderr.strip()[:200]}"
                 outputs.append(out_dir)
-            for name in ("metrics.csv", "run_log.jsonl", "strength.jsonl"):
+            for name in DETERMINISTIC_FILES:
                 a = open(os.path.join(outputs[0], name), "rb").read()
                 b = open(os.path.join(outputs[1], name), "rb").read()
                 if a != b:

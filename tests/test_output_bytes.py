@@ -23,9 +23,7 @@ from pathlib import Path
 from mtlopt.config import ExperimentConfig
 from mtlopt.runner import (
     BLAS_THREAD_VARIABLES,
-    METRICS_FILE,
-    RUN_LOG_FILE,
-    STRENGTH_FILE,
+    DETERMINISTIC_FILES,
     numeric_environment,
     run_experiment,
     write_report,
@@ -33,7 +31,6 @@ from mtlopt.runner import (
 from mtlopt.verification import child_environment
 
 PIN_FILE = os.path.join(os.path.dirname(__file__), "output_bytes.json")
-PINNED_FILES = (METRICS_FILE, RUN_LOG_FILE, STRENGTH_FILE)
 WIDE_ODD_MODEL = {
     "trunk": [{"in_channels": 3, "out_channels": 16, "kernel_size": 3},
               {"in_channels": 16, "out_channels": 16, "kernel_size": 3}],
@@ -82,7 +79,7 @@ def _hashes(tmp_path) -> dict[str, dict[str, str]]:
         run_dir = tmp_path / name
         write_report(report, str(run_dir))
         out[name] = {f: hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
-                     for f in PINNED_FILES}
+                     for f in DETERMINISTIC_FILES}
     return out
 
 

@@ -20,7 +20,7 @@ from mtlopt.config import (
     default_model_dict,
 )
 from mtlopt.errors import ConfigError, NumericError, ShapeError
-from mtlopt.loss_scaling import DynamicWeightAverage
+from mtlopt.loss_scaling import DynamicWeightAverage, make_loss_weighting
 from mtlopt import evaluation, optimizers, runner, verification
 from mtlopt.network import SHARED, build_model, per_task_gradients
 from mtlopt.runner import (
@@ -215,6 +215,41 @@ def test_invalid_configs_fail_fast(overrides, fragment):
         ExperimentConfig.from_dict(overrides)
 
 
+_KINDS = {1: "cross_entropy", 2: "mse"}
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: optimizers.OptimizerConfig(lr=True).validate((1, 2)), "lr"),
+    (lambda: optimizers.OptimizerConfig(lr="0.1").validate((1, 2)), "lr"),
+    # JSON reads a run of digits as an int, however far past the float range
+    (lambda: optimizers.OptimizerConfig(lr=10**400).validate((1, 2)), "lr"),
+    (lambda: optimizers.OptimizerConfig(adam_beta1=None).validate((1, 2)), "update_rule.beta1"),
+    (lambda: optimizers.OptimizerConfig(adam_eps=True).validate((1, 2)), "update_rule.eps"),
+    (lambda: make_loss_weighting("dwa", _KINDS, None, True, 0.1), "dwa_temperature"),
+    (lambda: make_loss_weighting("dwa", _KINDS, None, "2", 0.1), "dwa_temperature"),
+    (lambda: make_loss_weighting("equal", _KINDS, [True], 2.0, 0.1), "manual_ratios"),
+    (lambda: make_loss_weighting("equal", _KINDS, [float("inf")], 2.0, 0.1), "manual_ratios"),
+    (lambda: make_loss_weighting("equal", _KINDS, ["a"], 2.0, 0.1), "manual_ratios"),
+    (lambda: make_loss_weighting("equal", _KINDS, "1", 2.0, 0.1), "manual_ratios"),
+    (lambda: optimizers.PhaseSchedule(True, np.random.default_rng(0)), "total_epochs"),
+    (lambda: evaluate_model(build_model(fast_config().model, seed=1),
+                            training_dataset(fast_config(), 1), 2.5), "num_batches"),
+], ids=["lr=True", "lr='0.1'", "lr=10**400", "beta1=None", "eps=True", "temperature=True", "temperature='2'",
+        "ratios=[True]", "ratios=[inf]", "ratios=['a']", "ratios='1'", "total_epochs=True",
+        "num_batches=2.5"])
+def test_components_check_their_own_settings_types(build, field):
+    # the Python API reaches each component without from_dict, so each checks
+    # its settings' types as well as their ranges
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+        build()
+
+
+def test_out_dir_must_be_a_path_string():
+    # the run writes its files under out_dir; a number would end in a traceback
+    with pytest.raises(ConfigError, match="config.out_dir: must be a path string"):
+        ExperimentConfig.from_dict(apply_dotted_overrides({}, ["out_dir=5"]))
+
+
 def test_benchmark_workload_configs_build(monkeypatch):
     # the benchmark's configs live outside the package; a spec change that
     # breaks one should fail here, not only when the benchmark runs
@@ -238,14 +273,16 @@ def test_one_pixel_batch_trains_without_trunk_batch_norm():
 
 def test_every_module_but_autodiff_fails_a_test_on_a_runtime_warning(pytestconfig):
     # pyproject.toml turns a RuntimeWarning into an error in every module but
-    # autodiff, whose overflow check may warn; a new module fails here until listed
+    # autodiff, whose overflow check may warn; pytest matches a filter's
+    # module field as a regex from the start of the module name
     package = os.path.dirname(optimizers.__file__)
     modules = {"mtlopt" if name == "__init__.py" else f"mtlopt.{name[:-3]}"
                for name in os.listdir(package) if name.endswith(".py")}
-    assert "mtlopt.optimizers" in modules
-    filters = set(pytestconfig.getini("filterwarnings"))
-    missing = {f"error::RuntimeWarning:{m}" for m in modules - {"mtlopt.autodiff"}} - filters
-    assert not missing
+    assert {"mtlopt.optimizers", "mtlopt.autodiff"} <= modules
+    patterns = [(f.split(":") + [""] * 4)[3] for f in pytestconfig.getini("filterwarnings")
+                if f.split(":")[:3] == ["error", "", "RuntimeWarning"]]
+    erroring = {m for m in modules if any(re.match(p, m) for p in patterns)}
+    assert erroring == modules - {"mtlopt.autodiff"}
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
@@ -415,7 +452,7 @@ _WIDE = {
 _HASH_REPORTS = """
 import hashlib, json, sys, tempfile
 from mtlopt import ExperimentConfig, run_experiment, write_report
-from mtlopt.runner import blas_threads
+from mtlopt.runner import DETERMINISTIC_FILES, blas_threads
 digests = {}
 for shape, config in enumerate(json.loads(sys.argv[1])):
     for method in ("ours", "gd", "pcgrad"):
@@ -425,7 +462,7 @@ for shape, config in enumerate(json.loads(sys.argv[1])):
             assert {row["phase"] for row in report.seed_results[0].log_rows} == {"phase1", "phase2"}
         with tempfile.TemporaryDirectory() as out:
             write_report(report, out)
-            for name in ("metrics.csv", "run_log.jsonl", "strength.jsonl"):
+            for name in DETERMINISTIC_FILES:
                 with open(f"{out}/{name}", "rb") as fh:
                     digests[f"{shape}/{method}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
 print(json.dumps({"blas_threads": blas_threads(), "digests": digests}))
